@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet vet-fast race bench fuzz-smoke chaos-hedge overload writer-matrix writer-matrix-short multiproc-smoke elastic-smoke
+.PHONY: all build test vet vet-fast race bench fuzz-smoke chaos-hedge overload benchmark-test multiproc-smoke elastic-smoke
 
 all: build vet test
 
@@ -50,7 +50,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameUnmarshal$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzShedCreditFrame$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHedgeProtocolFrames$$' -fuzztime 30s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzMOFIndexConcat$$' -fuzztime 30s ./internal/mof
 
 # chaos-hedge: the speculative-fetch chaos suite under the race detector —
 # replicated-MOF topologies where a stalled or dead primary must be
@@ -63,19 +62,11 @@ chaos-hedge:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# writer-matrix: the map-side writer crossover measurement — seal MB/s
-# for every strategy over the (partition count × record size × combiner)
-# grid. The selector's default thresholds in
-# internal/mapred/writerselect.go are read off this table; rerun it and
-# update EXPERIMENTS.md ("Writer crossover matrix") when they drift.
-writer-matrix:
-	$(GO) run ./cmd/jbsbench writer-matrix
-
-# writer-matrix-short: the CI smoke — each strategy's decisive home cell
-# at small volume, asserting the selector still picks the measured
-# winner there.
-writer-matrix-short:
-	$(GO) run ./cmd/jbsbench -short writer-matrix
+# benchmark-test: the repo benchmark (benchmark/, named by BENCHMARK.json)
+# is its own module, so `go test ./...` at the root does not build it;
+# this target is what notices when a refactor breaks it.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 # multiproc-smoke: the process-level acceptance run — build the real
 # jbsregistryd/jbssupplierd/jbsmergerd binaries, spawn a registry plus

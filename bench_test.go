@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/mapred"
 )
 
 // printOnce prints each experiment's regenerated table a single time per
@@ -69,12 +68,11 @@ func BenchmarkSimulator256GB(b *testing.B) {
 }
 
 // functionalBench runs one real-engine job per iteration under the named
-// provider, optionally pinning the map-side writer strategy.
-func functionalBench(b *testing.B, providerName string, writer mapred.WriterStrategy) {
+// provider.
+func functionalBench(b *testing.B, providerName string) {
 	b.Helper()
 	cfg := bench.DefaultFunctionalConfig()
 	cfg.Lines = 1000
-	cfg.Writer = writer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		providers, err := bench.FunctionalProviders()
@@ -94,22 +92,15 @@ func functionalBench(b *testing.B, providerName string, writer mapred.WriterStra
 // BenchmarkFunctionalShuffleHTTP runs real Terasort with the stock Hadoop
 // HTTP shuffle (real HTTP servlets, spill merger).
 func BenchmarkFunctionalShuffleHTTP(b *testing.B) {
-	functionalBench(b, "hadoop-http", mapred.WriterAuto)
+	functionalBench(b, "hadoop-http")
 }
 
 // BenchmarkFunctionalShuffleJBSTCP runs real Terasort with JBS over real
 // TCP sockets (MOFSupplier + NetMerger + network-levitated merge).
-func BenchmarkFunctionalShuffleJBSTCP(b *testing.B) { functionalBench(b, "jbs-tcp", mapred.WriterAuto) }
+func BenchmarkFunctionalShuffleJBSTCP(b *testing.B) { functionalBench(b, "jbs-tcp") }
 
 // BenchmarkFunctionalShuffleJBSRDMA runs real Terasort with JBS over the
 // emulated RDMA verbs transport.
 func BenchmarkFunctionalShuffleJBSRDMA(b *testing.B) {
-	functionalBench(b, "jbs-rdma", mapred.WriterAuto)
-}
-
-// BenchmarkFunctionalShuffleJBSTCPBypass pins the bypass hash writer on
-// the map side: unsorted MOF segments cross real sockets and are
-// normalized by the reduce-side merge, end to end.
-func BenchmarkFunctionalShuffleJBSTCPBypass(b *testing.B) {
-	functionalBench(b, "jbs-tcp", mapred.WriterBypass)
+	functionalBench(b, "jbs-rdma")
 }

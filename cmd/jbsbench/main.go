@@ -28,7 +28,7 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
-	short := flag.Bool("short", false, "writer-matrix/multiproc: small smoke configuration (CI)")
+	short := flag.Bool("short", false, "multiproc: small smoke configuration (CI)")
 	lines := flag.Int("lines", 2000, "input records for the functional run")
 	fixtureDir := flag.String("dir", "", "mof-fixture: directory to write the MOF grid into")
 	fixtureTasks := flag.Int("fixture-tasks", 4, "mof-fixture: map-task count")
@@ -87,24 +87,6 @@ func main() {
 				os.Exit(1)
 			}
 			emit(rep)
-		case "writer-matrix":
-			cfg := bench.DefaultWriterMatrixConfig()
-			if *short {
-				cfg = bench.ShortWriterMatrixConfig()
-			}
-			rep, cells, err := bench.WriterMatrix(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "jbsbench:", err)
-				os.Exit(1)
-			}
-			emit(rep)
-			if *short {
-				if err := bench.WriterMatrixSmoke(cells); err != nil {
-					fmt.Fprintln(os.Stderr, "jbsbench:", err)
-					os.Exit(1)
-				}
-				fmt.Println("writer-matrix smoke: selector matches the measured winner on every strategy's home cell")
-			}
 		case "overload":
 			rep, err := bench.Overload(bench.DefaultOverloadConfig())
 			if err != nil {

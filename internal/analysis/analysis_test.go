@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -219,5 +221,27 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("repo not jbsvet-clean: %s", f)
+	}
+}
+
+// TestGoPackageDirsSkipsNestedModules pins the "./..." convention: a
+// directory with its own go.mod is another module and is not walked into.
+func TestGoPackageDirsSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for _, f := range []string{"go.mod", "a/a.go", "nested/go.mod", "nested/n.go", "nested/deep/d.go"} {
+		path := filepath.Join(root, filepath.FromSlash(f))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("package x\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs, err := GoPackageDirs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{filepath.Join(root, "a")}; !slices.Equal(dirs, want) {
+		t.Fatalf("GoPackageDirs = %v, want %v", dirs, want)
 	}
 }

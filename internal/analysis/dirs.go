@@ -10,9 +10,9 @@ import (
 
 // GoPackageDirs walks the named subtrees of root (or root itself when none
 // are given) and returns every directory directly containing a non-test Go
-// file. testdata, hidden, and underscore-prefixed directories are skipped,
-// matching the go tool's convention. The result is sorted and
-// deduplicated.
+// file. testdata, hidden, and underscore-prefixed directories and nested
+// modules (a directory with its own go.mod) are skipped, matching the go
+// tool's convention for "./...". The result is sorted and deduplicated.
 func GoPackageDirs(root string, subtrees ...string) ([]string, error) {
 	bases := []string{root}
 	if len(subtrees) > 0 {
@@ -32,8 +32,13 @@ func GoPackageDirs(root string, subtrees ...string) ([]string, error) {
 				return nil
 			}
 			name := d.Name()
-			if path != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
+			if path != base {
+				if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+					return filepath.SkipDir
+				}
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			if HasGoFiles(path) && !seen[path] {
 				seen[path] = true

@@ -207,33 +207,6 @@ func TestRunFunctionalUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// benchmarkFunctional runs one real-engine job per iteration under the
-// named provider, reporting allocations so shuffle-path regressions show
-// up as allocs/op.
-func benchmarkFunctional(b *testing.B, providerName string) {
-	b.Helper()
-	cfg := DefaultFunctionalConfig()
-	cfg.Lines = 500
-	providers, err := FunctionalProviders()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := RunFunctional(cfg, providers[providerName])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Counters.ShuffledBytes == 0 {
-			b.Fatal("no shuffle traffic")
-		}
-	}
-}
-
-func BenchmarkFunctionalJBSTCP(b *testing.B)  { benchmarkFunctional(b, "jbs-tcp") }
-func BenchmarkFunctionalJBSRDMA(b *testing.B) { benchmarkFunctional(b, "jbs-rdma") }
-
 func TestHelperFormatting(t *testing.T) {
 	if secs(1.25) != "1.2" && secs(1.25) != "1.3" {
 		t.Errorf("secs = %q", secs(1.25))

@@ -28,8 +28,6 @@ type FunctionalConfig struct {
 	CompressMOF bool
 	// SortMemory caps the map-side sort buffer (0 = unbounded).
 	SortMemory int64
-	// Writer pins the map-side writer strategy (empty = adaptive).
-	Writer mapred.WriterStrategy
 }
 
 // DefaultFunctionalConfig returns a laptop-scale configuration.
@@ -86,7 +84,6 @@ func RunFunctional(cfg FunctionalConfig, provider mapred.ShuffleProvider) (*Func
 	job := bm.Job("/input", "/output", cfg.Reducers)
 	job.CompressMOF = cfg.CompressMOF
 	job.SortMemory = cfg.SortMemory
-	job.Writer = cfg.Writer
 	before := metrics.Default().Snapshot()
 	start := time.Now()
 	res, err := eng.Run(job)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/bufpool"
 	"repro/internal/flow"
-	"repro/internal/mapred"
 	"repro/internal/metrics"
 	"repro/internal/registry"
 )
@@ -70,12 +69,6 @@ func handleIndex(w http.ResponseWriter, r *http.Request) {
 		"  /debug/jbs/flow     flow control plane: admission ledgers, AIMD windows, tenant queues\n"+
 		"  /debug/jbs/registry discovery registry: supplier membership, draining flags, shard ownership\n"+
 		"  /debug/jbs/autoscale elastic fleet controller: last signals, desired size, scale events\n")
-	if d, ok := mapred.LastWriterDecision(); ok {
-		fmt.Fprintf(w, "last writer decision: strategy=%s partitions=%d record-bytes=%d combine=%v override=%v (%s)\n",
-			d.Strategy, d.Partitions, d.RecordBytes, d.Combine, d.Override, d.Reason)
-	} else {
-		fmt.Fprint(w, "last writer decision: none yet (no job has started)\n")
-	}
 	// One-line hedging summary across every in-process merger; the full
 	// jbs_merger_hedge_* family lives in /debug/jbs/metrics.
 	var hedges, wins, dupBytes int64

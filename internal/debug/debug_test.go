@@ -43,11 +43,6 @@ func TestEndpoints(t *testing.T) {
 			t.Errorf("index missing %s:\n%s", want, index)
 		}
 	}
-	// No job has run in this test binary, so the selector feed reports
-	// its empty state rather than a stale decision.
-	if !strings.Contains(index, "last writer decision: none yet") {
-		t.Errorf("index missing the writer-decision line:\n%s", index)
-	}
 
 	// The metrics endpoint serves the full default registry; exercising the
 	// pool guarantees at least the bufpool metrics are present.

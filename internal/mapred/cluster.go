@@ -8,7 +8,6 @@ package mapred
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -174,9 +173,6 @@ func (c *Cluster) Run(job *Job) (*Result, error) {
 	c.jobSeq++
 	jobID := fmt.Sprintf("job-%04d-%s", c.jobSeq, job.Name)
 	c.mu.Unlock()
-
-	job.decision = SelectWriter(job)
-	recordWriterDecision(job.decision)
 
 	cs := &counterSet{}
 
@@ -372,8 +368,8 @@ func (c *Cluster) nextNode(node string) string {
 }
 
 // runMapTask executes one map attempt on the given node: read the split,
-// feed the map function's output through the job's selected ShuffleWriter
-// strategy, seal the attempt's MOF, and try to commit it.
+// feed the map function's output through the sort writer, seal the
+// attempt's MOF, and try to commit it.
 // A losing attempt (another attempt committed first) discards its files
 // and reports success.
 func (c *Cluster) runMapTask(a mapAssignment, node string, attempt int, job *Job, cs *counterSet, commitHost *sync.Map, announce func(task, node string)) error {
@@ -388,18 +384,16 @@ func (c *Cluster) runMapTask(a mapAssignment, node string, attempt int, job *Job
 		return err
 	}
 	attemptID := fmt.Sprintf("%s-a%d", a.taskID, attempt)
-	w, err := NewShuffleWriter(job.writerStrategy(), WriterConfig{
-		Partitions: job.NumReducers,
-		SortMemory: job.SortMemory,
-		Dir:        dir,
-		TaskID:     attemptID,
-		Combine:    job.Combine,
-		Compress:   job.CompressMOF,
+	w := newSortWriter(writerConfig{
+		partitions: job.NumReducers,
+		inputBytes: a.split.Length,
+		sortMemory: job.SortMemory,
+		dir:        dir,
+		taskID:     attemptID,
+		combine:    job.Combine,
+		compress:   job.CompressMOF,
 		cs:         cs,
 	})
-	if err != nil {
-		return err
-	}
 	sealed := false
 	defer func() {
 		if !sealed {
@@ -491,37 +485,6 @@ func (c *Cluster) withRetry(kind string, cs *counterSet, cleanup func(), fn func
 		return nil
 	}
 	return fmt.Errorf("%s failed after %d attempts: %w", kind, c.cfg.MaxTaskAttempts, lastErr)
-}
-
-// combinePartition applies the combiner to one sorted partition buffer,
-// returning the (usually much smaller) combined records in key order.
-func combinePartition(combine ReduceFunc, recs []mof.Record, cs *counterSet) ([]mof.Record, error) {
-	var out []mof.Record
-	emit := func(k, v []byte) {
-		out = append(out, mof.Record{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-	}
-	i := 0
-	for i < len(recs) {
-		j := i + 1
-		for j < len(recs) && bytes.Equal(recs[j].Key, recs[i].Key) {
-			j++
-		}
-		values := make([][]byte, 0, j-i)
-		for _, r := range recs[i:j] {
-			values = append(values, r.Value)
-		}
-		cs.addCombineInputs(int64(j - i))
-		if err := combine(recs[i].Key, values, emit); err != nil {
-			return nil, err
-		}
-		i = j
-	}
-	cs.addCombineOutputs(int64(len(out)))
-	merge.SortRecords(out) // combiner output order is the emitter's choice
-	return out, nil
 }
 
 // eventCursor replays a reducer's completion feed across task-attempt

@@ -47,16 +47,10 @@ type Job struct {
 	// WordCount and Grep shuffle little data in the paper's Fig. 12).
 	Combine ReduceFunc
 	// SortMemory is the map-side sort buffer budget in bytes (Hadoop's
-	// io.sort.mb): map outputs beyond it spill sorted runs to local disk,
+	// io.sort.mb), counting each buffered record's key, value and sort
+	// bookkeeping: map outputs beyond it spill sorted runs to local disk,
 	// merged into the final MOF at task end. Zero means unbounded.
 	SortMemory int64
-	// Writer pins the map-side shuffle writer strategy. The default,
-	// WriterAuto, lets SelectWriter choose from the job shape (reducer
-	// count, ExpectedRecordBytes, combiner presence).
-	Writer WriterStrategy
-	// ExpectedRecordBytes hints the average intermediate record size
-	// (key + value) to the writer selector. Zero means unknown.
-	ExpectedRecordBytes int64
 	// CompressMOF enables per-segment flate compression of map outputs
 	// (Hadoop's mapred.compress.map.output), shrinking local disk traffic
 	// and shuffle volume; reducers inflate fetched segments before
@@ -66,23 +60,6 @@ type Job struct {
 	InputFormat InputFormat
 	// Partitioner defaults to HashPartitioner.
 	Partitioner Partitioner
-
-	// decision is the writer selection Run made for this job; map tasks
-	// read it instead of re-deriving the choice per attempt.
-	decision WriterDecision
-}
-
-// writerStrategy resolves the concrete writer for a map attempt: the
-// selection Run stored, the explicit override, or the classic sort
-// buffer when the job runs outside Cluster.Run.
-func (j *Job) writerStrategy() WriterStrategy {
-	if j.decision.Strategy != WriterAuto {
-		return j.decision.Strategy
-	}
-	if j.Writer != WriterAuto {
-		return j.Writer
-	}
-	return WriterSortSpill
 }
 
 // Validate checks the job and fills defaults.
@@ -98,15 +75,6 @@ func (j *Job) Validate() error {
 	}
 	if j.Map == nil {
 		return fmt.Errorf("mapred: job %s needs a map function", j.Name)
-	}
-	if !j.Writer.valid() {
-		return fmt.Errorf("mapred: job %s: unknown writer strategy %q", j.Name, string(j.Writer))
-	}
-	if j.Writer == WriterBypass && j.Combine != nil {
-		return fmt.Errorf("mapred: job %s: the bypass writer cannot run a combiner", j.Name)
-	}
-	if j.ExpectedRecordBytes < 0 {
-		return fmt.Errorf("mapred: job %s: negative expected record size", j.Name)
 	}
 	if j.InputFormat == nil {
 		j.InputFormat = LineInput

@@ -585,7 +585,6 @@ func TestMapSideSpills(t *testing.T) {
 
 	run := func(sortMem int64, out string) *Result {
 		job := wordCountJob("/in", out, 2)
-		job.Writer = WriterSortSpill // this test is about the sort buffer's spill path
 		job.SortMemory = sortMem
 		res, err := c.Run(job)
 		if err != nil {
@@ -834,7 +833,6 @@ func TestCompressedShuffleWithMapSpills(t *testing.T) {
 	fs, c := testCluster(t, 2, 4096)
 	putFile(t, fs, "/in", strings.Repeat("aa bb cc dd ee ff\n", 120))
 	job := wordCountJob("/in", "/out", 2)
-	job.Writer = WriterSortSpill // exercise the sort buffer's compressed run merge
 	job.CompressMOF = true
 	job.SortMemory = 512 // force multi-run map-side merges of compressed runs
 	res, err := c.Run(job)

@@ -2,70 +2,84 @@ package mapred
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/merge"
 	"repro/internal/mof"
 )
 
-// testRecords generates a seeded, deliberately unsorted record stream
-// with duplicate keys (distinct values), leaving some partitions empty.
-func testRecords(n, partitions int, valueBytes int) []mof.Record {
+// testRecord is one emitted record with its partition resolved.
+type testRecord struct {
+	mof.Record
+	part int
+}
+
+// testRecords generates a seeded, deliberately unsorted stream of
+// recordBytes-sized records. Every key repeats about eight times with a
+// distinct value per emit, so equal-key emit order is visible downstream,
+// and when there is more than one partition the last one receives
+// nothing.
+func testRecords(n, partitions, recordBytes int) []testRecord {
 	rng := rand.New(rand.NewSource(7))
-	recs := make([]mof.Record, 0, n)
-	for i := 0; i < n; i++ {
-		// Duplicate keys every few records so stable-order parity is
-		// actually exercised.
-		key := fmt.Sprintf("key-%05d", rng.Intn(n/4+1))
-		val := make([]byte, valueBytes)
+	used := max(partitions-1, 1)
+	recs := make([]testRecord, n)
+	for i := range recs {
+		key := []byte(fmt.Sprintf("key-%08d", rng.Intn(n/8+1)))
+		val := make([]byte, max(recordBytes-len(key), 1))
 		rng.Read(val)
-		copy(val, fmt.Sprintf("v%d-", i)) // distinct values per emit
-		recs = append(recs, mof.Record{Key: []byte(key), Value: val})
+		copy(val, fmt.Sprintf("%d;", i))
+		recs[i] = testRecord{mof.Record{Key: key, Value: val}, HashPartitioner(key, used)}
+	}
+	// Empty records occupy no arena bytes, so they share their offset
+	// with the record emitted next: the one case where offsets do not
+	// tell emit order.
+	for i := n / 2; i+2 < n && i < n/2+9; i += 3 {
+		recs[i] = testRecord{part: 0}
+		recs[i+1] = testRecord{part: 0}
+		recs[i+2] = testRecord{mof.Record{Value: []byte(fmt.Sprintf("%d;", i))}, 0}
 	}
 	return recs
 }
 
-// sealToMOF runs one record stream through the given writer strategy and
-// returns the final MOF paths.
-func sealToMOF(t *testing.T, s WriterStrategy, recs []mof.Record, partitions int, compress bool, sortMem int64) MOFPaths {
-	t.Helper()
-	dir := t.TempDir()
-	w, err := NewShuffleWriter(s, WriterConfig{
-		Partitions: partitions,
-		SortMemory: sortMem,
-		Dir:        dir,
-		TaskID:     "t0-a0",
-		Compress:   compress,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		p := HashPartitioner(r.Key, partitions)
-		if err := w.Add(p, r.Key, r.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	final := MOFPaths{
-		Data:  filepath.Join(dir, "final.data"),
-		Index: filepath.Join(dir, "final.index"),
-	}
-	if err := w.Seal(final); err != nil {
-		t.Fatal(err)
-	}
-	return final
+// concatValues is an associative, order-sensitive combiner: combining a
+// key's values in several sorted runs and then again over the merged runs
+// gives the one-pass result only if every stage kept emit order.
+func concatValues(key []byte, values [][]byte, emit Emit) error {
+	emit(key, bytes.Join(values, nil))
+	return nil
 }
 
-// readNormalized reads one MOF partition through the real read path —
-// index, stored segment bytes, checksum verify + decompress, reduce-side
-// normalization — and returns its records.
-func readNormalized(t *testing.T, paths MOFPaths, partition int) []mof.Record {
+// combineAll is the reference combine: one pass over a sorted partition.
+func combineAll(t *testing.T, recs []mof.Record) []mof.Record {
+	t.Helper()
+	var out []mof.Record
+	for i := 0; i < len(recs); {
+		var values [][]byte
+		j := i
+		for ; j < len(recs) && bytes.Equal(recs[j].Key, recs[i].Key); j++ {
+			values = append(values, recs[j].Value)
+		}
+		err := concatValues(recs[i].Key, values, func(k, v []byte) {
+			out = append(out, mof.Record{Key: k, Value: v})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		i = j
+	}
+	return out
+}
+
+// readPartition reads one MOF partition back — index, stored bytes,
+// checksum verify, decompress — and requires it to be in key order
+// already: no producer may emit a segment that needs a reduce-side resort.
+func readPartition(t *testing.T, paths MOFPaths, partition int) []mof.Record {
 	t.Helper()
 	ix, err := mof.ReadIndex(paths.Index)
 	if err != nil {
@@ -83,260 +97,286 @@ func readNormalized(t *testing.T, paths MOFPaths, partition int) []mof.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm, _, err := merge.NormalizeSegment(raw)
+	if _, resorted, err := merge.NormalizeSegment(raw); err != nil || resorted {
+		t.Fatalf("partition %d: segment not in key order (resorted=%v, err=%v)", partition, resorted, err)
+	}
+	recs, err := mof.ParseRecords(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := mof.ParseRecords(norm)
-	if err != nil {
-		t.Fatal(err)
+	if int64(len(recs)) != e.Records {
+		t.Fatalf("partition %d: index says %d records, segment holds %d", partition, e.Records, len(recs))
 	}
 	return recs
 }
 
-// TestWritersProduceEquivalentMOFs is the MOF-level parity check: the
-// same record stream through every strategy must serve identical
-// normalized segments for every partition, spilled or not, compressed or
-// not.
-func TestWritersProduceEquivalentMOFs(t *testing.T) {
-	const partitions = 5 // hash leaves at least one partition empty for this stream
-	recs := testRecords(400, partitions, 24)
-	cases := []struct {
-		name     string
-		compress bool
-		sortMem  int64
-	}{
-		{"plain", false, 0},
-		{"compressed", true, 0},
-		{"spilling", false, 2048}, // sort writers spill multiple runs; bypass streams
-		{"compressed-spilling", true, 2048},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := sealToMOF(t, WriterSortSpill, recs, partitions, tc.compress, tc.sortMem)
-			for _, s := range []WriterStrategy{WriterBypass, WriterSortMerge} {
-				other := sealToMOF(t, s, recs, partitions, tc.compress, tc.sortMem)
-				for p := 0; p < partitions; p++ {
-					want := readNormalized(t, base, p)
-					got := readNormalized(t, other, p)
-					if len(want) != len(got) {
-						t.Fatalf("%s partition %d: %d records, want %d", s, p, len(got), len(want))
-					}
-					for i := range want {
-						if !bytes.Equal(want[i].Key, got[i].Key) || !bytes.Equal(want[i].Value, got[i].Value) {
-							t.Fatalf("%s partition %d record %d differs: key %q vs %q", s, p, i, got[i].Key, want[i].Key)
-						}
+// TestSortWriterMatchesReference checks the writer's MOF, read back per
+// partition, against a naive reference: bucket by partition, stable sort
+// by key, optionally combine.
+func TestSortWriterMatchesReference(t *testing.T) {
+	const n = 320
+	for _, partitions := range []int{1, 4, 256} {
+		for _, recordBytes := range []int{16, 100, 4096} {
+			recs := testRecords(n, partitions, recordBytes)
+			want := make([][]mof.Record, partitions)
+			for _, r := range recs {
+				want[r.part] = append(want[r.part], r.Record)
+			}
+			for _, part := range want {
+				merge.SortRecords(part)
+			}
+			if last := partitions - 1; last > 0 && len(want[last]) != 0 {
+				t.Fatalf("fixture error: partition %d should be empty", last)
+			}
+			for _, combine := range []bool{false, true} {
+				for _, compress := range []bool{false, true} {
+					for _, spill := range []bool{false, true} {
+						name := fmt.Sprintf("p%d/rec%d/combine=%v/compress=%v/spill=%v", partitions, recordBytes, combine, compress, spill)
+						t.Run(name, func(t *testing.T) {
+							checkAgainstReference(t, recs, want, combine, compress, spill)
+						})
 					}
 				}
 			}
-		})
-	}
-}
-
-// TestWriterEndToEndParity runs the same seeded job through the full
-// engine once per strategy and requires byte-identical reduce output: the
-// read path must not be able to tell which writer produced the MOFs.
-func TestWriterEndToEndParity(t *testing.T) {
-	input := strings.Repeat("cherry apple banana apple date banana apple elder fig grape\n", 120)
-	run := func(s WriterStrategy) string {
-		fs, c := testCluster(t, 3, 2048)
-		putFile(t, fs, "/in", input)
-		job := wordCountJob("/in", "/out-"+string(s), 4)
-		job.Combine = nil // keep every strategy eligible
-		job.Writer = s
-		job.SortMemory = 1024 // exercise the sort writers' spill paths too
-		res, err := c.Run(job)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		return catOutputs(t, fs, res)
-	}
-	base := run(WriterSortSpill)
-	for _, s := range []WriterStrategy{WriterBypass, WriterSortMerge} {
-		if out := run(s); out != base {
-			t.Fatalf("writer %s changed job output", s)
 		}
 	}
 }
 
-// TestSortMergeWriterCombines checks the shared-arena writer's combiner
-// path end to end, including across spilled runs.
-func TestSortMergeWriterCombines(t *testing.T) {
-	fs, c := testCluster(t, 2, 4096)
-	putFile(t, fs, "/in", strings.Repeat("dup dup dup dup other\n", 150))
-	sum := func(key []byte, values [][]byte, emit Emit) error {
-		total := 0
-		for _, v := range values {
-			n, err := strconv.Atoi(string(v))
-			if err != nil {
-				return err
-			}
-			total += n
-		}
-		emit(key, []byte(strconv.Itoa(total)))
-		return nil
+func checkAgainstReference(t *testing.T, recs []testRecord, want [][]mof.Record, combine, compress, spill bool) {
+	dir := t.TempDir()
+	cs := &counterSet{}
+	cfg := writerConfig{
+		partitions: len(want),
+		inputBytes: int64(len(recs) * 64), // too small for the large records: the buffers must grow
+		dir:        dir,
+		taskID:     "t0-a0",
+		compress:   compress,
+		cs:         cs,
 	}
-	job := wordCountJob("/in", "/out", 2)
-	job.Combine = sum
-	job.Reduce = sum
-	job.Writer = WriterSortMerge
-	job.SortMemory = 256 // force run spills with the combiner active
-	res, err := c.Run(job)
+	if combine {
+		cfg.combine = concatValues
+	}
+	if spill {
+		cfg.sortMemory = int64(len(recs)*(recs[0].Size()+sortEntryBytes)) / 3
+	}
+	w := newSortWriter(cfg)
+	for _, r := range recs {
+		if err := w.Add(r.part, r.Key, r.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	final := MOFPaths{Data: filepath.Join(dir, "final.data"), Index: filepath.Join(dir, "final.index")}
+	if err := w.Seal(final); err != nil {
+		t.Fatal(err)
+	}
+	if spills := cs.mapSpills.Load(); spill != (spills > 1) {
+		t.Fatalf("spill=%v but the writer spilled %d runs", spill, spills)
+	}
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counters.CombineInputs == 0 || res.Counters.MapSpills == 0 {
-		t.Fatalf("expected combining and spills: %+v", res.Counters)
+	if len(ents) != 2 {
+		t.Fatalf("seal left %d files in the scratch dir, want the MOF pair alone", len(ents))
 	}
-	counts := parseCounts(t, catOutputs(t, fs, res))
-	if counts["dup"] != 600 || counts["other"] != 150 {
-		t.Fatalf("wrong counts: %v", counts)
+	for p := range want {
+		got, ref := readPartition(t, final, p), want[p]
+		if combine {
+			// With spills the combiner ran per run, so a key may appear
+			// once per run; combining again is what the reducer does.
+			if !spill && len(got) != len(combineAll(t, ref)) {
+				t.Fatalf("partition %d: %d records after an unspilled combine, want one per key", p, len(got))
+			}
+			got, ref = combineAll(t, got), combineAll(t, ref)
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("partition %d: %d records, want %d", p, len(got), len(ref))
+		}
+		for i := range ref {
+			if !bytes.Equal(got[i].Key, ref[i].Key) || !bytes.Equal(got[i].Value, ref[i].Value) {
+				t.Fatalf("partition %d record %d: got %q=%.12q, want %q=%.12q",
+					p, i, got[i].Key, got[i].Value, ref[i].Key, ref[i].Value)
+			}
+		}
 	}
 }
 
-func TestSelectWriter(t *testing.T) {
-	mk := func(reducers int, combine bool, recBytes int64, override WriterStrategy) *Job {
-		j := &Job{NumReducers: reducers, ExpectedRecordBytes: recBytes, Writer: override}
-		if combine {
-			j.Combine = func(k []byte, vs [][]byte, emit Emit) error { return nil }
+// openFDs counts the process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	return len(ents)
+}
+
+// TestWriterFailureLeavesNothing fails the writer at each stage that has
+// a MOF open — a run spill, the unspilled final write, the final run
+// merge — and requires no open file and, after Abort, no scratch file.
+func TestWriterFailureLeavesNothing(t *testing.T) {
+	recs := testRecords(200, 4, 32)
+	failing := func(key []byte, values [][]byte, emit Emit) error {
+		emit(key, values[0])
+		if string(key) >= "key-00000012" {
+			return errors.New("combiner failed")
 		}
-		return j
+		return nil
 	}
 	cases := []struct {
-		name string
-		job  *Job
-		want WriterStrategy
+		name       string
+		sortMemory int64
+		combine    ReduceFunc
+		corruptRun bool
 	}{
-		{"small-no-combine", mk(4, false, 0, WriterAuto), WriterBypass},
-		{"at-bypass-limit", mk(DefaultBypassMaxPartitions, false, 0, WriterAuto), WriterBypass},
-		{"small-records-hint", mk(8, false, 100, WriterAuto), WriterBypass},
-		{"large-records", mk(8, false, DefaultBypassMaxRecordBytes+1, WriterAuto), WriterSortSpill},
-		{"combine-no-hint", mk(4, true, 0, WriterAuto), WriterSortSpill},
-		{"combine-tiny-records", mk(4, true, DefaultSortMergeMaxRecordBytes, WriterAuto), WriterSortMerge},
-		{"combine-mid-records", mk(4, true, DefaultSortMergeMaxRecordBytes+1, WriterAuto), WriterSortSpill},
-		{"combine-wide", mk(DefaultSortMergeMaxPartitions+1, true, 64, WriterAuto), WriterSortSpill},
-		{"wide", mk(256, false, 0, WriterAuto), WriterSortSpill},
-		{"mid", mk(DefaultBypassMaxPartitions+1, false, 0, WriterAuto), WriterSortSpill},
-		{"override", mk(4, false, 0, WriterSortMerge), WriterSortMerge},
+		{"combiner-in-spill", 2048, failing, false},
+		{"combiner-in-final-write", 0, failing, false},
+		{"corrupt-run-in-merge", 2048, nil, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := SelectWriter(tc.job)
-			if d.Strategy != tc.want {
-				t.Fatalf("selected %q (%s), want %q", d.Strategy, d.Reason, tc.want)
-			}
-			if d.Reason == "" {
-				t.Fatal("decision carries no reason")
-			}
-			if tc.job.Writer != WriterAuto && !d.Override {
-				t.Fatal("explicit strategy not flagged as override")
-			}
-		})
-	}
-}
-
-func TestJobValidateWriter(t *testing.T) {
-	base := func() *Job {
-		return &Job{
-			Name: "v", Input: "/i", Output: "/o", NumReducers: 2,
-			Map: func(k, v []byte, emit Emit) error { return nil },
-		}
-	}
-	j := base()
-	j.Writer = "made-up"
-	if err := j.Validate(); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	j = base()
-	j.Writer = WriterBypass
-	j.Combine = func(k []byte, vs [][]byte, emit Emit) error { return nil }
-	if err := j.Validate(); err == nil {
-		t.Fatal("bypass with combiner accepted")
-	}
-	j = base()
-	j.ExpectedRecordBytes = -1
-	if err := j.Validate(); err == nil {
-		t.Fatal("negative record size accepted")
-	}
-	j = base()
-	j.Writer = WriterSortMerge
-	if err := j.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewShuffleWriterRejects(t *testing.T) {
-	cfg := WriterConfig{Partitions: 2, Dir: t.TempDir(), TaskID: "t"}
-	if _, err := NewShuffleWriter("nope", cfg); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	if _, err := NewShuffleWriter(WriterAuto, cfg); err == nil {
-		t.Fatal("auto accepted as a concrete writer")
-	}
-	bad := cfg
-	bad.Partitions = 0
-	if _, err := NewShuffleWriter(WriterBypass, bad); err == nil {
-		t.Fatal("zero partitions accepted")
-	}
-	withCombine := cfg
-	withCombine.Combine = func(k []byte, vs [][]byte, emit Emit) error { return nil }
-	if _, err := NewShuffleWriter(WriterBypass, withCombine); err == nil {
-		t.Fatal("bypass with combiner accepted")
-	}
-}
-
-// TestWriterAbortCleansScratch aborts every strategy mid-flight (after
-// forcing spills / open partition files) and requires an empty scratch
-// directory.
-func TestWriterAbortCleansScratch(t *testing.T) {
-	recs := testRecords(200, 4, 32)
-	for _, s := range []WriterStrategy{WriterSortSpill, WriterBypass, WriterSortMerge} {
-		t.Run(string(s), func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := NewShuffleWriter(s, WriterConfig{
-				Partitions: 4,
-				SortMemory: 512,
-				Dir:        dir,
-				TaskID:     "t0-a0",
+			before := openFDs(t)
+			w := newSortWriter(writerConfig{
+				partitions: 4, sortMemory: tc.sortMemory, dir: dir, taskID: "t0-a0", combine: tc.combine,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			var err error
 			for _, r := range recs {
-				if err := w.Add(HashPartitioner(r.Key, 4), r.Key, r.Value); err != nil {
-					t.Fatal(err)
+				if err = w.Add(r.part, r.Key, r.Value); err != nil {
+					break
 				}
 			}
+			if tc.corruptRun {
+				if len(w.runs) == 0 {
+					t.Fatal("fixture error: no run spilled")
+				}
+				if terr := os.Truncate(w.runs[0].Data, 10); terr != nil {
+					t.Fatal(terr)
+				}
+			}
+			if err == nil {
+				err = w.Seal(MOFPaths{Data: filepath.Join(dir, "final.data"), Index: filepath.Join(dir, "final.index")})
+			}
+			if err == nil {
+				t.Fatal("the writer succeeded; the case should fail it")
+			}
+			if after := openFDs(t); after > before {
+				t.Fatalf("failed writer holds %d open files", after-before)
+			}
 			w.Abort()
-			ents, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
+			ents, rerr := os.ReadDir(dir)
+			if rerr != nil {
+				t.Fatal(rerr)
 			}
 			if len(ents) != 0 {
-				t.Fatalf("abort left %d scratch files (first: %s)", len(ents), ents[0].Name())
+				t.Fatalf("failed writer left %d scratch files (first: %s)", len(ents), ents[0].Name())
 			}
 		})
 	}
 }
 
-// TestLastWriterDecision checks the /debug/jbs feed: running a job
-// records its selection inputs.
-func TestLastWriterDecision(t *testing.T) {
-	fs, c := testCluster(t, 2, 4096)
-	putFile(t, fs, "/in", "a b c d\n")
-	job := wordCountJob("/in", "/out", 3)
-	job.Combine = nil
-	if _, err := c.Run(job); err != nil {
+// TestWriterAbortCleansScratch aborts the writer mid-flight (after forcing
+// spills) and requires an empty scratch directory.
+func TestWriterAbortCleansScratch(t *testing.T) {
+	dir := t.TempDir()
+	w := newSortWriter(writerConfig{partitions: 4, sortMemory: 512, dir: dir, taskID: "t0-a0"})
+	for _, r := range testRecords(200, 4, 32) {
+		if err := w.Add(r.part, r.Key, r.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(w.runs) == 0 {
+		t.Fatal("fixture error: no run spilled")
+	}
+	w.Abort()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d, ok := LastWriterDecision()
-	if !ok {
-		t.Fatal("no decision recorded")
+	if len(ents) != 0 {
+		t.Fatalf("abort left %d scratch files (first: %s)", len(ents), ents[0].Name())
 	}
-	if d.Partitions != 3 || d.Combine || d.Override {
-		t.Fatalf("decision inputs wrong: %+v", d)
+}
+
+// TestSortMemoryBoundsSmallRecords feeds WordCount-shaped records whose
+// keys and values alone fit the budget: the per-record bookkeeping is
+// several times the payload, and it must count.
+func TestSortMemoryBoundsSmallRecords(t *testing.T) {
+	const n, budget = 10_000, 64 << 10
+	cs := &counterSet{}
+	w := newSortWriter(writerConfig{partitions: 4, sortMemory: budget, dir: t.TempDir(), taskID: "t0-a0", cs: cs})
+	payload := 0
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("w%04d", i%5000))
+		if err := w.Add(HashPartitioner(key, 4), key, []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+		payload += len(key) + 1
 	}
-	if d.Strategy != WriterBypass {
-		t.Fatalf("3 reducers without combiner selected %q", d.Strategy)
+	if payload >= budget {
+		t.Fatalf("fixture error: %d payload bytes alone exceed the %d budget", payload, budget)
+	}
+	c := cs.snapshot()
+	if want := int64(n * (6 + sortEntryBytes) / budget); c.MapSpills < want {
+		t.Fatalf("%d records of 6+%d bytes under a %d-byte budget spilled %d runs, want at least %d",
+			n, sortEntryBytes, budget, c.MapSpills, want)
+	}
+	w.Abort()
+}
+
+func TestSortEntryBytes(t *testing.T) {
+	if got := unsafe.Sizeof(sortEntry{}); got != sortEntryBytes {
+		t.Fatalf("sortEntry is %d bytes, sortEntryBytes says %d", got, sortEntryBytes)
+	}
+}
+
+func TestAddRejectsBadPartition(t *testing.T) {
+	w := newSortWriter(writerConfig{partitions: 2, dir: t.TempDir(), taskID: "t"})
+	for _, p := range []int{-1, 2} {
+		if err := w.Add(p, []byte("k"), []byte("v")); !errors.Is(err, mof.ErrBadPartition) {
+			t.Fatalf("partition %d: got %v, want ErrBadPartition", p, err)
+		}
+	}
+}
+
+// firstValue is the seal benchmark's combiner: cheap and reduction-heavy,
+// so the combine cells measure the writer's combining machinery rather
+// than a user function.
+func firstValue(key []byte, values [][]byte, emit Emit) error {
+	emit(key, values[0])
+	return nil
+}
+
+// BenchmarkMapWriterSeal is the probe behind DESIGN.md's writer verdict:
+// full Add+Seal of 8 MiB into a servable MOF on the four corner cells of
+// the (partition count x record size) grid, with and without a combiner.
+func BenchmarkMapWriterSeal(b *testing.B) {
+	const total = 8 << 20
+	for _, partitions := range []int{4, 256} {
+		for _, recordBytes := range []int{64, 4096} {
+			recs := testRecords(total/recordBytes, partitions, recordBytes)
+			for _, combine := range []bool{false, true} {
+				b.Run(fmt.Sprintf("p%d/rec%d/combine=%v", partitions, recordBytes, combine), func(b *testing.B) {
+					cfg := writerConfig{partitions: partitions, inputBytes: total, taskID: "m-0"}
+					if combine {
+						cfg.combine = firstValue
+					}
+					cfg.dir = b.TempDir()
+					final := MOFPaths{Data: filepath.Join(cfg.dir, "final.data"), Index: filepath.Join(cfg.dir, "final.index")}
+					b.SetBytes(total)
+					for i := 0; i < b.N; i++ {
+						w := newSortWriter(cfg)
+						for _, r := range recs {
+							if err := w.Add(r.part, r.Key, r.Value); err != nil {
+								b.Fatal(err)
+							}
+						}
+						if err := w.Seal(final); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

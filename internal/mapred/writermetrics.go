@@ -1,65 +1,29 @@
 package mapred
 
 import (
-	"fmt"
 	"os"
 	"time"
 
 	"repro/internal/metrics"
 )
 
-// writerInstruments is one strategy's metric handles, resolved once at
-// package init so the map-side hot path never touches the registry by
-// name.
-type writerInstruments struct {
-	choice      *metrics.Counter
-	selected    *metrics.Gauge
-	sealNS      *metrics.Histogram
-	sealedBytes *metrics.Counter
-	spills      *metrics.Counter
-}
-
-var writerInstrumentsFor = func() map[WriterStrategy]*writerInstruments {
-	m := make(map[WriterStrategy]*writerInstruments, 3)
-	for _, s := range []WriterStrategy{WriterSortSpill, WriterBypass, WriterSortMerge} {
-		m[s] = &writerInstruments{
-			choice: metrics.Default().Counter(
-				fmt.Sprintf("jbs_map_writer_choice_total{strategy=%q}", string(s)), "jobs",
-				"Jobs whose adaptive selection (or explicit override) landed on this map-side writer strategy."),
-			selected: metrics.Default().Gauge(
-				fmt.Sprintf("jbs_map_writer_selected{strategy=%q}", string(s)), "bool",
-				"1 when the most recently selected job runs this writer strategy."),
-			sealNS: metrics.Default().Histogram(
-				fmt.Sprintf("jbs_map_writer_seal_ns{strategy=%q}", string(s)), "ns",
-				"Latency of sealing one map attempt's records into a servable MOF."),
-			sealedBytes: metrics.Default().Counter(
-				fmt.Sprintf("jbs_map_writer_sealed_bytes_total{strategy=%q}", string(s)), "bytes",
-				"MOF data bytes sealed by this writer strategy."),
-			spills: metrics.Default().Counter(
-				fmt.Sprintf("jbs_map_writer_spills_total{strategy=%q}", string(s)), "spills",
-				"Map-side sorted-run spills performed by this writer strategy."),
-		}
-	}
-	return m
-}()
+// The map-side writer's metric handles, resolved once at package init so
+// the map-side hot path never touches the registry by name.
+var (
+	writerSealNS = metrics.Default().Histogram("jbs_map_writer_seal_ns", "ns",
+		"Latency of sealing one map attempt's records into a servable MOF.")
+	writerSealedBytes = metrics.Default().Counter("jbs_map_writer_sealed_bytes_total", "bytes",
+		"MOF data bytes sealed by the map-side writer.")
+	writerSpills = metrics.Default().Counter("jbs_map_writer_spills_total", "spills",
+		"Map-side sorted-run spills.")
+)
 
 // observeWriterSeal records one successful seal: its latency and the
 // sealed data size (from the final MOF on disk).
-func observeWriterSeal(s WriterStrategy, start time.Time, final MOFPaths) {
-	ins := writerInstrumentsFor[s]
-	if ins == nil {
-		return
-	}
-	ins.sealNS.Observe(time.Since(start).Nanoseconds())
+func observeWriterSeal(start time.Time, final MOFPaths) {
+	writerSealNS.Observe(time.Since(start).Nanoseconds())
 	if st, err := os.Stat(final.Data); err == nil {
-		ins.sealedBytes.Add(st.Size())
-	}
-}
-
-// observeWriterSpill counts one sorted-run spill for the strategy.
-func observeWriterSpill(s WriterStrategy) {
-	if ins := writerInstrumentsFor[s]; ins != nil {
-		ins.spills.Inc()
+		writerSealedBytes.Add(st.Size())
 	}
 }
 

@@ -250,6 +250,13 @@ func (w *Writer) finishSegment() error {
 		if err != nil {
 			return err
 		}
+		if len(stored) == len(w.segBuf) {
+			// The index marks a segment compressed by Length != RawLength
+			// alone, so a stream that happens to be as long as its input
+			// would be read back as raw records. One pad byte keeps the
+			// mark; inflate stops at the final block and never sees it.
+			stored = append(stored, 0)
+		}
 		if _, err := w.bw.Write(stored); err != nil {
 			return fmt.Errorf("mof: write compressed segment: %w", err)
 		}
@@ -294,6 +301,15 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("mof: close data: %w", err)
 	}
 	return writeIndex(w.indexPath, &Index{Entries: w.entries})
+}
+
+// Abort abandons the MOF: it closes the data file and removes whatever
+// was written of the data and index files. It is the exit for a producer
+// that cannot finish its MOF, and is safe after a failed Close.
+func (w *Writer) Abort() {
+	_ = w.f.Close() // a failed Close may have closed it already
+	_ = os.Remove(w.dataPath)
+	_ = os.Remove(w.indexPath) // absent unless Close reached the index
 }
 
 func writeIndex(path string, ix *Index) error {

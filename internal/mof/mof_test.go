@@ -611,3 +611,84 @@ func TestCompressionRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCompressedSegmentAsLongAsRaw pins the one case the index cannot
+// mark by lengths alone: a flate stream exactly as long as its input must
+// still read back as compressed.
+func TestCompressedSegmentAsLongAsRaw(t *testing.T) {
+	recs := []Record{{
+		Key:   []byte("key-00000063"),
+		Value: []byte("67;\b78;b81;\xc4128;136;177;390;398;452;470;478;507;"),
+	}}
+	raw := AppendRecord(nil, recs[0])
+	if stored, err := CompressSegment(raw); err != nil || len(stored) != len(raw) {
+		t.Fatalf("fixture error: %d bytes compress to %d (err %v), want equal lengths", len(raw), len(stored), err)
+	}
+	dir := t.TempDir()
+	dataPath, indexPath := filepath.Join(dir, "c.data"), filepath.Join(dir, "c.index")
+	w, err := NewWriter(dataPath, indexPath, 1, WithCompression())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.BeginSegment(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Append(r.Key, r.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ReadIndex(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := ix.Entry(0)
+	if !e.Compressed() {
+		t.Fatalf("compressed segment not marked compressed: %+v", e)
+	}
+	sr, err := OpenSegment(dataPath, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	for i, want := range recs {
+		got, err := sr.Next()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !recordsEqual([]Record{got}, []Record{want}) {
+			t.Fatalf("record %d differs after the round trip", i)
+		}
+	}
+	stored, err := ReadSegmentBytes(dataPath, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSegmentBytes(stored, e); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestWriterAbortRemovesFiles(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWriter(filepath.Join(dir, "a.data"), filepath.Join(dir, "a.index"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.BeginSegment(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	w.Abort()
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("abort left %d files", len(ents))
+	}
+	if err := w.Append([]byte("k"), bytes.Repeat([]byte("v"), 1<<20)); err == nil {
+		t.Fatal("append after abort reached the closed file without error")
+	}
+}
