@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
+	"strings"
 
 	"repro/internal/autoscale"
 	"repro/internal/bufpool"
@@ -31,6 +33,8 @@ import (
 //	/debug/jbs/flow     flow control plane: ledgers, windows, tenants
 //	/debug/jbs/registry discovery registry: membership, leases, shard map
 //	/debug/jbs/autoscale elastic fleet controller: signals, decisions, events
+//	/debug/jbs/pprof/   net/http/pprof: heap, profile?seconds=N, goroutine,
+//	                    allocs, block, mutex, trace, ... (index at the root)
 func Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/jbs", handleIndex)
@@ -41,6 +45,7 @@ func Mux() *http.ServeMux {
 	mux.HandleFunc("/debug/jbs/flow", handleFlow)
 	mux.HandleFunc("/debug/jbs/registry", handleRegistry)
 	mux.HandleFunc("/debug/jbs/autoscale", handleAutoscale)
+	mux.HandleFunc("/debug/jbs/pprof/", handlePprof)
 	return mux
 }
 
@@ -61,6 +66,28 @@ func Serve(addr string) (net.Listener, error) {
 	return lis, nil
 }
 
+// handlePprof serves net/http/pprof under /debug/jbs/pprof/. The package's
+// own index handler dispatches on the fixed path /debug/pprof/, so the
+// name is taken off this mux's prefix here and the profile's handler
+// called directly; the index page's links are relative and work as they
+// are.
+func handlePprof(w http.ResponseWriter, r *http.Request) {
+	switch name := strings.TrimPrefix(r.URL.Path, "/debug/jbs/pprof/"); name {
+	case "":
+		pprof.Index(w, r)
+	case "cmdline":
+		pprof.Cmdline(w, r)
+	case "profile":
+		pprof.Profile(w, r)
+	case "symbol":
+		pprof.Symbol(w, r)
+	case "trace":
+		pprof.Trace(w, r)
+	default:
+		pprof.Handler(name).ServeHTTP(w, r)
+	}
+}
+
 func handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "jbs debug endpoints:\n"+
 		"  /debug/jbs/metrics  full metrics registry (Prometheus text format)\n"+
@@ -68,7 +95,8 @@ func handleIndex(w http.ResponseWriter, r *http.Request) {
 		"  /debug/jbs/bufpool  buffer pool size-class lease accounting\n"+
 		"  /debug/jbs/flow     flow control plane: admission ledgers, AIMD windows, tenant queues\n"+
 		"  /debug/jbs/registry discovery registry: supplier membership, draining flags, shard ownership\n"+
-		"  /debug/jbs/autoscale elastic fleet controller: last signals, desired size, scale events\n")
+		"  /debug/jbs/autoscale elastic fleet controller: last signals, desired size, scale events\n"+
+		"  /debug/jbs/pprof/   runtime profiles (go tool pprof http://HOST/debug/jbs/pprof/heap, profile?seconds=N, ...)\n")
 	// One-line hedging summary across every in-process merger; the full
 	// jbs_merger_hedge_* family lives in /debug/jbs/metrics.
 	var hedges, wins, dupBytes int64

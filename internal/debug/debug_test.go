@@ -38,7 +38,7 @@ func TestEndpoints(t *testing.T) {
 
 	// The index lists every endpoint.
 	index := get(t, srv, "/debug/jbs")
-	for _, want := range []string{"/debug/jbs/metrics", "/debug/jbs/traces", "/debug/jbs/bufpool"} {
+	for _, want := range []string{"/debug/jbs/metrics", "/debug/jbs/traces", "/debug/jbs/bufpool", "/debug/jbs/pprof/"} {
 		if !strings.Contains(index, want) {
 			t.Errorf("index missing %s:\n%s", want, index)
 		}
@@ -73,6 +73,31 @@ func TestEndpoints(t *testing.T) {
 	dump := get(t, srv, "/debug/jbs/traces?n=5")
 	if !strings.Contains(dump, "m-1/0") {
 		t.Errorf("trace dump missing recorded trace:\n%s", dump)
+	}
+}
+
+// TestPprofEndpoints fetches a heap profile (gzip-compressed protobuf), the
+// profile index and an unknown name through the /debug/jbs prefix.
+func TestPprofEndpoints(t *testing.T) {
+	srv := httptest.NewServer(Mux())
+	defer srv.Close()
+
+	if heap := get(t, srv, "/debug/jbs/pprof/heap"); !strings.HasPrefix(heap, "\x1f\x8b") {
+		t.Errorf("heap profile is not gzip data: %.20q", heap)
+	}
+	if text := get(t, srv, "/debug/jbs/pprof/goroutine?debug=1"); !strings.Contains(text, "goroutine profile:") {
+		t.Errorf("goroutine profile missing its header:\n%.200s", text)
+	}
+	if index := get(t, srv, "/debug/jbs/pprof/"); !strings.Contains(index, "heap") || !strings.Contains(index, "goroutine") {
+		t.Errorf("pprof index does not list the profiles:\n%.300s", index)
+	}
+	resp, err := srv.Client().Get(srv.URL + "/debug/jbs/pprof/no-such-profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown profile: status %d, want 404", resp.StatusCode)
 	}
 }
 

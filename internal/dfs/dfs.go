@@ -96,6 +96,14 @@ type Cluster struct {
 	// localReads/remoteReads track block access locality; failovers counts
 	// reads served by a non-preferred replica after a bad one.
 	localReads, remoteReads, failovers int
+
+	// blockBufs is a free list of BlockSize-capacity buffers that file
+	// writers and range readers fill and hand back, so steady-state I/O
+	// allocates (and zeroes) no block. It holds at most one buffer per
+	// datanode, whatever the number or size of the files: a job's readers
+	// (its map phase) and its writers (its reducers' tail) mostly take
+	// turns.
+	blockBufs chan []byte
 }
 
 // NewCluster creates a DFS over the given datanodes, with block storage
@@ -112,6 +120,8 @@ func NewCluster(cfg Config, nodes []string, root string) (*Cluster, error) {
 		files:   make(map[string]*FileInfo),
 		nodes:   append([]string(nil), nodes...),
 		nodeDir: make(map[string]string),
+		// Sized to what the list may retain, not to a number of sends.
+		blockBufs: make(chan []byte, len(nodes)),
 	}
 	for _, n := range nodes {
 		dir := filepath.Join(root, n)
@@ -160,6 +170,30 @@ func (c *Cluster) blockPath(node string, id int64) string {
 	return filepath.Join(c.nodeDir[node], fmt.Sprintf("blk_%d", id))
 }
 
+// takeBlockBuf returns an empty buffer of at least BlockSize capacity from
+// the free list, or nil when the list is empty.
+func (c *Cluster) takeBlockBuf() []byte {
+	select {
+	case b := <-c.blockBufs:
+		return b[:0]
+	default:
+		return nil
+	}
+}
+
+// putBlockBuf hands a buffer its user is done with to the free list. A
+// buffer that cannot hold a whole block, or that finds the list full, is
+// left to the garbage collector.
+func (c *Cluster) putBlockBuf(b []byte) {
+	if int64(cap(b)) < c.cfg.BlockSize {
+		return
+	}
+	select {
+	case c.blockBufs <- b:
+	default:
+	}
+}
+
 // Create opens a new file for writing. localNode (may be "") is the writer's
 // node; its disk receives the primary replica of every block.
 func (c *Cluster) Create(path, localNode string) (*FileWriter, error) {
@@ -180,9 +214,11 @@ func (c *Cluster) Create(path, localNode string) (*FileWriter, error) {
 
 // FileWriter accumulates bytes into blocks.
 type FileWriter struct {
-	c      *Cluster
-	path   string
-	local  string
+	c     *Cluster
+	path  string
+	local string
+	// buf holds the block being filled; it is written out and emptied,
+	// keeping its capacity, every time it reaches BlockSize.
 	buf    []byte
 	blocks []BlockInfo
 	size   int64
@@ -198,15 +234,41 @@ func (w *FileWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	w.buf = append(w.buf, p...)
-	for int64(len(w.buf)) >= w.c.cfg.BlockSize {
-		if err := w.flushBlock(w.buf[:w.c.cfg.BlockSize]); err != nil {
-			w.err = err
-			return 0, err
+	blockSize := int(w.c.cfg.BlockSize)
+	for rest := p; len(rest) > 0; {
+		n := min(len(rest), blockSize-len(w.buf))
+		w.reserve(n)
+		w.buf = append(w.buf, rest[:n]...)
+		rest = rest[n:]
+		if len(w.buf) == blockSize {
+			if err := w.flushBlock(w.buf); err != nil {
+				w.err = err
+				return 0, err
+			}
+			w.buf = w.buf[:0]
 		}
-		w.buf = w.buf[w.c.cfg.BlockSize:]
 	}
 	return len(p), nil
+}
+
+// reserve makes room for n more bytes in the block buffer. A writer's
+// first buffer is a whole block from the cluster's free list when one is
+// there. Otherwise the buffer doubles, clipped at BlockSize: a file that
+// never fills a block never holds one, and a file that does allocates two
+// blocks' worth on the way, where append's growth allocates over four.
+func (w *FileWriter) reserve(n int) {
+	need := len(w.buf) + n
+	if need <= cap(w.buf) {
+		return
+	}
+	if w.buf == nil {
+		if w.buf = w.c.takeBlockBuf(); w.buf != nil {
+			return
+		}
+	}
+	grown := make([]byte, len(w.buf), min(max(2*cap(w.buf), need), int(w.c.cfg.BlockSize)))
+	copy(grown, w.buf)
+	w.buf = grown
 }
 
 func (w *FileWriter) flushBlock(data []byte) error {
@@ -244,8 +306,9 @@ func (w *FileWriter) Close() error {
 		if err := w.flushBlock(w.buf); err != nil {
 			return err
 		}
-		w.buf = nil
 	}
+	w.c.putBlockBuf(w.buf)
+	w.buf = nil
 	w.c.mu.Lock()
 	defer w.c.mu.Unlock()
 	w.c.files[w.path] = &FileInfo{Path: w.path, Size: w.size, Blocks: w.blocks}
@@ -365,10 +428,11 @@ func (c *Cluster) Splits(path string) ([]Split, error) {
 	return out, nil
 }
 
-// readBlock fetches one block, preferring a replica on readerNode and
-// verifying the checksum. A missing or corrupt replica fails over to the
-// next one; only when every replica is bad does the read fail.
-func (c *Cluster) readBlock(b BlockInfo, readerNode string) ([]byte, error) {
+// readBlock reads one block into buf, which must be b.Size long,
+// preferring a replica on readerNode and verifying the checksum. A missing
+// or corrupt replica fails over to the next one; only when every replica is
+// bad does the read fail.
+func (c *Cluster) readBlock(b BlockInfo, readerNode string, buf []byte) error {
 	// Candidate order: the reader-local replica first, then the rest.
 	hosts := make([]string, 0, len(b.Hosts))
 	for _, h := range b.Hosts {
@@ -383,12 +447,11 @@ func (c *Cluster) readBlock(b BlockInfo, readerNode string) ([]byte, error) {
 	}
 	var lastErr error
 	for i, host := range hosts {
-		data, err := os.ReadFile(c.blockPath(host, b.ID))
-		if err != nil {
+		if err := readReplica(c.blockPath(host, b.ID), buf); err != nil {
 			lastErr = fmt.Errorf("dfs: read block %d on %s: %w", b.ID, host, err)
 			continue
 		}
-		if crc32.ChecksumIEEE(data) != b.Checksum {
+		if crc32.ChecksumIEEE(buf) != b.Checksum {
 			lastErr = fmt.Errorf("%w: block %d on %s", ErrCorruptData, b.ID, host)
 			continue
 		}
@@ -402,9 +465,29 @@ func (c *Cluster) readBlock(b BlockInfo, readerNode string) ([]byte, error) {
 			c.failovers++
 		}
 		c.mu.Unlock()
-		return data, nil
+		return nil
 	}
-	return nil, lastErr
+	return lastErr
+}
+
+// readReplica fills buf with the replica file at path, which must be
+// exactly len(buf) long: a replica of another length cannot match the
+// block's checksum.
+func readReplica(path string, buf []byte) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if st.Size() != int64(len(buf)) {
+		return fmt.Errorf("%w: replica holds %d bytes, block has %d", ErrCorruptData, st.Size(), len(buf))
+	}
+	_, err = io.ReadFull(f, buf)
+	return err
 }
 
 // LocalityStats reports how many block reads were node-local vs remote.
@@ -450,7 +533,10 @@ type rangeReader struct {
 	node string
 	off  int64 // absolute file offset of the next byte
 	rem  int64
-	cur  []byte // remainder of the current block
+	// blk is the buffer every block of the range is read into, from the
+	// cluster's free list when one was there and back to it on Close.
+	blk []byte
+	cur []byte // remainder of the current block, inside blk
 }
 
 func (r *rangeReader) Read(p []byte) (int, error) {
@@ -480,8 +566,13 @@ func (r *rangeReader) loadBlock() error {
 	var start int64
 	for _, b := range r.fi.Blocks {
 		if r.off < start+b.Size {
-			data, err := r.c.readBlock(b, r.node)
-			if err != nil {
+			if int64(cap(r.blk)) < b.Size {
+				if r.blk = r.c.takeBlockBuf(); r.blk == nil {
+					r.blk = make([]byte, b.Size)
+				}
+			}
+			data := r.blk[:b.Size]
+			if err := r.c.readBlock(b, r.node, data); err != nil {
 				return err
 			}
 			r.cur = data[r.off-start:]
@@ -492,4 +583,9 @@ func (r *rangeReader) loadBlock() error {
 	return io.ErrUnexpectedEOF
 }
 
-func (r *rangeReader) Close() error { return nil }
+// Close ends the read and returns the block buffer to the cluster.
+func (r *rangeReader) Close() error {
+	r.c.putBlockBuf(r.blk)
+	r.blk, r.cur, r.rem = nil, nil, 0
+	return nil
+}

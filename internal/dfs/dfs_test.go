@@ -3,8 +3,11 @@ package dfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -453,4 +456,188 @@ func TestRepairUnrecoverableBlock(t *testing.T) {
 	if _, err := c.Repair(); err == nil {
 		t.Fatal("unrecoverable block not reported")
 	}
+}
+
+// allocatedBy returns the heap bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWriterAllocatesOneBlockBuffer writes eight blocks through one
+// FileWriter: the block buffer is filled, flushed and emptied, so the file
+// costs at most the buffer's doubling up to one block (two blocks' worth),
+// and nothing once the cluster's free list holds a buffer. A file that
+// never fills a block must not cost one.
+func TestWriterAllocatesOneBlockBuffer(t *testing.T) {
+	const blockSize = 256 << 10
+	c := newTestCluster(t, blockSize, 1, "n1")
+	data := bytes.Repeat([]byte("0123456789abcdef"), 8*blockSize/16)
+	chunk := func(path string) func() {
+		return func() {
+			w, err := c.Create(path, "n1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < len(data); off += 4096 {
+				if _, err := w.Write(data[off : off+4096]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := allocatedBy(chunk("/cold")); got > 3*blockSize {
+		t.Fatalf("writing 8 blocks with an empty free list allocated %d bytes, want under 3 blocks (%d)", got, 3*blockSize)
+	}
+	if got := allocatedBy(chunk("/warm")); got > blockSize/2 {
+		t.Fatalf("writing 8 blocks with a buffer on the free list allocated %d bytes, want no block", got)
+	}
+	if !bytes.Equal(readAll(t, c, "/warm", "n1"), data) {
+		t.Fatal("the file written through a reused buffer reads back wrong")
+	}
+
+	small := newTestCluster(t, 64<<20, 1, "n1")
+	if got := allocatedBy(func() { writeFile(t, small, "/tiny", "n1", data[:1000]) }); got > 1<<20 {
+		t.Fatalf("a 1000-byte file on 64 MiB blocks allocated %d bytes", got)
+	}
+}
+
+// TestBlockBufferFreeListIsBounded opens more readers and writers at once
+// than the free list may hold and closes them all: the list keeps one
+// buffer per datanode and drops the rest.
+func TestBlockBufferFreeListIsBounded(t *testing.T) {
+	const blockSize = 4096
+	c := newTestCluster(t, blockSize, 1, "n1", "n2")
+	data := bytes.Repeat([]byte("x"), 3*blockSize)
+	writeFile(t, c, "/f", "n1", data)
+	var readers []io.ReadCloser
+	for i := 0; i < 8; i++ {
+		r, err := c.Open("/f", "n1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(r, make([]byte, blockSize+1)); err != nil {
+			t.Fatal(err)
+		}
+		readers = append(readers, r)
+	}
+	for _, r := range readers {
+		r.Close()
+		r.Close() // a second Close must not hand the buffer out twice
+		if held := len(c.blockBufs); held > len(c.nodes) {
+			t.Fatalf("free list holds %d buffers, cap is one per datanode (%d)", held, len(c.nodes))
+		}
+	}
+	if held := len(c.blockBufs); held != len(c.nodes) {
+		t.Fatalf("free list holds %d buffers after 8 readers closed, want %d", held, len(c.nodes))
+	}
+	a, b := c.takeBlockBuf(), c.takeBlockBuf()
+	if &a[:1][0] == &b[:1][0] {
+		t.Fatal("the free list handed out one buffer twice")
+	}
+	if c.takeBlockBuf() != nil {
+		t.Fatal("the free list held more than its cap")
+	}
+}
+
+// TestFailoverVerifiesTheReusedBuffer reads a file through a buffer that
+// an earlier read left on the free list, with the preferred replica first
+// corrupt (same length, one byte flipped) and then truncated: the bad
+// replica's bytes land in the buffer, fail the block's checksum or length,
+// and are replaced by the good replica's before anything is returned.
+func TestFailoverVerifiesTheReusedBuffer(t *testing.T) {
+	const blockSize = 1024
+	c := newTestCluster(t, blockSize, 2, "n1", "n2")
+	data := bytes.Repeat([]byte("precious"), 3*blockSize/8)
+	writeFile(t, c, "/f", "n1", data)
+	if !bytes.Equal(readAll(t, c, "/f", "n1"), data) { // leaves its buffer on the free list
+		t.Fatal("clean read failed")
+	}
+	fi, _ := c.Stat("/f")
+	failovers := 0
+	for i, damage := range []func(raw []byte) []byte{
+		func(raw []byte) []byte { raw[len(raw)/2] ^= 0xff; return raw },
+		func(raw []byte) []byte { return raw[:len(raw)-1] },
+	} {
+		b := fi.Blocks[i]
+		p := c.blockPath("n1", b.ID)
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, damage(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.blockBufs) == 0 {
+			t.Fatal("fixture error: no buffer on the free list to reuse")
+		}
+		if !bytes.Equal(readAll(t, c, "/f", "n1"), data) {
+			t.Fatalf("read with damaged replica %d returned wrong bytes", i)
+		}
+		// Every block damaged so far fails over again on this read.
+		if failovers += i + 1; c.Failovers() != failovers {
+			t.Fatalf("failovers = %d, want %d after reading over %d damaged replicas", c.Failovers(), failovers, i+1)
+		}
+	}
+	// With the other replica gone too, the damaged bytes must not be served.
+	os.Remove(c.blockPath("n2", fi.Blocks[0].ID))
+	r, err := c.Open("/f", "n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := io.ReadAll(r); !errors.Is(err, ErrCorruptData) && !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("read of a block with no good replica: %v", err)
+	}
+}
+
+// TestBlockBuffersUnderConcurrentFiles has several goroutines write and
+// read back files of their own at once, all drawing on one two-buffer free
+// list: a buffer handed to two users at a time would mix their bytes.
+func TestBlockBuffersUnderConcurrentFiles(t *testing.T) {
+	const blockSize = 4096
+	c := newTestCluster(t, blockSize, 1, "n1", "n2")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			data := bytes.Repeat([]byte{byte('a' + g)}, 5*blockSize/2)
+			for round := 0; round < 20; round++ {
+				path := fmt.Sprintf("/f-%d-%d", g, round)
+				w, err := c.Create(path, "n1")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := w.Write(data); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := w.Close(); err != nil {
+					t.Error(err)
+					return
+				}
+				r, err := c.Open(path, "n2")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(r)
+				r.Close()
+				if err != nil || !bytes.Equal(got, data) {
+					t.Errorf("%s read back wrong (%v)", path, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

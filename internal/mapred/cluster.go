@@ -7,11 +7,11 @@
 package mapred
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -264,9 +264,15 @@ func (c *Cluster) scheduleMaps(jobID string, splits []dfs.Split) []mapAssignment
 // broadcasting every winning commit to the reducer feeds. On failure the
 // feeds receive a failure marker so waiting reducers abort.
 func (c *Cluster) runMapPhase(assignments []mapAssignment, job *Job, cs *counterSet, feeds []chan mapEvent) error {
-	slots := make(map[string]chan struct{}, len(c.cfg.Nodes))
+	// A node's channel holds one token per free map slot. The token is the
+	// slot's buffers: an attempt takes one to run and puts it back, buffers
+	// grown to what it needed, for the slot's next task.
+	slots := make(map[string]chan *mapBuffers, len(c.cfg.Nodes))
 	for _, n := range c.cfg.Nodes {
-		slots[n] = make(chan struct{}, c.cfg.MapSlotsPerNode)
+		slots[n] = make(chan *mapBuffers, c.cfg.MapSlotsPerNode)
+		for i := 0; i < c.cfg.MapSlotsPerNode; i++ {
+			slots[n] <- newMapBuffers()
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -299,15 +305,15 @@ func (c *Cluster) runMapPhase(assignments []mapAssignment, job *Job, cs *counter
 // execution, a backup attempt on the next node if the primary runs past
 // the delay. The job fails only if every attempt fails.
 func (c *Cluster) superviseMapTask(a mapAssignment, job *Job, cs *counterSet,
-	slots map[string]chan struct{}, fe *firstErr, commitHost *sync.Map,
+	slots map[string]chan *mapBuffers, fe *firstErr, commitHost *sync.Map,
 	announce func(task, node string), wg *sync.WaitGroup) {
 
 	done := make(chan error, 2)
 	runAttempt := func(node string, attempt int) {
-		slots[node] <- struct{}{}
-		defer func() { <-slots[node] }()
+		bufs := <-slots[node]
+		defer func() { slots[node] <- bufs }()
 		done <- c.withRetry(fmt.Sprintf("map task %s attempt %d", a.taskID, attempt), cs, nil, func() error {
-			return c.runMapTask(a, node, attempt, job, cs, commitHost, announce)
+			return c.runMapTask(a, node, attempt, job, cs, bufs, commitHost, announce)
 		})
 	}
 
@@ -336,7 +342,7 @@ func (c *Cluster) superviseMapTask(a mapAssignment, job *Job, cs *counterSet,
 	}
 
 	// The primary is a straggler: launch a backup on the next node.
-	cs.speculativeLaunches.Add(1)
+	cs.add(&Counters{SpeculativeLaunches: 1})
 	backupNode := c.nextNode(a.node)
 	wg.Add(1)
 	go func() {
@@ -367,17 +373,20 @@ func (c *Cluster) nextNode(node string) string {
 	return c.cfg.Nodes[0]
 }
 
-// runMapTask executes one map attempt on the given node: read the split,
-// feed the map function's output through the sort writer, seal the
-// attempt's MOF, and try to commit it.
+// runMapTask executes one map attempt on the given node, in the slot's
+// buffers: read the split, feed the map function's output through the sort
+// writer, seal the attempt's MOF, and try to commit it. The attempt counts
+// in its own Counters and adds them to the job's only if it commits.
 // A losing attempt (another attempt committed first) discards its files
 // and reports success.
-func (c *Cluster) runMapTask(a mapAssignment, node string, attempt int, job *Job, cs *counterSet, commitHost *sync.Map, announce func(task, node string)) error {
+func (c *Cluster) runMapTask(a mapAssignment, node string, attempt int, job *Job, cs *counterSet, bufs *mapBuffers, commitHost *sync.Map, announce func(task, node string)) error {
 	r, err := c.fs.OpenRange(a.split.Path, node, a.split.Offset, a.split.Length)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
+	bufs.in.Reset(r)
+	var tc Counters
 
 	dir := filepath.Join(c.cfg.WorkDir, node, "mof")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -392,7 +401,8 @@ func (c *Cluster) runMapTask(a mapAssignment, node string, attempt int, job *Job
 		taskID:     attemptID,
 		combine:    job.Combine,
 		compress:   job.CompressMOF,
-		cs:         cs,
+		tc:         &tc,
+		bufs:       bufs,
 	})
 	sealed := false
 	defer func() {
@@ -407,10 +417,10 @@ func (c *Cluster) runMapTask(a mapAssignment, node string, attempt int, job *Job
 		if err := w.Add(p, k, v); err != nil && emitErr == nil {
 			emitErr = err
 		}
-		cs.mapOutputRecords.Add(1)
-		cs.mapOutputBytes.Add(int64(len(k) + len(v)))
+		tc.MapOutputRecords++
+		tc.MapOutputBytes += int64(len(k) + len(v))
 	}
-	reader := job.InputFormat(r)
+	reader := job.InputFormat(bufs.in)
 	for {
 		k, v, err := reader.Next()
 		if err == io.EOF {
@@ -419,7 +429,7 @@ func (c *Cluster) runMapTask(a mapAssignment, node string, attempt int, job *Job
 		if err != nil {
 			return err
 		}
-		cs.mapInputRecords.Add(1)
+		tc.MapInputRecords++
 		if err := job.Map(k, v, emit); err != nil {
 			return err
 		}
@@ -446,22 +456,16 @@ func (c *Cluster) runMapTask(a mapAssignment, node string, attempt int, job *Job
 	}
 	c.registries[node].Register(a.taskID, paths)
 	announce(a.taskID, node)
-	cs.mapTasks.Add(1)
+	tc.MapTasks = 1
 	if attempt > 0 {
-		cs.speculativeWins.Add(1)
+		tc.SpeculativeWins = 1
 	}
-	local := false
-	for _, h := range a.split.Hosts {
-		if h == node {
-			local = true
-			break
-		}
-	}
-	if local {
-		cs.localMapTasks.Add(1)
+	if slices.Contains(a.split.Hosts, node) {
+		tc.LocalMapTasks = 1
 	} else {
-		cs.remoteMapTasks.Add(1)
+		tc.RemoteMapTasks = 1
 	}
+	cs.add(&tc)
 	return nil
 }
 
@@ -473,7 +477,7 @@ func (c *Cluster) withRetry(kind string, cs *counterSet, cleanup func(), fn func
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxTaskAttempts; attempt++ {
 		if attempt > 1 {
-			cs.taskRetries.Add(1)
+			cs.add(&Counters{TaskRetries: 1})
 			if cleanup != nil {
 				cleanup()
 			}
@@ -557,9 +561,12 @@ func (c *Cluster) runReduceTask(jobID string, job *Job, rID int, node string, nu
 		return "", err
 	}
 	fetcher := c.fetchers[node]
+	// The attempt's own counters, added to the job's when it has
+	// succeeded: a failed attempt that withRetry runs again counts once.
+	var tc Counters
 	deliver := func(id SegmentID, data []byte) error {
-		cs.shuffledSegments.Add(1)
-		cs.shuffledBytes.Add(int64(len(data)))
+		tc.ShuffledSegments++
+		tc.ShuffledBytes += int64(len(data))
 		// Empty segments (padded index entries) are stored as zero bytes
 		// whether or not the MOF is compressed.
 		if job.CompressMOF && len(data) > 0 {
@@ -599,14 +606,18 @@ func (c *Cluster) runReduceTask(jobID string, job *Job, rID int, node string, nu
 	if err != nil {
 		return "", err
 	}
-	bw := bufio.NewWriterSize(w, 256<<10)
+	// The file writer is itself a block-sized buffer, so records go to it
+	// directly. Emit cannot fail: the first write error is kept for the end
+	// of the reduce (the writer refuses everything after it).
+	var outErr error
 	outEmit := func(k, v []byte) {
-		bw.Write(k)
-		bw.WriteByte('\t')
-		bw.Write(v)
-		bw.WriteByte('\n')
-		cs.outputRecords.Add(1)
-		cs.outputBytes.Add(int64(len(k) + len(v) + 2))
+		for _, p := range [...][]byte{k, tab, v, newline} {
+			if _, err := w.Write(p); err != nil && outErr == nil {
+				outErr = err
+			}
+		}
+		tc.OutputRecords++
+		tc.OutputBytes += int64(len(k) + len(v) + 2)
 	}
 
 	if job.Reduce == nil {
@@ -623,27 +634,31 @@ func (c *Cluster) runReduceTask(jobID string, job *Job, rID int, node string, nu
 		}
 	} else {
 		err = merge.GroupByKey(it, func(key []byte, values [][]byte) error {
-			cs.reduceGroups.Add(1)
+			tc.ReduceGroups++
 			return job.Reduce(key, values, outEmit)
 		})
 		if err != nil {
 			return "", err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return "", err
+	if outErr != nil {
+		return "", outErr
 	}
 	if err := w.Close(); err != nil {
 		return "", err
 	}
-
-	st := merger.Stats()
-	cs.spillEvents.Add(int64(st.Spills))
-	cs.spilledBytes.Add(st.SpilledBytes)
-	cs.mergePasses.Add(int64(st.MergePasses))
-	cs.reduceTasks.Add(1)
 	if err := os.RemoveAll(spillDir); err != nil {
 		return "", fmt.Errorf("remove spill dir for %s: %w", reduceID, err)
 	}
+
+	st := merger.Stats()
+	tc.SpillEvents = int64(st.Spills)
+	tc.SpilledBytes = st.SpilledBytes
+	tc.MergePasses = int64(st.MergePasses)
+	tc.ReduceTasks = 1
+	cs.add(&tc)
 	return outPath, nil
 }
+
+// The separators of a reducer's output line.
+var tab, newline = []byte{'\t'}, []byte{'\n'}

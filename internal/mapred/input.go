@@ -10,62 +10,92 @@ import (
 
 // RecordReader iterates the key/value records of one input split.
 type RecordReader interface {
-	// Next returns the next record, or io.EOF after the last.
+	// Next returns the next record, or io.EOF after the last. The key and
+	// value are borrowed (Hadoop's reused-Writable contract): they are
+	// valid until the next call to Next, which may overwrite them, and a
+	// caller that keeps one longer must copy it.
 	Next() (key, value []byte, err error)
 }
 
 // InputFormat builds a RecordReader over one split's byte stream.
 type InputFormat func(r io.Reader) RecordReader
 
+// lineScanner reads newline-terminated lines of any length: a line is
+// bounded by its split, not by the reader's buffer.
+type lineScanner struct {
+	r *bufio.Reader
+	// long holds a line that did not fit the reader's buffer.
+	long []byte
+}
+
+func newLineScanner(r io.Reader) lineScanner {
+	return lineScanner{r: bufio.NewReaderSize(r, inputBufferSize)}
+}
+
+// next returns the next line without its terminator ("\n" or "\r\n"),
+// valid until the following call, or io.EOF after the last. A final line
+// need not be terminated.
+func (ls *lineScanner) next() ([]byte, error) {
+	line, err := ls.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		ls.long = append(ls.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = ls.r.ReadSlice('\n')
+			ls.long = append(ls.long, line...)
+		}
+		line = ls.long
+	}
+	if err != nil && (err != io.EOF || len(line) == 0) {
+		return nil, err
+	}
+	line = bytes.TrimSuffix(line, []byte{'\n'})
+	return bytes.TrimSuffix(line, []byte{'\r'}), nil
+}
+
 // LineInput yields one record per newline-terminated line: key is the
 // decimal line number within the split, value is the line without the
 // terminator (Hadoop's TextInputFormat, with line numbers standing in for
 // byte offsets).
 func LineInput(r io.Reader) RecordReader {
-	return &lineReader{s: bufio.NewScanner(r)}
+	return &lineReader{lines: newLineScanner(r)}
 }
 
 type lineReader struct {
-	s    *bufio.Scanner
-	line int64
+	lines lineScanner
+	line  int64
+	key   []byte
 }
 
 func (lr *lineReader) Next() ([]byte, []byte, error) {
-	if !lr.s.Scan() {
-		if err := lr.s.Err(); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, io.EOF
+	val, err := lr.lines.next()
+	if err != nil {
+		return nil, nil, err
 	}
-	key := strconv.AppendInt(nil, lr.line, 10)
+	lr.key = strconv.AppendInt(lr.key[:0], lr.line, 10)
 	lr.line++
-	val := append([]byte(nil), lr.s.Bytes()...)
-	return key, val, nil
+	return lr.key, val, nil
 }
 
 // KVLineInput yields one record per line of the form "key<TAB>value"
 // (Hadoop's KeyValueTextInputFormat). Lines without a tab become a record
 // with an empty value.
 func KVLineInput(r io.Reader) RecordReader {
-	return &kvLineReader{s: bufio.NewScanner(r)}
+	return &kvLineReader{lines: newLineScanner(r)}
 }
 
 type kvLineReader struct {
-	s *bufio.Scanner
+	lines lineScanner
 }
 
 func (kr *kvLineReader) Next() ([]byte, []byte, error) {
-	if !kr.s.Scan() {
-		if err := kr.s.Err(); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, io.EOF
+	line, err := kr.lines.next()
+	if err != nil {
+		return nil, nil, err
 	}
-	line := kr.s.Bytes()
 	if i := bytes.IndexByte(line, '\t'); i >= 0 {
-		return append([]byte(nil), line[:i]...), append([]byte(nil), line[i+1:]...), nil
+		return line[:i], line[i+1:], nil
 	}
-	return append([]byte(nil), line...), nil, nil
+	return line, nil, nil
 }
 
 // WholeSplitInput yields the entire split as a single record (empty key),
@@ -96,27 +126,26 @@ func (wr *wholeSplitReader) Next() ([]byte, []byte, error) {
 // records, 10-byte keys).
 func FixedWidthInput(keyLen, recordLen int) InputFormat {
 	return func(r io.Reader) RecordReader {
-		return &fixedReader{r: bufio.NewReaderSize(r, 256<<10), keyLen: keyLen, recLen: recordLen}
+		return &fixedReader{r: bufio.NewReaderSize(r, inputBufferSize), keyLen: keyLen, rec: make([]byte, recordLen)}
 	}
 }
 
 type fixedReader struct {
 	r      *bufio.Reader
 	keyLen int
-	recLen int
+	rec    []byte // the current record
 }
 
 func (fr *fixedReader) Next() ([]byte, []byte, error) {
-	buf := make([]byte, fr.recLen)
-	n, err := io.ReadFull(fr.r, buf)
+	n, err := io.ReadFull(fr.r, fr.rec)
 	if err == io.EOF {
 		return nil, nil, io.EOF
 	}
 	if err == io.ErrUnexpectedEOF {
-		return nil, nil, fmt.Errorf("mapred: truncated fixed-width record: %d of %d bytes", n, fr.recLen)
+		return nil, nil, fmt.Errorf("mapred: truncated fixed-width record: %d of %d bytes", n, len(fr.rec))
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return buf[:fr.keyLen], buf[fr.keyLen:], nil
+	return fr.rec[:fr.keyLen], fr.rec[fr.keyLen:], nil
 }

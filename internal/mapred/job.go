@@ -5,16 +5,19 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 )
 
-// Emit receives one intermediate or output record.
+// Emit receives one intermediate or output record. The key and value are
+// copied before it returns, so the caller may reuse their memory.
 type Emit func(key, value []byte)
 
-// MapFunc transforms one input record into intermediate records.
+// MapFunc transforms one input record into intermediate records. The key
+// and value are borrowed from the RecordReader: they are valid until the
+// function returns, and a function that keeps one longer must copy it.
 type MapFunc func(key, value []byte, emit Emit) error
 
-// ReduceFunc folds all values of one key into output records.
+// ReduceFunc folds all values of one key into output records. The key and
+// values are valid until the function returns.
 type ReduceFunc func(key []byte, values [][]byte, emit Emit) error
 
 // Partitioner assigns a key to one of numReduce partitions.
@@ -111,57 +114,49 @@ type Counters struct {
 	RemoteMapTasks      int64
 }
 
-// counterSet is the engine's internal atomic counter bank.
+// counterSet is a job's counter bank. A task attempt counts in a Counters
+// of its own, with plain increments, and adds it here once, when it
+// commits: an attempt that fails, is retried or loses to a speculative twin
+// leaves no trace in the job's counters. Only what belongs to the job and
+// not to any one attempt (retries, speculative launches) is added as it
+// happens.
 type counterSet struct {
-	mapTasks            atomic.Int64
-	reduceTasks         atomic.Int64
-	mapInputRecords     atomic.Int64
-	mapOutputRecords    atomic.Int64
-	mapOutputBytes      atomic.Int64
-	combineInputs       atomic.Int64
-	combineOutputs      atomic.Int64
-	mapSpills           atomic.Int64
-	mapSpilledBytes     atomic.Int64
-	taskRetries         atomic.Int64
-	speculativeLaunches atomic.Int64
-	speculativeWins     atomic.Int64
-	shuffledSegments    atomic.Int64
-	shuffledBytes       atomic.Int64
-	spillEvents         atomic.Int64
-	spilledBytes        atomic.Int64
-	mergePasses         atomic.Int64
-	reduceGroups        atomic.Int64
-	outputRecords       atomic.Int64
-	outputBytes         atomic.Int64
-	localMapTasks       atomic.Int64
-	remoteMapTasks      atomic.Int64
+	mu    sync.Mutex
+	total Counters
+}
+
+func (cs *counterSet) add(d *Counters) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	t := &cs.total
+	t.MapTasks += d.MapTasks
+	t.ReduceTasks += d.ReduceTasks
+	t.MapInputRecords += d.MapInputRecords
+	t.MapOutputRecords += d.MapOutputRecords
+	t.MapOutputBytes += d.MapOutputBytes
+	t.CombineInputs += d.CombineInputs
+	t.CombineOutputs += d.CombineOutputs
+	t.MapSpills += d.MapSpills
+	t.MapSpilledBytes += d.MapSpilledBytes
+	t.TaskRetries += d.TaskRetries
+	t.SpeculativeLaunches += d.SpeculativeLaunches
+	t.SpeculativeWins += d.SpeculativeWins
+	t.ShuffledSegments += d.ShuffledSegments
+	t.ShuffledBytes += d.ShuffledBytes
+	t.SpillEvents += d.SpillEvents
+	t.SpilledBytes += d.SpilledBytes
+	t.MergePasses += d.MergePasses
+	t.ReduceGroups += d.ReduceGroups
+	t.OutputRecords += d.OutputRecords
+	t.OutputBytes += d.OutputBytes
+	t.LocalMapTasks += d.LocalMapTasks
+	t.RemoteMapTasks += d.RemoteMapTasks
 }
 
 func (cs *counterSet) snapshot() Counters {
-	return Counters{
-		MapTasks:            cs.mapTasks.Load(),
-		ReduceTasks:         cs.reduceTasks.Load(),
-		MapInputRecords:     cs.mapInputRecords.Load(),
-		MapOutputRecords:    cs.mapOutputRecords.Load(),
-		MapOutputBytes:      cs.mapOutputBytes.Load(),
-		CombineInputs:       cs.combineInputs.Load(),
-		CombineOutputs:      cs.combineOutputs.Load(),
-		MapSpills:           cs.mapSpills.Load(),
-		MapSpilledBytes:     cs.mapSpilledBytes.Load(),
-		TaskRetries:         cs.taskRetries.Load(),
-		SpeculativeLaunches: cs.speculativeLaunches.Load(),
-		SpeculativeWins:     cs.speculativeWins.Load(),
-		ShuffledSegments:    cs.shuffledSegments.Load(),
-		ShuffledBytes:       cs.shuffledBytes.Load(),
-		SpillEvents:         cs.spillEvents.Load(),
-		SpilledBytes:        cs.spilledBytes.Load(),
-		MergePasses:         cs.mergePasses.Load(),
-		ReduceGroups:        cs.reduceGroups.Load(),
-		OutputRecords:       cs.outputRecords.Load(),
-		OutputBytes:         cs.outputBytes.Load(),
-		LocalMapTasks:       cs.localMapTasks.Load(),
-		RemoteMapTasks:      cs.remoteMapTasks.Load(),
-	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.total
 }
 
 // Result is the outcome of a completed job.

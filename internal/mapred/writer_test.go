@@ -2,6 +2,8 @@ package mapred
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -144,14 +146,14 @@ func TestSortWriterMatchesReference(t *testing.T) {
 
 func checkAgainstReference(t *testing.T, recs []testRecord, want [][]mof.Record, combine, compress, spill bool) {
 	dir := t.TempDir()
-	cs := &counterSet{}
+	tc := &Counters{}
 	cfg := writerConfig{
 		partitions: len(want),
 		inputBytes: int64(len(recs) * 64), // too small for the large records: the buffers must grow
 		dir:        dir,
 		taskID:     "t0-a0",
 		compress:   compress,
-		cs:         cs,
+		tc:         tc,
 	}
 	if combine {
 		cfg.combine = concatValues
@@ -169,7 +171,7 @@ func checkAgainstReference(t *testing.T, recs []testRecord, want [][]mof.Record,
 	if err := w.Seal(final); err != nil {
 		t.Fatal(err)
 	}
-	if spills := cs.mapSpills.Load(); spill != (spills > 1) {
+	if spills := tc.MapSpills; spill != (spills > 1) {
 		t.Fatalf("spill=%v but the writer spilled %d runs", spill, spills)
 	}
 	ents, err := os.ReadDir(dir)
@@ -197,6 +199,54 @@ func checkAgainstReference(t *testing.T, recs []testRecord, want [][]mof.Record,
 				t.Fatalf("partition %d record %d: got %q=%.12q, want %q=%.12q",
 					p, i, got[i].Key, got[i].Value, ref[i].Key, ref[i].Value)
 			}
+		}
+	}
+}
+
+// TestMOFBytesArePinned seals a fixed record stream and compares the MOF,
+// data file and index, with hashes taken from the writer before its arena
+// held encoded records and its entries a key prefix: a change to the
+// writer's internals must not move one stored byte. A run-merged MOF is the
+// same bytes as an unspilled one.
+func TestMOFBytesArePinned(t *testing.T) {
+	recs := testRecords(320, 4, 100)
+	const plain = "7fb942e7800737e6df3f0bc6efc08633c44944b005379c4f92ffe0e4845035e5"
+	for _, tc := range []struct {
+		name       string
+		combine    ReduceFunc
+		sortMemory int64
+		want       string
+	}{
+		{"plain", nil, 0, plain},
+		{"spilled", nil, 12 << 10, plain},
+		{"combined", concatValues, 0, "c6b737961ff5c79b0f6698a0e1dcb1a807dc645280d3108c4ddd353ee2842cdb"},
+	} {
+		dir := t.TempDir()
+		w := newSortWriter(writerConfig{
+			partitions: 4, inputBytes: 320 * 100, sortMemory: tc.sortMemory, dir: dir, taskID: "t0-a0", combine: tc.combine,
+		})
+		for _, r := range recs {
+			if err := w.Add(r.part, r.Key, r.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if spilled := len(w.runs) > 0; spilled != (tc.sortMemory > 0) {
+			t.Fatalf("%s: fixture error: spilled=%v", tc.name, spilled)
+		}
+		final := MOFPaths{Data: filepath.Join(dir, "final.data"), Index: filepath.Join(dir, "final.index")}
+		if err := w.Seal(final); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, p := range []string{final.Data, final.Index} {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: MOF hashes to %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }
@@ -303,8 +353,8 @@ func TestWriterAbortCleansScratch(t *testing.T) {
 // several times the payload, and it must count.
 func TestSortMemoryBoundsSmallRecords(t *testing.T) {
 	const n, budget = 10_000, 64 << 10
-	cs := &counterSet{}
-	w := newSortWriter(writerConfig{partitions: 4, sortMemory: budget, dir: t.TempDir(), taskID: "t0-a0", cs: cs})
+	tc := &Counters{}
+	w := newSortWriter(writerConfig{partitions: 4, sortMemory: budget, dir: t.TempDir(), taskID: "t0-a0", tc: tc})
 	payload := 0
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("w%04d", i%5000))
@@ -316,10 +366,9 @@ func TestSortMemoryBoundsSmallRecords(t *testing.T) {
 	if payload >= budget {
 		t.Fatalf("fixture error: %d payload bytes alone exceed the %d budget", payload, budget)
 	}
-	c := cs.snapshot()
-	if want := int64(n * (6 + sortEntryBytes) / budget); c.MapSpills < want {
+	if want := int64(n * (6 + sortEntryBytes) / budget); tc.MapSpills < want {
 		t.Fatalf("%d records of 6+%d bytes under a %d-byte budget spilled %d runs, want at least %d",
-			n, sortEntryBytes, budget, c.MapSpills, want)
+			n, sortEntryBytes, budget, tc.MapSpills, want)
 	}
 	w.Abort()
 }

@@ -26,28 +26,3 @@ func observeWriterSeal(start time.Time, final MOFPaths) {
 		writerSealedBytes.Add(st.Size())
 	}
 }
-
-// nil-safe counter helpers: writers constructed outside a cluster job
-// (benchmarks, tests) carry no counterSet.
-
-func (cs *counterSet) addMapSpill(bytes int64) {
-	if cs == nil {
-		return
-	}
-	cs.mapSpills.Add(1)
-	cs.mapSpilledBytes.Add(bytes)
-}
-
-func (cs *counterSet) addCombineInputs(n int64) {
-	if cs == nil {
-		return
-	}
-	cs.combineInputs.Add(n)
-}
-
-func (cs *counterSet) addCombineOutputs(n int64) {
-	if cs == nil {
-		return
-	}
-	cs.combineOutputs.Add(n)
-}

@@ -54,11 +54,8 @@ func uvarintLen(v uint64) int {
 // encoding is uvarint key length, uvarint value length, key bytes, value
 // bytes.
 func AppendRecord(dst []byte, r Record) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(r.Key)))
-	dst = append(dst, buf[:n]...)
-	n = binary.PutUvarint(buf[:], uint64(len(r.Value)))
-	dst = append(dst, buf[:n]...)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Value)))
 	dst = append(dst, r.Key...)
 	dst = append(dst, r.Value...)
 	return dst
@@ -152,19 +149,28 @@ func (ix *Index) TotalBytes() int64 {
 type Writer struct {
 	dataPath, indexPath string
 	f                   *os.File
-	bw                  *bufio.Writer
-	entries             []IndexEntry
-	partitions          int
-	current             int // partition being written, -1 if none
-	offset              int64
-	crc                 uint32
-	records             int64
-	segStart            int64
-	scratch             []byte
+	// buf holds the stored bytes not yet written to the data file. Records
+	// are encoded straight into it, and the open segment's checksum is
+	// folded over buf[summed:] in long runs, at every flush and at the
+	// segment's end, not once per record.
+	buf     []byte
+	summed  int
+	flushed int64 // bytes written to the data file so far
+
+	entries    []IndexEntry
+	partitions int
+	current    int // partition being written, -1 if none
+	crc        uint32
+	records    int64
+	segStart   int64
 
 	compress bool
 	segBuf   []byte // buffered records of the open segment when compressing
 }
+
+// writerBufferSize is how many stored bytes a Writer gathers per write to
+// its data file.
+const writerBufferSize = 256 << 10
 
 // WriterOption configures a Writer.
 type WriterOption func(*Writer)
@@ -176,25 +182,83 @@ func WithCompression() WriterOption {
 
 // NewWriter creates the MOF data file and prepares the index.
 func NewWriter(dataPath, indexPath string, partitions int, opts ...WriterOption) (*Writer, error) {
+	w := &Writer{}
+	if err := w.Reset(dataPath, indexPath, partitions, opts...); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Reset points the Writer at a new MOF, as NewWriter would, keeping the
+// buffers it has already allocated. The zero Writer may be Reset; one that
+// has written a MOF must have been closed or aborted first.
+func (w *Writer) Reset(dataPath, indexPath string, partitions int, opts ...WriterOption) error {
 	if partitions <= 0 {
-		return nil, fmt.Errorf("mof: partitions %d must be positive", partitions)
+		return fmt.Errorf("mof: partitions %d must be positive", partitions)
 	}
 	f, err := os.Create(dataPath)
 	if err != nil {
-		return nil, fmt.Errorf("mof: create data file: %w", err)
+		return fmt.Errorf("mof: create data file: %w", err)
 	}
-	w := &Writer{
+	buf := w.buf
+	if buf == nil {
+		buf = make([]byte, 0, writerBufferSize)
+	}
+	*w = Writer{
 		dataPath:   dataPath,
 		indexPath:  indexPath,
 		f:          f,
-		bw:         bufio.NewWriterSize(f, 256<<10),
+		buf:        buf[:0],
+		entries:    w.entries[:0],
 		partitions: partitions,
 		current:    -1,
+		segBuf:     w.segBuf[:0],
 	}
 	for _, opt := range opts {
 		opt(w)
 	}
-	return w, nil
+	return nil
+}
+
+// pos is the data-file offset the next stored byte will land at.
+func (w *Writer) pos() int64 { return w.flushed + int64(len(w.buf)) }
+
+// sum folds the stored bytes buffered since the last fold into the open
+// segment's checksum.
+func (w *Writer) sum() {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf[w.summed:])
+	w.summed = len(w.buf)
+}
+
+// flush writes the buffered bytes to the data file.
+func (w *Writer) flush() error {
+	w.sum()
+	if _, err := w.f.Write(w.buf); err != nil {
+		return fmt.Errorf("mof: write data: %w", err)
+	}
+	w.flushed += int64(len(w.buf))
+	w.buf, w.summed = w.buf[:0], 0
+	return nil
+}
+
+// write stores p through the buffer; bytes that would not fit an empty
+// buffer go straight to the data file.
+func (w *Writer) write(p []byte) error {
+	if len(p) > cap(w.buf)-len(w.buf) {
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
+	if len(p) > cap(w.buf) {
+		w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+		if _, err := w.f.Write(p); err != nil {
+			return fmt.Errorf("mof: write data: %w", err)
+		}
+		w.flushed += int64(len(p))
+		return nil
+	}
+	w.buf = append(w.buf, p...)
+	return nil
 }
 
 // BeginSegment starts the segment for the given partition. Partitions must
@@ -212,32 +276,45 @@ func (w *Writer) BeginSegment(partition int) error {
 	}
 	// Emit empty entries for skipped partitions.
 	for len(w.entries) < partition {
-		w.entries = append(w.entries, IndexEntry{Offset: w.offset, Checksum: crc32.ChecksumIEEE(nil)})
+		w.entries = append(w.entries, IndexEntry{Offset: w.pos(), Checksum: crc32.ChecksumIEEE(nil)})
 	}
 	w.current = partition
-	w.segStart = w.offset
+	w.segStart = w.pos()
 	w.crc = 0
 	w.records = 0
 	return nil
 }
 
-// Append writes one record to the open segment.
+// Append writes one record to the open segment. The key and value are
+// copied before it returns.
 func (w *Writer) Append(key, value []byte) error {
 	if w.current < 0 {
 		return ErrNoSegment
 	}
+	w.records++
 	if w.compress {
 		w.segBuf = AppendRecord(w.segBuf, Record{Key: key, Value: value})
-		w.records++
 		return nil
 	}
-	w.scratch = AppendRecord(w.scratch[:0], Record{Key: key, Value: value})
-	if _, err := w.bw.Write(w.scratch); err != nil {
-		return fmt.Errorf("mof: append: %w", err)
+	const maxHeader = 2 * binary.MaxVarintLen64
+	if n := maxHeader + len(key) + len(value); n > cap(w.buf)-len(w.buf) {
+		if n > cap(w.buf) {
+			// Larger than the whole buffer: store it piecewise.
+			var hdr [maxHeader]byte
+			h := binary.AppendUvarint(hdr[:0], uint64(len(key)))
+			h = binary.AppendUvarint(h, uint64(len(value)))
+			for _, p := range [][]byte{h, key, value} {
+				if err := w.write(p); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if err := w.flush(); err != nil {
+			return err
+		}
 	}
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.scratch)
-	w.offset += int64(len(w.scratch))
-	w.records++
+	w.buf = AppendRecord(w.buf, Record{Key: key, Value: value})
 	return nil
 }
 
@@ -245,6 +322,7 @@ func (w *Writer) finishSegment() error {
 	if w.current < 0 {
 		return nil
 	}
+	rawLength := w.pos() - w.segStart
 	if w.compress {
 		stored, err := CompressSegment(w.segBuf)
 		if err != nil {
@@ -257,25 +335,17 @@ func (w *Writer) finishSegment() error {
 			// mark; inflate stops at the final block and never sees it.
 			stored = append(stored, 0)
 		}
-		if _, err := w.bw.Write(stored); err != nil {
-			return fmt.Errorf("mof: write compressed segment: %w", err)
+		if err := w.write(stored); err != nil {
+			return err
 		}
-		w.entries = append(w.entries, IndexEntry{
-			Offset:    w.segStart,
-			Length:    int64(len(stored)),
-			RawLength: int64(len(w.segBuf)),
-			Records:   w.records,
-			Checksum:  crc32.ChecksumIEEE(stored),
-		})
-		w.offset += int64(len(stored))
+		rawLength = int64(len(w.segBuf))
 		w.segBuf = w.segBuf[:0]
-		w.current = -1
-		return nil
 	}
+	w.sum()
 	w.entries = append(w.entries, IndexEntry{
 		Offset:    w.segStart,
-		Length:    w.offset - w.segStart,
-		RawLength: w.offset - w.segStart,
+		Length:    w.pos() - w.segStart,
+		RawLength: rawLength,
 		Records:   w.records,
 		Checksum:  w.crc,
 	})
@@ -291,11 +361,11 @@ func (w *Writer) Close() error {
 		return err
 	}
 	for len(w.entries) < w.partitions {
-		w.entries = append(w.entries, IndexEntry{Offset: w.offset, Checksum: crc32.ChecksumIEEE(nil)})
+		w.entries = append(w.entries, IndexEntry{Offset: w.pos(), Checksum: crc32.ChecksumIEEE(nil)})
 	}
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		_ = w.f.Close() // already failing; report the flush error
-		return fmt.Errorf("mof: flush: %w", err)
+		return err
 	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("mof: close data: %w", err)

@@ -2,6 +2,7 @@ package mof
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -690,5 +691,140 @@ func TestWriterAbortRemovesFiles(t *testing.T) {
 	}
 	if err := w.Append([]byte("k"), bytes.Repeat([]byte("v"), 1<<20)); err == nil {
 		t.Fatal("append after abort reached the closed file without error")
+	}
+}
+
+// TestWriterBufferBoundaries writes records that fill the writer's buffer
+// exactly, overflow it, and exceed it outright (stored piecewise), across
+// three segments: every segment must read back record for record and match
+// the checksum the writer folded over its buffer in runs, and the data file
+// must be the plain concatenation of the encoded records.
+func TestWriterBufferBoundaries(t *testing.T) {
+	big := func(n int, fill byte) []byte { return bytes.Repeat([]byte{fill}, n) }
+	parts := [][]Record{
+		{
+			{Key: []byte("a"), Value: big(writerBufferSize-100, 'x')},
+			{Key: []byte("b"), Value: big(200, 'y')}, // does not fit what is left: flush first
+			{Key: []byte("c"), Value: big(3*writerBufferSize, 'z')},
+			{Key: big(writerBufferSize+1, 'k'), Value: nil},
+			{Key: []byte("d"), Value: []byte("tail")},
+		},
+		nil,
+		{{Key: []byte("e"), Value: big(writerBufferSize-2*binary.MaxVarintLen64-1, 'w')}, {Key: nil, Value: nil}},
+		{{Key: []byte("f"), Value: []byte("last")}},
+	}
+	dataPath, indexPath := writeTestMOF(t, parts)
+	ix, err := ReadIndex(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for p, recs := range parts {
+		e, err := ix.Entry(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Offset != int64(len(want)) {
+			t.Fatalf("partition %d starts at %d, want %d", p, e.Offset, len(want))
+		}
+		for _, r := range recs {
+			want = AppendRecord(want, r)
+		}
+		raw, err := ReadSegmentBytes(dataPath, e) // verifies the checksum
+		if err != nil {
+			t.Fatalf("partition %d: %v", p, err)
+		}
+		got, err := ParseRecords(raw)
+		if err != nil || !recordsEqual(got, recs) || e.Records != int64(len(recs)) {
+			t.Fatalf("partition %d read back %d records (index says %d, err %v), want %d", p, len(got), e.Records, err, len(recs))
+		}
+	}
+	data, err := os.ReadFile(dataPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("data file holds %d bytes, want the %d bytes of the encoded records", len(data), len(want))
+	}
+}
+
+// TestWriterReset writes two different MOFs through one Writer, the
+// second compressed, and a third after an Abort: each must equal what a
+// new Writer produces, and the Writer must keep its buffer.
+func TestWriterReset(t *testing.T) {
+	dir := t.TempDir()
+	first := [][]Record{{{Key: []byte("k1"), Value: []byte("v1")}}, {{Key: []byte("k2"), Value: bytes.Repeat([]byte("v"), 1000)}}}
+	second := [][]Record{nil, {{Key: []byte("only"), Value: bytes.Repeat([]byte("compressible "), 200)}}, nil}
+	write := func(w *Writer, parts [][]Record) {
+		t.Helper()
+		for p, recs := range parts {
+			if len(recs) == 0 {
+				continue
+			}
+			if err := w.BeginSegment(p); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				if err := w.Append(r.Key, r.Value); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(name string, parts [][]Record, opts ...WriterOption) {
+		t.Helper()
+		fresh, err := NewWriter(filepath.Join(dir, "fresh.data"), filepath.Join(dir, "fresh.index"), len(parts), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(fresh, parts)
+		for _, ext := range []string{".data", ".index"} {
+			got, err1 := os.ReadFile(filepath.Join(dir, name+ext))
+			want, err2 := os.ReadFile(filepath.Join(dir, "fresh"+ext))
+			if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s%s differs from a new writer's file (%v, %v)", name, ext, err1, err2)
+			}
+		}
+	}
+
+	var w Writer
+	if err := w.Reset(filepath.Join(dir, "one.data"), filepath.Join(dir, "one.index"), len(first)); err != nil {
+		t.Fatal(err)
+	}
+	write(&w, first)
+	same("one", first)
+	buf := &w.buf[:1][0]
+
+	if err := w.Reset(filepath.Join(dir, "two.data"), filepath.Join(dir, "two.index"), len(second), WithCompression()); err != nil {
+		t.Fatal(err)
+	}
+	write(&w, second)
+	same("two", second, WithCompression())
+
+	// An aborted MOF leaves nothing behind in the writer either, and the
+	// compression of the MOF before does not carry over.
+	if err := w.Reset(filepath.Join(dir, "gone.data"), filepath.Join(dir, "gone.index"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.BeginSegment(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("half"), []byte("written")); err != nil {
+		t.Fatal(err)
+	}
+	w.Abort()
+	if err := w.Reset(filepath.Join(dir, "three.data"), filepath.Join(dir, "three.index"), len(first)); err != nil {
+		t.Fatal(err)
+	}
+	write(&w, first)
+	same("three", first)
+	if &w.buf[:1][0] != buf {
+		t.Fatal("Reset allocated a new buffer")
+	}
+	if err := w.Reset(filepath.Join(dir, "bad.data"), filepath.Join(dir, "bad.index"), 0); err == nil {
+		t.Fatal("Reset accepted zero partitions")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/dfs"
 	"repro/internal/mapred"
@@ -22,6 +23,21 @@ type Benchmark struct {
 	Generate func(fs *dfs.Cluster, path, node string, lines int, seed int64) error
 	// Job builds the runnable job.
 	Job func(input, output string, reducers int) *mapred.Job
+}
+
+// one is the count a word-counting map emits per occurrence.
+var one = []byte("1")
+
+// nextField returns the first whitespace-separated field of s, as
+// bytes.Fields splits it, and what follows the field; the field is empty
+// when s holds no more. It lets a map function walk a line's words in
+// place: Emit copies what it is given.
+func nextField(s []byte) (field, rest []byte) {
+	s = bytes.TrimLeftFunc(s, unicode.IsSpace)
+	if i := bytes.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, nil
 }
 
 // sumCounts is the shared count-summing reducer/combiner.
@@ -100,8 +116,8 @@ func WordCount() Benchmark {
 				Output:      output,
 				NumReducers: reducers,
 				Map: func(_, value []byte, emit mapred.Emit) error {
-					for _, w := range strings.Fields(string(value)) {
-						emit([]byte(w), []byte("1"))
+					for w, rest := nextField(value); len(w) > 0; w, rest = nextField(rest) {
+						emit(w, one)
 					}
 					return nil
 				},
@@ -207,13 +223,9 @@ func InvertedIndex() Benchmark {
 				Output:      output,
 				NumReducers: reducers,
 				Map: func(_, value []byte, emit mapred.Emit) error {
-					fields := strings.Fields(string(value))
-					if len(fields) < 2 {
-						return nil
-					}
-					doc := fields[0]
-					for _, w := range fields[1:] {
-						emit([]byte(w), []byte(doc))
+					doc, rest := nextField(value)
+					for w, rest := nextField(rest); len(w) > 0; w, rest = nextField(rest) {
+						emit(w, doc)
 					}
 					return nil
 				},
@@ -255,14 +267,16 @@ func SequenceCount() Benchmark {
 				Output:      output,
 				NumReducers: reducers,
 				Map: func(_, value []byte, emit mapred.Emit) error {
-					fields := strings.Fields(string(value))
-					if len(fields) < 4 {
-						return nil
-					}
-					words := fields[1:] // skip the doc id
-					for i := 0; i+2 < len(words); i++ {
-						tri := words[i] + " " + words[i+1] + " " + words[i+2]
-						emit([]byte(tri), []byte("1"))
+					_, rest := nextField(value) // skip the doc id
+					a, rest := nextField(rest)
+					b, rest := nextField(rest)
+					var tri []byte
+					for c, rest := nextField(rest); len(c) > 0; c, rest = nextField(rest) {
+						tri = append(append(tri[:0], a...), ' ')
+						tri = append(append(tri, b...), ' ')
+						tri = append(tri, c...)
+						emit(tri, one)
+						a, b = b, c
 					}
 					return nil
 				},

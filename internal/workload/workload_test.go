@@ -332,3 +332,150 @@ func TestGrepFindsPattern(t *testing.T) {
 		t.Fatalf("grep output = %q, want %q", out, want)
 	}
 }
+
+// poisonReader holds RecordReader's borrowed-slice contract against the
+// map functions: it hands out copies of the wrapped reader's records and
+// overwrites the previous copy before it returns the next, as a reader
+// that reuses one buffer may.
+type poisonReader struct {
+	inner      mapred.RecordReader
+	key, value []byte
+}
+
+func (p *poisonReader) Next() ([]byte, []byte, error) {
+	for i := range p.key {
+		p.key[i] = 0xAA
+	}
+	for i := range p.value {
+		p.value[i] = 0xAA
+	}
+	k, v, err := p.inner.Next()
+	if err != nil {
+		return nil, nil, err
+	}
+	p.key, p.value = append(p.key[:0], k...), append(p.value[:0], v...)
+	return p.key, p.value, nil
+}
+
+func poisoned(format mapred.InputFormat) mapred.InputFormat {
+	if format == nil {
+		format = mapred.LineInput
+	}
+	return func(r io.Reader) mapred.RecordReader { return &poisonReader{inner: format(r)} }
+}
+
+// TestNoMapFunctionKeepsABorrowedRecord runs every job of the package,
+// TeraValidate included, twice over one input: as it is, and under a
+// reader that destroys each record when the next is read. A map function
+// that kept a key or value past its call, or an engine path that held an
+// emitted slice without copying it, changes the second output. The
+// programs under examples/ run these same jobs; the one map function they
+// add (faulttolerance wraps WordCount's to inject faults) is the last
+// case.
+func TestNoMapFunctionKeepsABorrowedRecord(t *testing.T) {
+	type jobCase struct {
+		name     string
+		generate func(fs *dfs.Cluster) error
+		job      func(output string) *mapred.Job
+		block    int64
+	}
+	var cases []jobCase
+	for _, b := range All() {
+		b := b
+		block := int64(16 * LineWidth)
+		if b.Name == "Terasort" {
+			block = 16 * TeraRecordLen
+		}
+		cases = append(cases, jobCase{
+			name:     b.Name,
+			generate: func(fs *dfs.Cluster) error { return b.Generate(fs, "/in", "n0", 200, 5) },
+			job:      func(output string) *mapred.Job { return b.Job("/in", output, 3) },
+			block:    block,
+		})
+	}
+	cases = append(cases, jobCase{
+		name: "TeraValidate",
+		generate: func(fs *dfs.Cluster) error {
+			w, err := fs.Create("/in", "n0")
+			if err != nil {
+				return err
+			}
+			for _, k := range []string{"b", "a", "c", "c", "a"} { // two pairs out of order
+				fmt.Fprintf(w, "%s\tpayload\n", k)
+			}
+			return w.Close()
+		},
+		job:   func(output string) *mapred.Job { return TeraValidate("/in", output, 1) },
+		block: 1 << 10,
+	}, jobCase{
+		name:     "WordCount-wrapped",
+		generate: func(fs *dfs.Cluster) error { return TextCorpus(fs, "/in", "n0", 200, 25, 3) },
+		job: func(output string) *mapred.Job {
+			job := WordCount().Job("/in", output, 2)
+			inner := job.Map
+			job.Map = func(k, v []byte, emit mapred.Emit) error { return inner(k, v, emit) }
+			return job
+		},
+		block: 16 * LineWidth,
+	})
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			fs := newFS(t, tc.block)
+			c := newEngine(t, fs)
+			if err := tc.generate(fs); err != nil {
+				t.Fatal(err)
+			}
+			output := func(dir string, poison bool) string {
+				job := tc.job(dir)
+				if poison {
+					job.InputFormat = poisoned(job.InputFormat)
+				}
+				res, err := c.Run(job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sb strings.Builder
+				for _, p := range res.OutputFiles {
+					r, err := fs.Open(p, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					data, err := io.ReadAll(r)
+					r.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sb.Write(data)
+				}
+				return sb.String()
+			}
+			plain, poison := output("/out-plain", false), output("/out-poison", true)
+			if plain == "" && tc.name != "Grep" {
+				t.Fatal("the job wrote nothing")
+			}
+			if plain != poison {
+				t.Fatalf("output changes when records are overwritten after the next read:\n%.300q\nvs\n%.300q", plain, poison)
+			}
+		})
+	}
+}
+
+// TestWordSplittingMatchesStringsFields checks the in-place field walk of
+// the word-counting map functions against strings.Fields, on ASCII and
+// Unicode white space.
+func TestWordSplittingMatchesStringsFields(t *testing.T) {
+	nbsp, emSpace, nextLine := string(rune(0xA0)), string(rune(0x2003)), string(rune(0x85))
+	for _, line := range []string{
+		"", " ", "one", "  lead and  trail \t", "tabs\tand\nnewlines\r\n", "d000001 w00003 w00001      ",
+		"unicode" + nbsp + "space" + emSpace + "here", emSpace + "x" + nextLine + "y",
+	} {
+		var got []string
+		for w, rest := nextField([]byte(line)); len(w) > 0; w, rest = nextField(rest) {
+			got = append(got, string(w))
+		}
+		if want := strings.Fields(line); strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("fields of %q = %q, want %q", line, got, want)
+		}
+	}
+}
