@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet vet-fast race bench fuzz-smoke chaos-hedge overload benchmark-test multiproc-smoke elastic-smoke
+.PHONY: all build test vet vet-fast race bench fuzz-smoke chaos-hedge overload benchmark-test bench-pair stress multiproc-smoke elastic-smoke
 
 all: build vet test
 
@@ -67,6 +67,30 @@ bench:
 # this target is what notices when a refactor breaks it.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
+
+# bench-pair: the paired protocol a performance claim is judged by
+# (DESIGN.md §9): PARENT and the working tree copied and built apart under
+# .bench_build/pair/, ten untraced pairs and one traced pair per workload,
+# sides alternating, every raw run plus the -compare verdicts written to
+# BENCH_$(PR).json for committing.
+#	make bench-pair PR=24 PARENT=HEAD SEED=11 WORKLOADS=fetch-large-cold,fetch-small-hot
+PARENT ?= HEAD
+SEED ?= 1
+bench-pair:
+	$(GO) run ./scripts/benchpair -parent $(PARENT) -pr $(PR) -seed $(SEED) $(if $(WORKLOADS),-workloads $(WORKLOADS)) $(if $(PAIRS),-pairs $(PAIRS))
+
+# stress: the NetMerger tests whose failures only ever showed under load —
+# Close racing readers, first dials and hedge launches, and the hedge/shed
+# test that used to trip into the Close hang — looped beside a process
+# that keeps one core busy. A hang fails by -timeout, with the goroutine
+# dump. TestFlowShedBackoffRetryEndToEnd joins once the supplier's ledger
+# ordering is settled (ROADMAP 1b): under the hog its immediate
+# ledger-is-zero read can beat the supplier's last release.
+STRESS_COUNT ?= 100
+stress:
+	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
+	$(GO) test -count=$(STRESS_COUNT) -timeout 10m \
+		-run 'TestCloseRacesReadersAndHedges|TestCloseOvertakesFirstDial|TestHedgeShedGuards' ./internal/core
 
 # multiproc-smoke: the process-level acceptance run — build the real
 # jbsregistryd/jbssupplierd/jbsmergerd binaries, spawn a registry plus

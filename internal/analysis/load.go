@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -122,7 +123,7 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	var names []string
 	for _, e := range entries {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") || !buildsHere(abs, n) {
 			continue
 		}
 		names = append(names, n)
@@ -176,6 +177,15 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	return pkg, nil
 }
 
+// buildsHere reports whether the go tool would compile dir/name in a
+// default build: files fenced off by a //go:build line or a GOOS/GOARCH
+// suffix (a race-only constant and its twin, say) must not be type-checked
+// together. An unreadable file is left for the parser to report.
+func buildsHere(dir, name string) bool {
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok || err != nil
+}
+
 // LoadTests parses and type-checks the test code of the package in dir
 // (memoized) and returns up to two additional units: the package merged
 // with its in-package _test.go files, and the external `<name>_test`
@@ -200,7 +210,7 @@ func (l *Loader) LoadTests(dir string) ([]*Package, error) {
 	var baseNames, testNames []string
 	for _, e := range entries {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") || !buildsHere(abs, n) {
 			continue
 		}
 		if strings.HasSuffix(n, "_test.go") {

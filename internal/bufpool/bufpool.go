@@ -8,7 +8,8 @@
 //
 // The paper's Fig. 11 buffer-size analysis presumes transport buffers are
 // a managed, reused resource; this package is that resource for every
-// backend, with sync.Pool recycling per power-of-two size class.
+// backend, with sync.Pool recycling per size class — four classes to the
+// octave, so a lease is backed by at most a quarter more than it asked for.
 package bufpool
 
 import (
@@ -26,8 +27,24 @@ const (
 	// the paper's scale. Larger leases are allocated directly and returned
 	// to the garbage collector on release.
 	maxClassBits = 24
-	numClasses   = maxClassBits - minClassBits + 1
+	// stepBits splits every doubling into 1<<stepBits classes. With classes
+	// at powers of two only, a 1 MiB-class buffer backed every 600 KB
+	// shuffle segment and a 256 KiB one every 128 KiB frame (its payload
+	// plus a 22-byte header): up to twice the memory held, cleared and
+	// first touched. In quarter steps the excess is under 25%.
+	stepBits   = 2
+	numClasses = 1 + (maxClassBits-minClassBits)<<stepBits
 )
+
+// classSize returns the buffer size of class c: 1 KiB for class 0, then
+// 1.25, 1.5, 1.75 and 2 times each power of two up to 16 MiB.
+func classSize(c int) int {
+	if c == 0 {
+		return 1 << minClassBits
+	}
+	base := 1 << (minClassBits + (c-1)>>stepBits)
+	return base + ((c-1)&(1<<stepBits-1)+1)*(base>>stepBits)
+}
 
 // Stats is a snapshot of a Pool's counters.
 type Stats struct {
@@ -46,7 +63,7 @@ type Stats struct {
 // Pool is a size-classed buffer pool. The zero value is not usable; use
 // New. Pools are safe for concurrent use.
 type Pool struct {
-	// classes[i] recycles *Lease values whose buffer is 1<<(i+minClassBits)
+	// classes[i] recycles *Lease values whose buffer is classSize(i)
 	// bytes; recycling the Lease together with its buffer keeps the steady
 	// state free of both buffer and header allocations.
 	classes [numClasses]sync.Pool
@@ -84,15 +101,15 @@ type ClassStat struct {
 func (s ClassStat) Outstanding() int64 { return s.Gets - s.Puts }
 
 // Label names the class for metrics and debug output ("64KiB",
-// "oversize").
+// "1.25KiB", "2MiB", "oversize").
 func (s ClassStat) Label() string {
 	if s.Size < 0 {
 		return "oversize"
 	}
-	if s.Size >= 1<<20 {
+	if s.Size%(1<<20) == 0 {
 		return fmt.Sprintf("%dMiB", s.Size>>20)
 	}
-	return fmt.Sprintf("%dKiB", s.Size>>10)
+	return fmt.Sprintf("%gKiB", float64(s.Size)/1024) // exact: classes are multiples of 256 bytes
 }
 
 // ClassStats snapshots the per-size-class lease accounting; the last
@@ -102,7 +119,7 @@ func (p *Pool) ClassStats() []ClassStat {
 	for i := 0; i <= numClasses; i++ {
 		size := -1
 		if i < numClasses {
-			size = 1 << (i + minClassBits)
+			size = classSize(i)
 		}
 		out[i] = ClassStat{Size: size, Gets: p.classGets[i].Load(), Puts: p.classPuts[i].Load()}
 	}
@@ -125,11 +142,22 @@ func classFor(n int) int {
 	if n <= 1<<minClassBits {
 		return 0
 	}
-	c := bits.Len(uint(n-1)) - minClassBits
-	if c >= numClasses {
+	k := bits.Len(uint(n - 1)) // 1<<(k-1) < n <= 1<<k
+	if k > maxClassBits {
 		return -1
 	}
-	return c
+	base := 1 << (k - 1)
+	step := base >> stepBits
+	return (k-1-minClassBits)<<stepBits + (n-base+step-1)/step
+}
+
+// ClassSize returns the size of the buffer behind a Get(n) lease: n rounded
+// up to its size class, or n itself beyond the largest class.
+func ClassSize(n int) int {
+	if c := classFor(n); c >= 0 {
+		return classSize(c)
+	}
+	return n
 }
 
 // Get leases a buffer whose Bytes() is exactly n long (backed by the
@@ -152,7 +180,7 @@ func (p *Pool) Get(n int) *Lease {
 		return l
 	}
 	p.misses.Add(1)
-	l := &Lease{pool: p, full: make([]byte, 1<<(c+minClassBits)), n: n, class: c}
+	l := &Lease{pool: p, full: make([]byte, classSize(c)), n: n, class: c}
 	l.refs.Store(1)
 	return l
 }
@@ -211,6 +239,15 @@ func (p *Pool) LeakCheck() error {
 	return nil
 }
 
+// poison makes every final Release overwrite the buffer it returns.
+var poison atomic.Bool
+
+// PoisonReleased is a switch for tests: while on, the final Release of a
+// lease fills its whole buffer with 0xA5 before the pool can hand it out
+// again, so a consumer that reads lent bytes after giving them back sees
+// garbage at once instead of whatever the next user happens to write.
+func PoisonReleased(on bool) { poison.Store(on) }
+
 // Lease is one leased buffer. It starts with a single reference held by
 // the Get/Adopt caller; Retain adds readers, Release drops one, and the
 // final Release returns the buffer to its size class. After the final
@@ -260,6 +297,11 @@ func (l *Lease) Release() {
 	}
 	if r < 0 {
 		panic("bufpool: Release without matching Get/Retain")
+	}
+	if poison.Load() {
+		for i := range l.full {
+			l.full[i] = 0xA5
+		}
 	}
 	p := l.pool
 	p.puts.Add(1)

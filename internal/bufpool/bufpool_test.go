@@ -6,16 +6,41 @@ import (
 )
 
 func TestClassFor(t *testing.T) {
-	cases := []struct{ n, class int }{
-		{0, 0}, {1, 0}, {1 << 10, 0},
-		{1<<10 + 1, 1}, {1 << 11, 1},
-		{100 << 10, 7}, // 128 KB class holds the default transport buffer
-		{1 << 24, numClasses - 1},
-		{1<<24 + 1, -1},
+	cases := []struct{ n, class, size int }{
+		{0, 0, 1 << 10}, {1, 0, 1 << 10}, {1 << 10, 0, 1 << 10},
+		{1<<10 + 1, 1, 1280}, {1280, 1, 1280}, {1281, 2, 1536}, {1 << 11, 4, 1 << 11},
+		{100 << 10, 27, 112 << 10},
+		{128<<10 + 22, 29, 160 << 10}, // a default transport buffer plus its chunk header
+		{1 << 24, numClasses - 1, 1 << 24},
+		{1<<24 + 1, -1, 0},
 	}
 	for _, c := range cases {
-		if got := classFor(c.n); got != c.class {
+		got := classFor(c.n)
+		if got != c.class {
 			t.Errorf("classFor(%d) = %d, want %d", c.n, got, c.class)
+		}
+		if got >= 0 && classSize(got) != c.size {
+			t.Errorf("classSize(%d) = %d, want %d", got, classSize(got), c.size)
+		}
+		if want := max(c.size, c.n); ClassSize(c.n) != want { // oversize: its own length
+			t.Errorf("ClassSize(%d) = %d, want %d", c.n, ClassSize(c.n), want)
+		}
+	}
+	// Every size lands in the smallest class that holds it, with under a
+	// quarter to spare above 1 KiB, and labels do not collide.
+	labels := map[string]bool{}
+	for c := 0; c < numClasses; c++ {
+		size := classSize(c)
+		if classFor(size) != c || classFor(size+1) != c+1 && c != numClasses-1 {
+			t.Errorf("class %d (%d bytes) is not where its own size and the next byte land", c, size)
+		}
+		if c > 0 && (size-classSize(c-1))*5 > size {
+			t.Errorf("class %d wastes more than a quarter over class %d", c, c-1)
+		}
+		if l := (ClassStat{Size: size}).Label(); labels[l] {
+			t.Errorf("two classes are labelled %s", l)
+		} else {
+			labels[l] = true
 		}
 	}
 }
@@ -192,5 +217,38 @@ func TestConcurrentGetRelease(t *testing.T) {
 	wg.Wait()
 	if err := p.LeakCheck(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoisonReleased: with the switch on, the final Release — not an
+// earlier one of a shared lease — overwrites the whole buffer, so bytes
+// read after giving a lease back are never the bytes it held.
+func TestPoisonReleased(t *testing.T) {
+	PoisonReleased(true)
+	defer PoisonReleased(false)
+	p := New()
+	l := p.Get(100)
+	b := l.Bytes()
+	for i := range b {
+		b[i] = byte(i)
+	}
+	l.Retain()
+	l.Release()
+	if b[7] != 7 {
+		t.Fatal("a lease still held by a second reader was overwritten")
+	}
+	l.Release()
+	for i, c := range b {
+		if c != 0xA5 {
+			t.Fatalf("byte %d of a released lease still reads %#x", i, c)
+		}
+	}
+	PoisonReleased(false)
+	l = p.Get(100)
+	copy(l.Bytes(), "kept")
+	b = l.Bytes()
+	l.Release()
+	if string(b[:4]) != "kept" {
+		t.Fatal("the buffer was overwritten with the switch off")
 	}
 }

@@ -35,7 +35,7 @@ func init() {
 		i := i
 		size := -1
 		if i < numClasses {
-			size = 1 << (i + minClassBits)
+			size = classSize(i)
 		}
 		label := ClassStat{Size: size}.Label()
 		r.GaugeFunc(fmt.Sprintf("jbs_bufpool_class_outstanding{class=%q}", label), "leases",

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/flow"
@@ -208,7 +209,7 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 				var data []byte
 				delivered := false
 				err := merger.Fetch([]core.FetchSpec{spec}, func(_ core.FetchSpec, b []byte) error {
-					data, delivered = b, true
+					data, delivered = bytes.Clone(b), true // lent only until deliver returns
 					return nil
 				})
 				if err == nil && !delivered {
@@ -288,5 +289,8 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 	}
 	if err := snap.Check(0); err != nil {
 		t.Errorf("goroutine leak across autoscale drain: %v", err)
+	}
+	if err := bufpool.Default().LeakCheck(); err != nil {
+		t.Errorf("after the drained fleet and the merger closed: %v", err)
 	}
 }

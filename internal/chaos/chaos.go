@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/flow"
@@ -327,6 +328,11 @@ func Run(t TB, sc Scenario) {
 	if err := snap.Check(0); err != nil {
 		fail("chaos %s: %v", sc.Name, err)
 	}
+	// ... and zero pooled buffers: every receive lease, every partial
+	// reassembly an interrupted attempt left behind, every staged segment.
+	if err := bufpool.Default().LeakCheck(); err != nil {
+		fail("chaos %s: %v", sc.Name, err)
+	}
 
 	if !failed {
 		t.Logf("chaos %s: seed=%d specs=%d retries=%d sheds=%d corrupt=%d deadline=%d hedges=%d/%dw rerouted=%d faults=%+v",
@@ -426,7 +432,7 @@ func referenceRun(t TB, sc Scenario, tcp transport.Transport, specs []core.Fetch
 	var mu sync.Mutex
 	err = m.Fetch(specs, func(spec core.FetchSpec, data []byte) error {
 		mu.Lock()
-		ref[refKey(spec)] = data
+		ref[refKey(spec)] = bytes.Clone(data) // lent only until deliver returns
 		mu.Unlock()
 		return nil
 	})
@@ -456,7 +462,7 @@ func runFetches(m *core.NetMerger, specs []core.FetchSpec, workers int) []outcom
 				var data []byte
 				delivered := false
 				err := m.Fetch([]core.FetchSpec{spec}, func(_ core.FetchSpec, b []byte) error {
-					data, delivered = b, true
+					data, delivered = bytes.Clone(b), true // lent only until deliver returns
 					return nil
 				})
 				if err == nil && !delivered {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/faultnet"
 	"repro/internal/flow"
 	"repro/internal/leakcheck"
@@ -21,6 +22,10 @@ func TestMain(m *testing.M) {
 		procSupplierMain()
 		return
 	}
+	// Every scenario runs with released pool buffers overwritten: bytes
+	// the merger hands over must be whole when deliver sees them, and
+	// nothing may read them once they are given back.
+	bufpool.PoisonReleased(true)
 	leakcheck.Main(m)
 }
 

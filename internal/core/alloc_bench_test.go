@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/flow"
 	"repro/internal/mof"
 	"repro/internal/transport"
@@ -56,16 +57,46 @@ func buildBenchMOF(b *testing.B, dir, task string, parts, segBytes int) (string,
 // never tripped (the threshold floor is pinned far above any real fetch):
 // the scanner walks the pending set every tick and every completion feeds
 // the RTT ring, so this is the steady-state cost of carrying the
-// controller — it must stay inside the same ≤42 allocs/op budget as the
-// plain hot path.
+// controller — it must stay inside the same allocs/op budget as the
+// plain hot path (TestSegmentFetchPathAllocationPins holds the numbers).
 func BenchmarkSegmentFetchPath(b *testing.B) {
 	b.Run("hot", func(b *testing.B) { benchSegmentFetchPath(b, 64<<20, false) })
 	b.Run("hot-hedged", func(b *testing.B) { benchSegmentFetchPath(b, 64<<20, true) })
 	b.Run("cold", func(b *testing.B) { benchSegmentFetchPath(b, 256<<10, false) })
 }
 
+// TestSegmentFetchPathAllocationPins turns the benchmark's headline number
+// into a gate. One op is a Fetch of 16 two-chunk segments; what is left is
+// per Fetch call and per fetch (the result channel, the pendingFetch, the
+// supplier's request record), nothing per chunk or per byte. The pins
+// were 42 / 42 / 65 while every segment was reassembled in a fresh heap
+// buffer; they move down when an allocation goes away, never up.
+func TestSegmentFetchPathAllocationPins(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("allocation counts need the plain build and a second per case")
+	}
+	for _, tc := range []struct {
+		name   string
+		cache  int64
+		hedged bool
+		pin    int64
+	}{
+		{"hot", 64 << 20, false, 24},
+		{"hot-hedged", 64 << 20, true, 24},
+		{"cold", 256 << 10, false, 41},
+	} {
+		res := testing.Benchmark(func(b *testing.B) { benchSegmentFetchPath(b, tc.cache, tc.hedged) })
+		t.Logf("%s: %d allocs/op, %d B/op", tc.name, res.AllocsPerOp(), res.AllocedBytesPerOp())
+		if got := res.AllocsPerOp(); got > tc.pin {
+			t.Errorf("%s: %d allocs/op, pinned at %d", tc.name, got, tc.pin)
+		}
+	}
+}
+
 func benchSegmentFetchPath(b *testing.B, cacheBytes int64, hedged bool) {
 	const tasks, parts, segBytes = 4, 4, 128 << 10
+	bufpool.PoisonReleased(false) // TestMain's test-only memset per release is not the product's cost
+	defer bufpool.PoisonReleased(true)
 	dir := b.TempDir()
 	paths := map[string][2]string{}
 	var total int64

@@ -325,6 +325,7 @@ type supplierFixture struct {
 
 func newSupplierFixture(t *testing.T, tr transport.Transport, addr string, tasks, parts int) *supplierFixture {
 	t.Helper()
+	poolBalanced(t)
 	dir := t.TempDir()
 	paths := map[string][2]string{}
 	segs := map[string][][]byte{}
@@ -388,7 +389,7 @@ func TestSupplierAndMergerEndToEnd(t *testing.T) {
 			}
 			got := map[string][]byte{}
 			err = m.Fetch(specs, func(s FetchSpec, data []byte) error {
-				got[fmt.Sprintf("%s/%d", s.MapTask, s.Partition)] = data
+				got[fmt.Sprintf("%s/%d", s.MapTask, s.Partition)] = bytes.Clone(data)
 				return nil
 			})
 			if err != nil {

@@ -17,6 +17,7 @@ import (
 // small that one resident segment sheds every concurrent arrival.
 func flowSupplierFixture(t *testing.T, tr transport.Transport, tasks, parts int, fc *flow.Config, tenant flow.TenantFunc) *supplierFixture {
 	t.Helper()
+	poolBalanced(t)
 	dir := t.TempDir()
 	paths := map[string][2]string{}
 	segs := map[string][][]byte{}
@@ -80,7 +81,7 @@ func TestFlowShedBackoffRetryEndToEnd(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		got := map[string][]byte{}
 		err := m.Fetch(specs, func(s FetchSpec, data []byte) error {
-			got[fmt.Sprintf("%s/%d", s.MapTask, s.Partition)] = data
+			got[fmt.Sprintf("%s/%d", s.MapTask, s.Partition)] = bytes.Clone(data)
 			return nil
 		})
 		if err != nil {

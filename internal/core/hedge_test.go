@@ -30,6 +30,7 @@ type hedgeTestSupplier struct {
 
 func newHedgeTestSupplier(t *testing.T, payload []byte, serve bool, delay time.Duration) *hedgeTestSupplier {
 	t.Helper()
+	poolBalanced(t)
 	lis, err := transport.NewTCP().Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +155,7 @@ func TestHedgeWinsOnStalledPrimary(t *testing.T) {
 	var got []byte
 	start := time.Now()
 	err := m.Fetch([]FetchSpec{{Addr: primary.Addr(), MapTask: "m-00000", Partition: 0}},
-		func(_ FetchSpec, data []byte) error { got = data; return nil })
+		func(_ FetchSpec, data []byte) error { got = bytes.Clone(data); return nil })
 	if err != nil {
 		t.Fatalf("hedged fetch failed: %v", err)
 	}
@@ -195,7 +196,7 @@ func TestHedgeLoserLateDeliveryAccounting(t *testing.T) {
 
 	var got []byte
 	err := m.Fetch([]FetchSpec{{Addr: primary.Addr(), MapTask: "m-00000", Partition: 0}},
-		func(_ FetchSpec, data []byte) error { got = data; return nil })
+		func(_ FetchSpec, data []byte) error { got = bytes.Clone(data); return nil })
 	if err != nil {
 		t.Fatalf("hedged fetch failed: %v", err)
 	}
@@ -245,7 +246,7 @@ func TestHedgeLosesWhenPrimaryDelivers(t *testing.T) {
 
 	var got []byte
 	err := m.Fetch([]FetchSpec{{Addr: primary.Addr(), MapTask: "m-00000", Partition: 0}},
-		func(_ FetchSpec, data []byte) error { got = data; return nil })
+		func(_ FetchSpec, data []byte) error { got = bytes.Clone(data); return nil })
 	if err != nil {
 		t.Fatalf("fetch failed: %v", err)
 	}
@@ -330,7 +331,7 @@ func TestWatchdogCoversUnhedgedFetch(t *testing.T) {
 
 	var got []byte
 	err := m.Fetch([]FetchSpec{{Addr: primary.Addr(), MapTask: "m-00000", Partition: 0}},
-		func(_ FetchSpec, data []byte) error { got = data; return nil })
+		func(_ FetchSpec, data []byte) error { got = bytes.Clone(data); return nil })
 	if err != nil {
 		t.Fatalf("fetch failed: %v", err)
 	}
@@ -368,19 +369,19 @@ func TestHedgeShedGuards(t *testing.T) {
 		fetchErr <- m.Fetch([]FetchSpec{{Addr: primary.Addr(), MapTask: "m-00000", Partition: 0}},
 			func(FetchSpec, []byte) error { return nil })
 	}()
-	waitFor(t, 2*time.Second, "hedge launch", func() bool { return m.Stats().Hedges == 1 })
-
+	// Launched is not in flight: the duplicate waits in its node's queue
+	// until the injector has sent it, and only then is it in pending.
 	var hedgeID uint64
-	m.mu.Lock()
-	for _, p := range m.pending {
-		if p.isHedge {
-			hedgeID = p.id
+	waitFor(t, 2*time.Second, "the hedge attempt to be in flight", func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, p := range m.pending {
+			if p.isHedge {
+				hedgeID = p.id
+			}
 		}
-	}
-	m.mu.Unlock()
-	if hedgeID == 0 {
-		t.Fatal("no in-flight hedge attempt found")
-	}
+		return hedgeID != 0
+	})
 	windowOf := func(addr string) int {
 		t.Helper()
 		for _, w := range m.FlowState().Windows {

@@ -161,18 +161,26 @@ type MergerStats struct {
 	HedgeDupBytes  int64 // payload bytes received for attempts that had already lost
 }
 
-// fetchResult is one completed fetch.
+// fetchResult is one completed fetch: data is the segment, a view into
+// lease, whose ownership travels with the result (nil on error).
 type fetchResult struct {
-	spec FetchSpec
-	data []byte
-	err  error
+	spec  FetchSpec
+	data  []byte
+	lease *bufpool.Lease
+	err   error
 }
 
 // pendingFetch is one request in flight through the NetMerger.
 type pendingFetch struct {
-	id       uint64
-	spec     FetchSpec
-	buf      []byte
+	id   uint64
+	spec FetchSpec
+	// asm is this attempt's reassembly lease, sized by the segment's first
+	// chunk; got is how much of it the chunks so far claim. m.mu guards
+	// both but not the bytes: the connection's reader, their only writer,
+	// copies outside the lock under a Retain of its own, so whoever retires
+	// the attempt may dropAsm at once.
+	asm      *bufpool.Lease
+	got      int
 	attempts int
 	result   chan<- fetchResult
 	// sentAt anchors the fetch RTT histogram; it is written under m.mu
@@ -207,6 +215,17 @@ type pendingFetch struct {
 	// budgetHeld marks a speculative attempt currently charged against
 	// the hedge budget; cleared exactly once via the budget helpers.
 	budgetHeld bool
+}
+
+// dropAsm gives up the attempt's partial reassembly and returns how many
+// bytes it held. Callers hold m.mu.
+func (p *pendingFetch) dropAsm() int {
+	n := p.got
+	if p.asm != nil {
+		p.asm.Release()
+	}
+	p.asm, p.got = nil, 0
+	return n
 }
 
 // nodeGroup holds the per-remote-node request queue, ordered by arrival
@@ -278,6 +297,7 @@ type NetMerger struct {
 	closed bool
 
 	readers map[string]bool // addr -> reader goroutine running
+	reqBuf  []byte          // request marshalling scratch; only injectLoop's send touches it
 
 	wg        sync.WaitGroup
 	watchStop chan struct{} // closed by Close; stops the deadline watchdog
@@ -436,6 +456,7 @@ func (m *NetMerger) Close() error {
 	// the process-wide outstanding gauge reads zero after shutdown.
 	for p := range seen {
 		m.releaseHedgeBudgetLocked(p)
+		p.dropAsm()
 	}
 	for _, p := range outstanding {
 		//jbsvet:ignore lockhygiene result channels are buffered for every outstanding fetch; this send cannot block
@@ -481,8 +502,21 @@ var errNoResolver = errors.New("core: fetch spec has no address and the merger h
 // through cfg.Resolver to the supplier currently owning its shard.
 // It is safe for concurrent calls from multiple ReduceTasks; all their
 // requests share the consolidated connections and the round-robin
-// injector.
+// injector. data is lent: it sits in a pooled buffer that is reused as
+// soon as deliver returns, so a deliver that keeps bytes copies them (or
+// uses FetchLeases).
 func (m *NetMerger) Fetch(specs []FetchSpec, deliver func(FetchSpec, []byte) error) error {
+	return m.FetchLeases(specs, func(spec FetchSpec, data []byte, owner *bufpool.Lease) error {
+		defer owner.Release()
+		return deliver(spec, data)
+	})
+}
+
+// FetchLeases is Fetch with the hand-over made explicit: deliver owns the
+// lease behind data (the reassembly lease, or a one-chunk segment's receive
+// lease) and must Release it exactly once, whatever it returns, when nothing
+// reads data any more. Segments arriving after deliver failed go unseen.
+func (m *NetMerger) FetchLeases(specs []FetchSpec, deliver func(spec FetchSpec, data []byte, owner *bufpool.Lease) error) error {
 	if len(specs) == 0 {
 		return nil
 	}
@@ -555,10 +589,10 @@ func (m *NetMerger) Fetch(specs []FetchSpec, deliver func(FetchSpec, []byte) err
 			}
 			continue
 		}
-		if firstErr == nil {
-			if err := deliver(res.spec, res.data); err != nil {
-				firstErr = err
-			}
+		if firstErr != nil {
+			res.lease.Release()
+		} else if err := deliver(res.spec, res.data, res.lease); err != nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -626,8 +660,10 @@ func (m *NetMerger) injectLoop() {
 }
 
 // send transmits one fetch request on the (cached) connection to addr. The
-// request is encoded into a pooled buffer: both backends finish with the
-// bytes before Send returns, so the lease is released immediately.
+// request is encoded into the injector's own scratch (send has no other
+// caller; both backends finish with the bytes before Send returns), not a
+// pooled lease: the response can overtake Send's return, and a Fetch that
+// has returned must not leave a request lease outstanding behind it.
 func (m *NetMerger) send(addr string, p *pendingFetch) error {
 	conn, err := m.cache.Get(addr)
 	if err != nil {
@@ -638,10 +674,8 @@ func (m *NetMerger) send(addr string, p *pendingFetch) error {
 		Partition: uint32(p.spec.Partition),
 		MapTask:   p.spec.MapTask,
 	}
-	l := bufpool.Default().Get(fetchRequestLen(req))
-	err = conn.Send(appendFetchRequest(l.Bytes()[:0], req))
-	l.Release()
-	if err != nil {
+	m.reqBuf = appendFetchRequest(m.reqBuf[:0], req)
+	if err = conn.Send(m.reqBuf); err != nil {
 		// Conn-identity invalidation: if a reader already failed this
 		// connection and a fresh one was dialed, don't tear the fresh
 		// one down for the old one's error.
@@ -717,70 +751,79 @@ func (m *NetMerger) readLoop(addr string, epoch uint64) {
 			m.failConn(addr, epoch, conn, err)
 			return
 		}
+		if chunk.Failed {
+			p := m.remoteError(addr, chunk)
+			remote := fmt.Errorf("%w: %s", ErrRemote, chunk.Payload)
+			l.Release()
+			if p != nil {
+				p.result <- fetchResult{spec: p.spec, err: remote}
+			}
+			continue
+		}
 		m.mu.Lock()
 		p, ok := m.pending[chunk.ID]
-		if !ok {
-			// Response for a request that already failed — or for a
-			// cancelled hedge loser, whose late chunks are the price of
-			// the race and land in the duplicate-byte ledger.
-			if a, lost := m.loserIDs[chunk.ID]; lost && a == addr {
-				m.noteDupBytesLocked(int64(len(chunk.Payload)))
-				if chunk.Last || chunk.Failed {
-					delete(m.loserIDs, chunk.ID)
+		if ok && chunk.Sized {
+			tracer.Mark(p.spec.MapTask, p.spec.Partition, metrics.StageFirstChunk)
+			p.dropAsm() // a sized chunk starts its segment over
+			if !chunk.Last {
+				// Several chunks are reassembled in one lease of the announced
+				// size. A pool miss allocates and clears that much, so it is
+				// taken with the lock dropped: the attempt may be retired, or
+				// the connection failed over, by the time the lock is back.
+				m.mu.Unlock()
+				asm := bufpool.Default().Get(int(chunk.Total))
+				m.mu.Lock()
+				if ok = m.pending[chunk.ID] == p && m.groups[addr].epoch == epoch; ok {
+					p.asm = asm
+				} else {
+					asm.Release()
 				}
 			}
+		}
+		if !ok {
+			m.lateChunkLocked(addr, chunk)
 			m.mu.Unlock()
 			l.Release()
 			continue
 		}
-		if chunk.Failed {
-			delete(m.pending, chunk.ID)
-			g := m.groups[addr]
-			g.release(1)
-			if p.twin != nil {
-				// One attempt of a live hedged pair hit a remote error;
-				// the twin still races, so the fetch neither fails nor
-				// retries here.
-				m.noteHedgeAttemptFailureLocked(p)
-				m.cond.Broadcast()
-				m.mu.Unlock()
-				l.Release()
-				continue
-			}
-			m.errCount++
-			mrgErrors.Inc()
-			if p.isHedge {
-				m.hedgeErrors++
-				mrgHedgeErrors.Inc()
-			}
-			m.cond.Broadcast()
+		total := -1 // a chunk with no sized one before it fits nothing
+		if p.asm != nil {
+			total = p.asm.Len()
+		} else if chunk.Sized {
+			total = int(chunk.Total)
+		}
+		dst, off, end := p.asm, p.got, p.got+len(chunk.Payload)
+		if end > total || (chunk.Last && end != total) {
+			// The stream no longer adds up to the segment it announced:
+			// nothing after this frame can be trusted either.
 			m.mu.Unlock()
-			p.result <- fetchResult{spec: p.spec, err: fmt.Errorf("%w: %s", ErrRemote, chunk.Payload)}
 			l.Release()
-			continue
+			m.failConn(addr, epoch, conn, fmt.Errorf("%w: chunk [%d,%d) of a %d-byte segment", ErrBadMessage, off, end, total))
+			return
 		}
-		if chunk.Sized {
-			tracer.Mark(p.spec.MapTask, p.spec.Partition, metrics.StageFirstChunk)
-			if p.buf == nil && chunk.Total > 0 {
-				// The first chunk announces the segment's size: reassemble in
-				// one exact allocation instead of growing append-by-append.
-				p.buf = make([]byte, 0, chunk.Total)
-			}
-		}
-		p.buf = append(p.buf, chunk.Payload...)
+		p.got = end
 		if !chunk.Last {
+			// The copy runs outside the lock, pinned: a concurrent retire
+			// (deadline trip, hedge loss, Close) drops the attempt's own
+			// reference and the buffer survives until this one goes.
+			dst.Retain()
 			m.mu.Unlock()
+			copy(dst.Bytes()[off:], chunk.Payload)
+			dst.Release()
 			l.Release()
 			continue
 		}
+		// Completion: once p leaves pending (and its twin is cut loose)
+		// only this goroutine can reach it, so the last copy needs no pin.
 		delete(m.pending, chunk.ID)
+		p.asm = nil
 		g := m.groups[addr]
 		g.release(1)
 		if g.win != nil {
 			g.win.OnClean()
 		}
-		m.bytes += int64(len(p.buf))
-		mrgBytes.Add(int64(len(p.buf)))
+		m.bytes += int64(end)
+		mrgBytes.Add(int64(end))
 		rtt := time.Since(p.sentAt).Nanoseconds()
 		mrgRTT.Observe(rtt)
 		if g.rtt != nil {
@@ -804,9 +847,73 @@ func (m *NetMerger) readLoop(addr string, epoch uint64) {
 		if cancelAddr != "" {
 			m.sendCancel(cancelAddr, cancelID)
 		}
-		p.result <- fetchResult{spec: p.spec, data: p.buf}
-		l.Release()
+		res := fetchResult{spec: p.spec}
+		if dst != nil {
+			copy(dst.Bytes()[off:], chunk.Payload)
+			l.Release()
+			res.data, res.lease = dst.Bytes(), dst
+		} else {
+			// One chunk: handed over in its receive lease, no reassembly.
+			res.data, res.lease = fitted(chunk.Payload, l)
+		}
+		p.result <- res
 	}
+}
+
+// fitted returns payload, a view into the receive lease l, in a lease a
+// reduce task can afford to park until it ends: l itself unless its backing
+// is twice what the payload needs (TCP leases a frame's exact length, RDMA
+// the 128 KiB transport buffer whatever arrives), else a right-sized copy.
+func fitted(payload []byte, l *bufpool.Lease) ([]byte, *bufpool.Lease) {
+	if l.Cap() < 2*bufpool.ClassSize(len(payload)) {
+		return payload, l
+	}
+	fit := bufpool.Default().Get(len(payload))
+	copy(fit.Bytes(), payload)
+	l.Release()
+	return fit.Bytes(), fit
+}
+
+// lateChunkLocked accounts a chunk whose request is no longer pending: it
+// failed over already, or is a cancelled hedge loser, whose late chunks are
+// the price of the race and land in the duplicate-byte ledger. Holds m.mu.
+func (m *NetMerger) lateChunkLocked(addr string, chunk dataChunk) {
+	if a, lost := m.loserIDs[chunk.ID]; lost && a == addr {
+		m.noteDupBytesLocked(int64(len(chunk.Payload)))
+		if chunk.Last || chunk.Failed {
+			delete(m.loserIDs, chunk.ID)
+		}
+	}
+}
+
+// remoteError books the error chunk addr's supplier answered a fetch with
+// — a definitive per-request answer, never retried — and returns the
+// fetch to fail, or nil when nobody waits for this attempt any more.
+func (m *NetMerger) remoteError(addr string, chunk dataChunk) *pendingFetch {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p, ok := m.pending[chunk.ID]
+	if !ok {
+		m.lateChunkLocked(addr, chunk)
+		return nil
+	}
+	delete(m.pending, chunk.ID)
+	m.groups[addr].release(1)
+	m.cond.Broadcast()
+	if p.twin != nil {
+		// One attempt of a live hedged pair hit a remote error; the twin
+		// still races, so the fetch neither fails nor retries here.
+		m.noteHedgeAttemptFailureLocked(p)
+		return nil
+	}
+	p.dropAsm()
+	m.errCount++
+	mrgErrors.Inc()
+	if p.isHedge {
+		m.hedgeErrors++
+		mrgHedgeErrors.Inc()
+	}
+	return p
 }
 
 // handleFlowFrame processes a SHED or CREDIT control frame from addr.
@@ -858,6 +965,7 @@ func (m *NetMerger) handleFlowFrame(addr string, b []byte) error {
 		return nil
 	}
 	delete(m.pending, id)
+	p.dropAsm()
 	g := m.groups[addr]
 	g.release(1)
 	if g.win != nil {
@@ -990,7 +1098,7 @@ func (m *NetMerger) failOrRetryLocked(g *nodeGroup, p *pendingFetch, err error) 
 		return
 	}
 	p.attempts++
-	p.buf = nil // discard partial chunks from the dead connection
+	p.dropAsm() // partial chunks from the dead connection
 	if g != nil && p.attempts <= m.cfg.MaxRetries {
 		m.retries++
 		mrgRetries.Inc()
@@ -1289,8 +1397,7 @@ func (m *NetMerger) cancelLoserLocked(t *pendingFetch) (cancelAddr string, cance
 		delete(m.pending, t.id)
 		g := m.groups[t.spec.Addr]
 		g.release(1)
-		m.noteDupBytesLocked(int64(len(t.buf)))
-		t.buf = nil
+		m.noteDupBytesLocked(int64(t.dropAsm()))
 		if m.loserIDs != nil {
 			m.loserIDs[t.id] = t.spec.Addr
 		}
@@ -1334,8 +1441,7 @@ func (m *NetMerger) noteHedgeAttemptFailureLocked(p *pendingFetch) {
 		mrgHedgeAdoptions.Inc()
 		m.releaseHedgeBudgetLocked(p.twin)
 	}
-	m.noteDupBytesLocked(int64(len(p.buf)))
-	p.buf = nil
+	m.noteDupBytesLocked(int64(p.dropAsm()))
 	m.unlinkTwinLocked(p)
 }
 

@@ -39,6 +39,7 @@ const (
 
 func newScriptedSupplier(t *testing.T, script []string) *scriptedSupplier {
 	t.Helper()
+	poolBalanced(t)
 	lis, err := transport.NewTCP().Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +204,7 @@ func TestRetryExhaustionTable(t *testing.T) {
 
 			var got []byte
 			err = m.Fetch([]FetchSpec{{Addr: sup.Addr(), MapTask: "m-00000", Partition: 0}},
-				func(_ FetchSpec, data []byte) error { got = data; return nil })
+				func(_ FetchSpec, data []byte) error { got = bytes.Clone(data); return nil })
 
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) {
@@ -253,7 +254,7 @@ func TestStalledConnRetriesAfterDeadline(t *testing.T) {
 
 	var got []byte
 	err = m.Fetch([]FetchSpec{{Addr: sup.Addr(), MapTask: "m-00000", Partition: 0}},
-		func(_ FetchSpec, data []byte) error { got = data; return nil })
+		func(_ FetchSpec, data []byte) error { got = bytes.Clone(data); return nil })
 	if err != nil {
 		t.Fatalf("fetch through stalled conn failed: %v", err)
 	}

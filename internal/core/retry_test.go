@@ -110,7 +110,7 @@ func TestFetchRetriesAfterConnectionFailure(t *testing.T) {
 	}
 	got := map[string][]byte{}
 	err = m.Fetch(specs, func(s FetchSpec, data []byte) error {
-		got[fmt.Sprintf("%s/%d", s.MapTask, s.Partition)] = data
+		got[fmt.Sprintf("%s/%d", s.MapTask, s.Partition)] = bytes.Clone(data)
 		return nil
 	})
 	if err != nil {

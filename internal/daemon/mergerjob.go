@@ -120,6 +120,8 @@ func RunMergerJob(cfg MergerJobConfig) (JobStats, error) {
 		}
 	}
 	for round := 0; round < cfg.Rounds; round++ {
+		// data is lent until this callback returns (NetMerger.Fetch): it is
+		// compared and written out here, never kept.
 		err := m.Fetch(specs, func(spec core.FetchSpec, data []byte) error {
 			if reference != nil {
 				want := reference[segKey(spec.MapTask, spec.Partition)]

@@ -561,6 +561,7 @@ func (c *Cluster) runReduceTask(jobID string, job *Job, rID int, node string, nu
 		return "", err
 	}
 	fetcher := c.fetchers[node]
+	defer fetcher.Release(reduceID) // deferred first, so it runs after it.Close
 	// The attempt's own counters, added to the job's when it has
 	// succeeded: a failed attempt that withRetry runs again counts once.
 	var tc Counters

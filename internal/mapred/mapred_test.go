@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 // registry.
 type localProvider struct {
 	registries map[string]*MOFRegistry
+	fetchers   []*localFetcher // one per node, in NewCluster's node order
 }
 
 func newLocalProvider() *localProvider {
@@ -34,7 +36,9 @@ func (p *localProvider) StartNode(node string, reg *MOFRegistry) (string, func()
 }
 
 func (p *localProvider) NewFetcher(node string, addrOf func(string) (string, error)) (Fetcher, error) {
-	return &localFetcher{p: p}, nil
+	f := &localFetcher{p: p, lent: make(map[string][][]byte), released: make(map[string]int)}
+	p.fetchers = append(p.fetchers, f)
+	return f, nil
 }
 
 func (p *localProvider) NewMerger(spillDir string) (merge.Merger, error) {
@@ -43,6 +47,14 @@ func (p *localProvider) NewMerger(spillDir string) (merge.Merger, error) {
 
 type localFetcher struct {
 	p *localProvider
+
+	mu sync.Mutex
+	// lent is what each reduce task was delivered and has not had
+	// released; released counts Release calls per task. Release
+	// overwrites the bytes, so an engine that reads a segment after
+	// giving it back produces a wrong output, not a lucky right one.
+	lent     map[string][][]byte
+	released map[string]int
 }
 
 func (f *localFetcher) Fetch(reduceTask string, segs []SegmentID, deliver func(SegmentID, []byte) error) error {
@@ -64,11 +76,26 @@ func (f *localFetcher) Fetch(reduceTask string, segs []SegmentID, deliver func(S
 		if err != nil {
 			return err
 		}
+		f.mu.Lock()
+		f.lent[reduceTask] = append(f.lent[reduceTask], data)
+		f.mu.Unlock()
 		if err := deliver(s, data); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func (f *localFetcher) Release(reduceTask string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, data := range f.lent[reduceTask] {
+		for i := range data {
+			data[i] = 0xA5
+		}
+	}
+	delete(f.lent, reduceTask)
+	f.released[reduceTask]++
 }
 
 func (f *localFetcher) Close() error { return nil }

@@ -84,8 +84,14 @@ type SegmentID struct {
 type Fetcher interface {
 	// Fetch retrieves all segments, invoking deliver once per segment with
 	// its raw bytes. deliver calls may come from the calling goroutine or
-	// an internal one, but never concurrently for one Fetch call.
+	// an internal one, but never concurrently for one Fetch call. The
+	// bytes are lent to reduceTask until Release: deliver may keep the
+	// slice (the mergers do) but nothing may read it afterwards.
 	Fetch(reduceTask string, segs []SegmentID, deliver func(SegmentID, []byte) error) error
+	// Release ends the loan of everything Fetch delivered to reduceTask;
+	// the engine calls it once per reduce attempt, on every exit, after
+	// the merge iterator is closed. JBS returns pooled buffers here.
+	Release(reduceTask string)
 	// Close releases the fetcher's connections.
 	Close() error
 }

@@ -458,8 +458,8 @@ func mergeRuns(w *mof.Writer, runs []MOFPaths, partitions int, final MOFPaths, c
 // mergePartition merges one partition's segment of every run into w.
 func mergePartition(w *mof.Writer, runs []MOFPaths, indexes []*mof.Index, p int) error {
 	var sources []merge.Source
-	// merge.Merge closes its sources except when priming one fails, and
-	// the early returns below bypass it; a second Close is harmless.
+	// Until merge.Merge takes the sources over (it closes them whatever it
+	// returns) an early exit has to.
 	defer func() { closeSources(sources) }()
 	for i, r := range runs {
 		entry, err := indexes[i].Entry(p)
@@ -481,7 +481,9 @@ func mergePartition(w *mof.Writer, runs []MOFPaths, indexes []*mof.Index, p int)
 	if err := w.BeginSegment(p); err != nil {
 		return err
 	}
-	return merge.Merge(sources, func(r mof.Record) error {
+	merging := sources
+	sources = nil
+	return merge.Merge(merging, func(r mof.Record) error {
 		return w.Append(r.Key, r.Value)
 	})
 }

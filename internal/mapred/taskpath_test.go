@@ -389,3 +389,82 @@ func TestFixedReaderReusesItsBuffer(t *testing.T) {
 		t.Fatal("the second record was not read into the first record's memory")
 	}
 }
+
+// TestReduceSeesTheEmptyKey: a map that emits "" as a key is as legal as
+// any other, and its group reaches Reduce. It used to be dropped without an
+// error between the merge and the reduce function.
+func TestReduceSeesTheEmptyKey(t *testing.T) {
+	fs, c := testCluster(t, 2, 1024)
+	putFile(t, fs, "/in", "x\n\ny\n\n\nx\n")
+	job := wordCountJob("/in", "/out", 2)
+	job.Map = func(_, line []byte, emit Emit) error { // the line is the key: three are empty
+		emit(line, []byte("1"))
+		return nil
+	}
+	res, err := c.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := parseCounts(t, strings.ReplaceAll("\n"+catOutputs(t, fs, res), "\n\t", "\n<empty>\t"))
+	if got["<empty>"] != 3 || got["x"] != 2 || got["y"] != 1 || len(got) != 3 {
+		t.Fatalf("counts = %v, want <empty>:3 x:2 y:1", got)
+	}
+	if res.Counters.ReduceGroups != 3 {
+		t.Fatalf("%d reduce groups, want 3", res.Counters.ReduceGroups)
+	}
+}
+
+// TestEveryReduceAttemptReleasesWhatItWasLent: Fetcher.Release runs once
+// per reduce attempt — finished, failed and retried, or failed for good —
+// and after it nothing the fetcher lent is still on loan. The local
+// fetcher overwrites what it takes back, so an engine that released before
+// the merge was done would also get the counts wrong.
+func TestEveryReduceAttemptReleasesWhatItWasLent(t *testing.T) {
+	for name, tc := range map[string]struct {
+		failures int64 // reduce calls that fail, from the third on
+		attempts int   // reduce attempts that follow from it
+		wantErr  bool
+	}{
+		"finished":        {0, 1, false},
+		"retried":         {1, 2, false},
+		"failed-for-good": {2, 2, true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs, c := testCluster(t, 2, 1024)
+			c.cfg.MaxTaskAttempts = 2
+			putFile(t, fs, "/in", "a b c\nb c d\nc d e\n")
+			job := wordCountJob("/in", "/out", 1)
+			var calls, failed atomic.Int64
+			inner := job.Reduce
+			job.Reduce = func(k []byte, vs [][]byte, emit Emit) error {
+				if calls.Add(1)%5 == 3 && failed.Add(1) <= tc.failures {
+					return fmt.Errorf("reduce failure after two groups")
+				}
+				return inner(k, vs, emit)
+			}
+			res, err := c.Run(job)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Run = %v, want an error: %v", err, tc.wantErr)
+			}
+			if err == nil {
+				if got := parseCounts(t, catOutputs(t, fs, res)); got["c"] != 3 || len(got) != 5 {
+					t.Fatalf("wrong output: %v", got)
+				}
+			}
+			released := 0
+			for _, f := range c.provider.(*localProvider).fetchers {
+				f.mu.Lock()
+				if len(f.lent) != 0 {
+					t.Errorf("segments still on loan after the job: %d reduce tasks", len(f.lent))
+				}
+				for _, n := range f.released {
+					released += n
+				}
+				f.mu.Unlock()
+			}
+			if released != tc.attempts {
+				t.Fatalf("Release ran %d times over %d reduce attempts", released, tc.attempts)
+			}
+		})
+	}
+}

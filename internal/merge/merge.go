@@ -110,7 +110,8 @@ type Iterator struct {
 }
 
 // NewIterator builds a merging iterator over the sources. Sources must each
-// be sorted by key.
+// be sorted by key. The iterator owns the sources from here on: Close
+// closes them, and so does a NewIterator that fails.
 func NewIterator(sources []Source) (*Iterator, error) {
 	it := &Iterator{sources: sources}
 	for i, s := range sources {
@@ -119,6 +120,7 @@ func NewIterator(sources []Source) (*Iterator, error) {
 			continue
 		}
 		if err != nil {
+			it.Close() // read-side sources: the priming error is the one to report
 			return nil, fmt.Errorf("merge: priming source %d: %w", i, err)
 		}
 		it.h = append(it.h, heapItem{rec: rec, src: i})
@@ -184,8 +186,9 @@ func Merge(sources []Source, emit func(mof.Record) error) error {
 func GroupByKey(it *Iterator, fn func(key []byte, values [][]byte) error) error {
 	var curKey []byte
 	var curVals [][]byte
+	inGroup := false // not curKey != nil: the clone of an empty key is nil
 	flush := func() error {
-		if curKey == nil {
+		if !inGroup {
 			return nil
 		}
 		return fn(curKey, curVals)
@@ -198,10 +201,11 @@ func GroupByKey(it *Iterator, fn func(key []byte, values [][]byte) error) error 
 		if err != nil {
 			return err
 		}
-		if curKey == nil || !bytes.Equal(rec.Key, curKey) {
+		if !inGroup || !bytes.Equal(rec.Key, curKey) {
 			if err := flush(); err != nil {
 				return err
 			}
+			inGroup = true
 			curKey = append([]byte(nil), rec.Key...)
 			curVals = curVals[:0]
 		}

@@ -2,9 +2,11 @@ package merge
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -191,6 +193,104 @@ func TestGroupByKeyEmpty(t *testing.T) {
 	}
 	if called {
 		t.Fatal("fn called for empty input")
+	}
+}
+
+// TestGroupByKeyKeepsTheEmptyKey: "" is a key like any other. Its group
+// used to vanish — a cloned empty key is a nil slice, which was also the
+// mark for "no group yet" — taking every value under it out of the reduce.
+func TestGroupByKeyKeepsTheEmptyKey(t *testing.T) {
+	for _, recs := range [][]mof.Record{
+		{rec("", "1"), rec("", "2"), rec("a", "3")},
+		{rec("", "1")},
+	} {
+		it, _ := NewIterator([]Source{NewSliceSource(recs)})
+		var got []string
+		err := GroupByKey(it, func(key []byte, values [][]byte) error {
+			for _, v := range values {
+				got = append(got, fmt.Sprintf("%q=%s", key, v))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, r := range recs {
+			want = append(want, fmt.Sprintf("%q=%s", r.Key, r.Value))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("groups = %v, want %v", got, want)
+		}
+	}
+}
+
+// closeCounter is a Source that counts its Closes and can fail its first
+// Next.
+type closeCounter struct {
+	Source
+	fail   error
+	closes int
+}
+
+func (c *closeCounter) Next() (mof.Record, error) {
+	if c.fail != nil {
+		return mof.Record{}, c.fail
+	}
+	return c.Source.Next()
+}
+
+func (c *closeCounter) Close() error { c.closes++; return c.Source.Close() }
+
+// TestFailedPrimeClosesEverySource: an iterator that cannot be built has
+// no Close to call, so NewIterator must not keep what it was handed — run
+// files then, pooled leases now. In the style of mapred's
+// TestWriterFailureLeavesNothing: no open file may outlive the failure.
+func TestFailedPrimeClosesEverySource(t *testing.T) {
+	srcs := make([]*closeCounter, 3)
+	sources := make([]Source, len(srcs))
+	for i := range srcs {
+		srcs[i] = &closeCounter{Source: NewSliceSource([]mof.Record{rec("k", "v")})}
+		sources[i] = srcs[i]
+	}
+	srcs[1].fail = mof.ErrCorruptRecord
+	if _, err := NewIterator(sources); !errors.Is(err, mof.ErrCorruptRecord) {
+		t.Fatalf("NewIterator = %v, want the priming error", err)
+	}
+	for i, s := range srcs {
+		if s.closes != 1 {
+			t.Errorf("source %d closed %d times after a failed prime, want 1", i, s.closes)
+		}
+	}
+
+	// The same through SpillMerger.Finish, whose sources are open files.
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	before := len(ents)
+	dir := t.TempDir()
+	m, err := NewSpillMerger(dir, 1<<10, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := makeSortedSegments(rand.New(rand.NewSource(9)), 6, 40)
+	for _, seg := range segs {
+		if err := m.AddSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.runs) < 2 {
+		t.Fatalf("fixture error: %d runs spilled, want several", len(m.runs))
+	}
+	if err := os.WriteFile(m.runs[len(m.runs)-1], []byte{0xff, 0xff, 0xff}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Finish(); err == nil {
+		t.Fatal("Finish over a corrupt run succeeded")
+	}
+	if ents, _ = os.ReadDir("/proc/self/fd"); len(ents) > before {
+		t.Fatalf("failed Finish left %d run files open", len(ents)-before)
 	}
 }
 

@@ -36,7 +36,10 @@ type Stats struct {
 // ingest, so the iterator contract holds regardless of which map-side
 // writer produced the MOF.
 type Merger interface {
-	// AddSegment ingests one raw segment (mof encoding).
+	// AddSegment ingests one raw segment (mof encoding). The merger keeps
+	// data and reads it in place: it is borrowed until the iterator Finish
+	// returns is closed (or, with no Finish, until the merger is dropped),
+	// and whoever lent it — mapred.Fetcher — takes it back only then.
 	AddSegment(data []byte) error
 	// Finish returns the merged iterator; no AddSegment may follow.
 	Finish() (*Iterator, error)

@@ -221,6 +221,9 @@ func (f *httpFetcher) copyOne(s mapred.SegmentID) ([]byte, error) {
 	return data, nil
 }
 
+// Release is a no-op: copied segments are ordinary heap slices.
+func (f *httpFetcher) Release(string) {}
+
 // Close releases idle connections.
 func (f *httpFetcher) Close() error {
 	f.client.CloseIdleConnections()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/merge"
@@ -142,7 +143,7 @@ func (p *JBSProvider) NewFetcher(node string, addrOf func(string) (string, error
 	p.mu.Lock()
 	p.mergers[node] = m
 	p.mu.Unlock()
-	return &jbsFetcher{m: m, addrOf: addrOf}, nil
+	return &jbsFetcher{m: m, addrOf: addrOf, lent: make(map[string][]*bufpool.Lease)}, nil
 }
 
 // NewMerger pairs JBS with the network-levitated merger (or its
@@ -178,6 +179,12 @@ func (p *JBSProvider) MergerStats(node string) core.MergerStats {
 type jbsFetcher struct {
 	m      *core.NetMerger
 	addrOf func(string) (string, error)
+
+	mu sync.Mutex
+	// lent holds, per reduce task, the leases behind every segment
+	// delivered to it: the task's merger reads them in place until the
+	// engine calls Release.
+	lent map[string][]*bufpool.Lease
 }
 
 func (f *jbsFetcher) Fetch(reduceTask string, segs []mapred.SegmentID, deliver func(mapred.SegmentID, []byte) error) error {
@@ -192,9 +199,25 @@ func (f *jbsFetcher) Fetch(reduceTask string, segs []mapred.SegmentID, deliver f
 		specs = append(specs, spec)
 		back[spec] = s
 	}
-	return f.m.Fetch(specs, func(spec core.FetchSpec, data []byte) error {
+	var got []*bufpool.Lease
+	err := f.m.FetchLeases(specs, func(spec core.FetchSpec, data []byte, owner *bufpool.Lease) error {
+		got = append(got, owner)
 		return deliver(back[spec], data)
 	})
+	f.mu.Lock()
+	f.lent[reduceTask] = append(f.lent[reduceTask], got...)
+	f.mu.Unlock()
+	return err
+}
+
+func (f *jbsFetcher) Release(reduceTask string) {
+	f.mu.Lock()
+	leases := f.lent[reduceTask]
+	delete(f.lent, reduceTask)
+	f.mu.Unlock()
+	for _, l := range leases {
+		l.Release()
+	}
 }
 
 func (f *jbsFetcher) Close() error { return f.m.Close() }

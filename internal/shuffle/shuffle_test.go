@@ -5,9 +5,11 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 )
@@ -404,5 +406,85 @@ func TestJBSFetchRetriesConfig(t *testing.T) {
 	putFile(t, fs, "/in", corpus(40))
 	if _, err := c.Run(wordCountJob("/in", "/out", 2)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pinMeter wraps the JBS provider's fetchers to weigh what a reduce task
+// holds when it gives its segments back: the pool's outstanding buffer
+// bytes just before Fetcher.Release minus just after.
+type pinMeter struct {
+	*JBSProvider
+	mu                    sync.Mutex
+	segs, fetched, pinned int
+}
+
+type meteredFetcher struct {
+	mapred.Fetcher
+	pm *pinMeter
+}
+
+func (p *pinMeter) NewFetcher(node string, addrOf func(string) (string, error)) (mapred.Fetcher, error) {
+	f, err := p.JBSProvider.NewFetcher(node, addrOf)
+	return &meteredFetcher{Fetcher: f, pm: p}, err
+}
+
+func (f *meteredFetcher) Fetch(task string, segs []mapred.SegmentID, deliver func(mapred.SegmentID, []byte) error) error {
+	return f.Fetcher.Fetch(task, segs, func(s mapred.SegmentID, data []byte) error {
+		f.pm.mu.Lock()
+		f.pm.segs++
+		f.pm.fetched += bufpool.ClassSize(len(data))
+		f.pm.mu.Unlock()
+		return deliver(s, data)
+	})
+}
+
+func (f *meteredFetcher) Release(task string) {
+	before := pooledBytesOut()
+	f.Fetcher.Release(task)
+	f.pm.mu.Lock()
+	f.pm.pinned += before - pooledBytesOut()
+	f.pm.mu.Unlock()
+}
+
+// pooledBytesOut sums the backing buffers of every lease outstanding in
+// the default pool's size classes.
+func pooledBytesOut() int {
+	n := 0
+	for _, c := range bufpool.Default().ClassStats() {
+		if c.Size > 0 {
+			n += int(c.Outstanding()) * c.Size
+		}
+	}
+	return n
+}
+
+// TestReduceTaskPinsWhatItFetchedOnEveryBackend: a reduce task parks the
+// lease behind every segment until it ends, so a lease must weigh about
+// what its segment does. The RDMA backend receives each frame into a lease
+// of the transport buffer size — 128 KiB behind a word-count segment of a
+// few hundred bytes — which the NetMerger must not hand over as it is.
+func TestReduceTaskPinsWhatItFetchedOnEveryBackend(t *testing.T) {
+	for _, backend := range []string{"tcp", "rdma"} {
+		t.Run(backend, func(t *testing.T) {
+			p, err := NewJBSProvider(JBSConfig{Transport: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pm := &pinMeter{JBSProvider: p}
+			fs, c := fixture(t, pm, 2, 256)
+			putFile(t, fs, "/in", corpus(120))
+			// One reducer: when it releases, every map is done and the
+			// suppliers are idle, so the pool moves by its leases alone.
+			if _, err := c.Run(wordCountJob("/in", "/out", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if pm.segs < 16 {
+				t.Fatalf("reduce fetched %d segments; the scenario needs many small ones", pm.segs)
+			}
+			if pm.pinned <= 0 || pm.pinned >= 2*pm.fetched {
+				t.Errorf("%d segments in leases of their own size weigh %d bytes; the reduce task held %d",
+					pm.segs, pm.fetched, pm.pinned)
+			}
+		})
 	}
 }

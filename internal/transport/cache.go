@@ -19,6 +19,10 @@ type ConnCache struct {
 	lru   *list.List               // front = most recently used
 	// dialing deduplicates concurrent dials to the same address.
 	dialing map[string]*sync.WaitGroup
+	// closed is set by Close and never cleared: a cache that kept
+	// handing out connections after its owner shut it down would leave
+	// them open for ever, with whoever reads them parked for ever.
+	closed bool
 
 	hits, misses, evictions int
 }
@@ -44,10 +48,15 @@ func NewConnCache(tr Transport, max int) *ConnCache {
 }
 
 // Get returns a cached connection to addr, dialing on first use. Concurrent
-// Gets for the same address share one dial.
+// Gets for the same address share one dial. After Close it returns
+// ErrConnClosed, and a dial that Close overtook is closed, not cached.
 func (c *ConnCache) Get(addr string) (Conn, error) {
 	for {
 		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return nil, ErrConnClosed
+		}
 		if el, ok := c.conns[addr]; ok {
 			c.lru.MoveToFront(el)
 			c.hits++
@@ -76,6 +85,11 @@ func (c *ConnCache) Get(addr string) (Conn, error) {
 		if err != nil {
 			c.mu.Unlock()
 			return nil, err
+		}
+		if c.closed {
+			c.mu.Unlock()
+			_ = conn.Close() // never used; nothing its close error could say
+			return nil, ErrConnClosed
 		}
 		el := c.lru.PushFront(&cacheEntry{addr: addr, conn: conn})
 		c.conns[addr] = el
@@ -184,9 +198,10 @@ func (c *ConnCache) Stats() (hits, misses, evictions int) {
 }
 
 // Close tears down every cached connection, returning the first close
-// error encountered.
+// error encountered, and leaves the cache closed for good (see Get).
 func (c *ConnCache) Close() error {
 	c.mu.Lock()
+	c.closed = true
 	var conns []Conn
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		conns = append(conns, el.Value.(*cacheEntry).conn)

@@ -675,15 +675,61 @@ func TestCacheGetAfterClose(t *testing.T) {
 	if cache.Len() != 0 {
 		t.Fatal("cache not emptied by Close")
 	}
-	// The cache remains usable: Get re-dials.
-	c, err := cache.Get(addr)
-	if err != nil {
-		t.Fatal(err)
+	// The cache stays closed: a connection handed out now would have no
+	// owner left to close it.
+	if _, err := cache.Get(addr); !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("Get after Close = %v, want ErrConnClosed", err)
 	}
-	if err := c.Send([]byte("x")); err != nil {
-		t.Fatalf("connection after cache close unusable: %v", err)
+	if cache.Len() != 0 {
+		t.Fatal("Get after Close cached a connection")
 	}
+}
+
+// gatedDialer holds every Dial until release is closed and remembers what
+// it dialed.
+type gatedDialer struct {
+	Transport
+	entered, release chan struct{}
+	dialed           chan Conn
+}
+
+func (g *gatedDialer) Dial(addr string) (Conn, error) {
+	g.entered <- struct{}{}
+	<-g.release
+	c, err := g.Transport.Dial(addr)
+	if err == nil {
+		g.dialed <- c
+	}
+	return c, err
+}
+
+// TestCacheCloseOvertakesDial is the NetMerger.Close hang at its root: a
+// Get whose dial finishes after Close used to cache and return a live
+// connection that nothing would ever close, and the reader that asked for
+// it parked in Recv for good.
+func TestCacheCloseOvertakesDial(t *testing.T) {
+	tr := NewTCP()
+	addr, stop := echoServer(t, tr, "127.0.0.1:0")
+	defer stop()
+	g := &gatedDialer{Transport: tr, entered: make(chan struct{}), release: make(chan struct{}), dialed: make(chan Conn, 1)}
+	cache := NewConnCache(g, 2)
+	got := make(chan error, 1)
+	go func() {
+		_, err := cache.Get(addr)
+		got <- err
+	}()
+	<-g.entered
 	cache.Close()
+	close(g.release)
+	if err := <-got; !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("Get overtaken by Close = %v, want ErrConnClosed", err)
+	}
+	if cache.Len() != 0 {
+		t.Fatal("the late connection was cached")
+	}
+	if _, err := (<-g.dialed).Recv(); !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("the late connection was left open: Recv = %v", err)
+	}
 }
 
 func TestTransientClassifiesBackpressure(t *testing.T) {

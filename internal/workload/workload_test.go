@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/shuffle"
@@ -27,6 +28,11 @@ func newEngine(t *testing.T, fs *dfs.Cluster) *mapred.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newEngineOn(t, fs, prov)
+}
+
+func newEngineOn(t *testing.T, fs *dfs.Cluster, prov mapred.ShuffleProvider) *mapred.Cluster {
+	t.Helper()
 	c, err := mapred.NewCluster(mapred.Config{Nodes: []string{"n0", "n1"}, WorkDir: t.TempDir()}, fs, prov)
 	if err != nil {
 		t.Fatal(err)
@@ -373,12 +379,65 @@ func poisoned(format mapred.InputFormat) mapred.InputFormat {
 // add (faulttolerance wraps WordCount's to inject faults) is the last
 // case.
 func TestNoMapFunctionKeepsABorrowedRecord(t *testing.T) {
-	type jobCase struct {
-		name     string
-		generate func(fs *dfs.Cluster) error
-		job      func(output string) *mapred.Job
-		block    int64
+	for _, tc := range jobCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			fs := newFS(t, tc.block)
+			c := newEngine(t, fs)
+			if err := tc.generate(fs); err != nil {
+				t.Fatal(err)
+			}
+			plain, poison := runForOutput(t, fs, c, tc.job("/out-plain")), runForOutput(t, fs, c, poisonedInput(tc.job("/out-poison")))
+			if plain == "" && tc.name != "Grep" {
+				t.Fatal("the job wrote nothing")
+			}
+			if plain != poison {
+				t.Fatalf("output changes when records are overwritten after the next read:\n%.300q\nvs\n%.300q", plain, poison)
+			}
+		})
 	}
+}
+
+// TestNoReducerReadsASegmentItGaveBack runs the same jobs over JBS — whose
+// fetched segments sit in pooled leases lent until the reduce attempt ends,
+// and which this package's TestMain has overwrite every lease the moment
+// it is released — and over the HTTP baseline, whose segments are plain
+// heap slices. A merge, reduce or output path that read a segment after
+// Fetcher.Release would make the two differ (or fail to decode).
+func TestNoReducerReadsASegmentItGaveBack(t *testing.T) {
+	for _, tc := range jobCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			fs := newFS(t, tc.block)
+			if err := tc.generate(fs); err != nil {
+				t.Fatal(err)
+			}
+			before := bufpool.Default().Outstanding()
+			t.Cleanup(func() { // registered first: runs once both engines are closed
+				if after := bufpool.Default().Outstanding(); after != before {
+					t.Errorf("%d leases outstanding after the engines closed, %d before the jobs", after, before)
+				}
+			})
+			leased := runForOutput(t, fs, newEngine(t, fs), tc.job("/out-jbs"))
+			copied := runForOutput(t, fs, newEngineOn(t, fs, shuffle.NewHTTPProvider(shuffle.HTTPConfig{})), tc.job("/out-http"))
+			if leased != copied {
+				t.Fatalf("output over lent segments differs from output over copied ones:\n%.300q\nvs\n%.300q", leased, copied)
+			}
+		})
+	}
+}
+
+// jobCase is one job of the package at a size a test can run.
+type jobCase struct {
+	name     string
+	generate func(fs *dfs.Cluster) error
+	job      func(output string) *mapred.Job
+	block    int64
+}
+
+// jobCases lists every job of the package, TeraValidate included, plus the
+// one shape the programs under examples/ add to them.
+func jobCases() []jobCase {
 	var cases []jobCase
 	for _, b := range All() {
 		b := b
@@ -418,47 +477,36 @@ func TestNoMapFunctionKeepsABorrowedRecord(t *testing.T) {
 		},
 		block: 16 * LineWidth,
 	})
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			fs := newFS(t, tc.block)
-			c := newEngine(t, fs)
-			if err := tc.generate(fs); err != nil {
-				t.Fatal(err)
-			}
-			output := func(dir string, poison bool) string {
-				job := tc.job(dir)
-				if poison {
-					job.InputFormat = poisoned(job.InputFormat)
-				}
-				res, err := c.Run(job)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sb strings.Builder
-				for _, p := range res.OutputFiles {
-					r, err := fs.Open(p, "")
-					if err != nil {
-						t.Fatal(err)
-					}
-					data, err := io.ReadAll(r)
-					r.Close()
-					if err != nil {
-						t.Fatal(err)
-					}
-					sb.Write(data)
-				}
-				return sb.String()
-			}
-			plain, poison := output("/out-plain", false), output("/out-poison", true)
-			if plain == "" && tc.name != "Grep" {
-				t.Fatal("the job wrote nothing")
-			}
-			if plain != poison {
-				t.Fatalf("output changes when records are overwritten after the next read:\n%.300q\nvs\n%.300q", plain, poison)
-			}
-		})
+	return cases
+}
+
+// poisonedInput makes job read its input through poisonReader.
+func poisonedInput(job *mapred.Job) *mapred.Job {
+	job.InputFormat = poisoned(job.InputFormat)
+	return job
+}
+
+// runForOutput runs job on c and returns its output files, concatenated.
+func runForOutput(t *testing.T, fs *dfs.Cluster, c *mapred.Cluster, job *mapred.Job) string {
+	t.Helper()
+	res, err := c.Run(job)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var sb strings.Builder
+	for _, p := range res.OutputFiles {
+		r, err := fs.Open(p, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(r)
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.Write(data)
+	}
+	return sb.String()
 }
 
 // TestWordSplittingMatchesStringsFields checks the in-place field walk of
