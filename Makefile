@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet vet-fast race bench fuzz-smoke chaos-hedge overload benchmark-test bench-pair stress multiproc-smoke elastic-smoke
+.PHONY: all build test vet vet-fast race bench fuzz-smoke chaos-hedge overload benchmark-test bench-pair stress multiproc-smoke elastic-smoke loc
 
 all: build vet test
 
@@ -79,18 +79,23 @@ SEED ?= 1
 bench-pair:
 	$(GO) run ./scripts/benchpair -parent $(PARENT) -pr $(PR) -seed $(SEED) $(if $(WORKLOADS),-workloads $(WORKLOADS)) $(if $(PAIRS),-pairs $(PAIRS))
 
+# loc: non-test Go lines per directory and in total for internal/, cmd/
+# and examples/ — all lines (as wc -l counts them) and code lines (no
+# blanks, no comment-only lines). The size a simplicity change quotes.
+loc:
+	$(GO) run ./scripts/loc
+
 # stress: the NetMerger tests whose failures only ever showed under load —
-# Close racing readers, first dials and hedge launches, and the hedge/shed
-# test that used to trip into the Close hang — looped beside a process
-# that keeps one core busy. A hang fails by -timeout, with the goroutine
-# dump. TestFlowShedBackoffRetryEndToEnd joins once the supplier's ledger
-# ordering is settled (ROADMAP 1b): under the hog its immediate
-# ledger-is-zero read can beat the supplier's last release.
+# Close racing readers, first dials and hedge launches, the hedge/shed
+# test that used to trip into the Close hang, and the two tests that read
+# the supplier's accounting after a fetch (they wait for Inflight() == 0
+# first) — looped beside a process that keeps one core busy. A hang fails
+# by -timeout, with the goroutine dump.
 STRESS_COUNT ?= 100
 stress:
 	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
 	$(GO) test -count=$(STRESS_COUNT) -timeout 10m \
-		-run 'TestCloseRacesReadersAndHedges|TestCloseOvertakesFirstDial|TestHedgeShedGuards' ./internal/core
+		-run 'TestCloseRacesReadersAndHedges|TestCloseOvertakesFirstDial|TestHedgeShedGuards|TestFlowShedBackoffRetryEndToEnd|TestDrainHandoffReroutesFetch' ./internal/core
 
 # multiproc-smoke: the process-level acceptance run — build the real
 # jbsregistryd/jbssupplierd/jbsmergerd binaries, spawn a registry plus

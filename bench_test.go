@@ -98,9 +98,3 @@ func BenchmarkFunctionalShuffleHTTP(b *testing.B) {
 // BenchmarkFunctionalShuffleJBSTCP runs real Terasort with JBS over real
 // TCP sockets (MOFSupplier + NetMerger + network-levitated merge).
 func BenchmarkFunctionalShuffleJBSTCP(b *testing.B) { functionalBench(b, "jbs-tcp") }
-
-// BenchmarkFunctionalShuffleJBSRDMA runs real Terasort with JBS over the
-// emulated RDMA verbs transport.
-func BenchmarkFunctionalShuffleJBSRDMA(b *testing.B) {
-	functionalBench(b, "jbs-rdma")
-}

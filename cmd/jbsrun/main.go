@@ -1,14 +1,13 @@
 // Command jbsrun executes one MapReduce benchmark on the real engine —
-// real input files, a real DFS, real shuffle traffic over real sockets
-// (or the emulated RDMA verbs) — under a chosen shuffle provider. All
-// nodes run inside this one process; for the multi-process deployment
-// of the same engine (standalone supplier/merger daemons coordinated by
-// a discovery registry) see jbsregistryd, jbssupplierd, jbsmergerd, and
-// docs/DEPLOYMENT.md.
+// real input files, a real DFS, real shuffle traffic over real sockets —
+// under a chosen shuffle provider. All nodes run inside this one process;
+// for the multi-process deployment of the same engine (standalone
+// supplier/merger daemons coordinated by a discovery registry) see
+// jbsregistryd, jbssupplierd, jbsmergerd, and docs/DEPLOYMENT.md.
 //
 // Usage:
 //
-//	jbsrun -benchmark WordCount -shuffle jbs-rdma -lines 5000
+//	jbsrun -benchmark WordCount -shuffle hadoop-http -lines 5000
 //	jbsrun -trace 10 -debug localhost:6060   # observability: see docs/OBSERVABILITY.md
 package main
 
@@ -29,7 +28,7 @@ import (
 
 func main() {
 	benchmark := flag.String("benchmark", "Terasort", "benchmark name (Terasort, WordCount, Grep, SelfJoin, InvertedIndex, SequenceCount, AdjacencyList)")
-	shuffleName := flag.String("shuffle", "jbs-tcp", "shuffle provider: hadoop-http, jbs-tcp, jbs-rdma")
+	shuffleName := flag.String("shuffle", "jbs-tcp", "shuffle provider: hadoop-http, jbs-tcp")
 	lines := flag.Int("lines", 2000, "input records to generate")
 	nodes := flag.Int("nodes", 3, "in-process node count")
 	reducers := flag.Int("reducers", 4, "ReduceTask count")
@@ -47,24 +46,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "jbsrun:", err)
 		os.Exit(2)
 	}
-	var provider mapred.ShuffleProvider
-	var err error
-	switch *shuffleName {
-	case "hadoop-http":
-		provider = shuffle.NewHTTPProvider(shuffle.HTTPConfig{ShuffleMemory: 4 << 10})
-	case "jbs-tcp", "jbs-rdma":
-		provider, err = shuffle.NewJBSProvider(shuffle.JBSConfig{
-			Transport:         (*shuffleName)[len("jbs-"):],
-			FetchRetries:      *retries,
-			HierarchicalFanIn: *hierarchical,
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "jbsrun: unknown shuffle %q\n", *shuffleName)
-		os.Exit(2)
-	}
+	provider, err := newProvider(*shuffleName, *retries, *hierarchical)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jbsrun:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
 	var debugLis net.Listener
@@ -129,4 +114,15 @@ func main() {
 		fmt.Printf("debug: run complete; still serving http://%s/debug/jbs (Ctrl-C to exit)\n", debugLis.Addr())
 		select {}
 	}
+}
+
+// newProvider builds the shuffle provider -shuffle names.
+func newProvider(name string, retries, hierarchical int) (mapred.ShuffleProvider, error) {
+	switch name {
+	case "hadoop-http":
+		return shuffle.NewHTTPProvider(shuffle.HTTPConfig{ShuffleMemory: 4 << 10}), nil
+	case "jbs-tcp":
+		return shuffle.NewJBSProvider(shuffle.JBSConfig{FetchRetries: retries, HierarchicalFanIn: hierarchical})
+	}
+	return nil, fmt.Errorf("unknown shuffle %q (want hadoop-http or jbs-tcp)", name)
 }

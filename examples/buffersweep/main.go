@@ -22,7 +22,6 @@ func main() {
 			Transport: "tcp",
 			Net: transport.Config{
 				BufferSize:     kb << 10,
-				BufferCount:    64,
 				MaxConnections: transport.DefaultMaxConnections,
 			},
 		})

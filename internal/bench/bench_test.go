@@ -161,22 +161,19 @@ func TestFunctionalComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 providers", len(rep.Rows))
+	if len(rep.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2 providers", len(rep.Rows))
 	}
 	// Column 4 is spill events: baseline spills (tiny budget), JBS never.
 	if rep.Rows[0][3] == "0" {
 		t.Error("hadoop-http reported zero spills despite tiny budget")
 	}
-	for _, row := range rep.Rows[1:] {
-		if row[3] != "0" || row[4] != "0" {
-			t.Errorf("%s spilled: %v", row[0], row)
-		}
+	if jbs := rep.Rows[1]; jbs[3] != "0" || jbs[4] != "0" {
+		t.Errorf("%s spilled: %v", jbs[0], jbs)
 	}
-	// All providers shuffled the same payload volume.
-	if rep.Rows[0][2] != rep.Rows[1][2] || rep.Rows[1][2] != rep.Rows[2][2] {
-		t.Errorf("shuffled bytes differ across providers: %v %v %v",
-			rep.Rows[0][2], rep.Rows[1][2], rep.Rows[2][2])
+	// Both providers shuffled the same payload volume.
+	if rep.Rows[0][2] != rep.Rows[1][2] {
+		t.Errorf("shuffled bytes differ across providers: %v %v", rep.Rows[0][2], rep.Rows[1][2])
 	}
 }
 

@@ -120,7 +120,7 @@ func RunFunctional(cfg FunctionalConfig, provider mapred.ShuffleProvider) (*Func
 	}, nil
 }
 
-// FunctionalProviders returns the three shuffle implementations under
+// FunctionalProviders returns the two shuffle implementations under
 // comparison on the real engine.
 func FunctionalProviders() (map[string]mapred.ShuffleProvider, error) {
 	// A deliberately small shuffle budget so the baseline's spill path is
@@ -130,14 +130,9 @@ func FunctionalProviders() (map[string]mapred.ShuffleProvider, error) {
 	if err != nil {
 		return nil, err
 	}
-	jbsRDMA, err := shuffle.NewJBSProvider(shuffle.JBSConfig{Transport: "rdma"})
-	if err != nil {
-		return nil, err
-	}
 	return map[string]mapred.ShuffleProvider{
 		"hadoop-http": http,
 		"jbs-tcp":     jbsTCP,
-		"jbs-rdma":    jbsRDMA,
 	}, nil
 }
 
@@ -154,7 +149,7 @@ func Functional(cfg FunctionalConfig) (*Report, error) {
 		Header: []string{"Shuffle", "Wall time", "Shuffled bytes", "Spill events", "Spilled bytes"},
 	}
 	var firstOutput string
-	for _, name := range []string{"hadoop-http", "jbs-tcp", "jbs-rdma"} {
+	for _, name := range []string{"hadoop-http", "jbs-tcp"} {
 		res, err := RunFunctional(cfg, providers[name])
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", name, err)
@@ -173,6 +168,6 @@ func Functional(cfg FunctionalConfig) (*Report, error) {
 		}
 	}
 	rep.AddNote("All providers produced byte-identical job output")
-	rep.AddNote("JBS providers show zero spill events (network-levitated merge)")
+	rep.AddNote("JBS shows zero spill events (network-levitated merge)")
 	return rep, nil
 }

@@ -16,7 +16,7 @@ import (
 // run, so concurrent runs in one process would smear each other — the
 // bench harness runs providers one at a time.
 type PhaseBreakdown struct {
-	// Transport, summed across backends (a run uses one of tcp/rdma).
+	// Transport.
 	SentBytes, RecvBytes   int64
 	SentFrames, RecvFrames int64
 	SendTime, RecvTime     time.Duration
@@ -38,16 +38,11 @@ type PhaseBreakdown struct {
 	FetchP99     time.Duration
 }
 
-// PhasesFromDiff folds a registry diff into a PhaseBreakdown, summing
-// labeled series (e.g. the per-backend transport metrics) by base name.
+// PhasesFromDiff folds a registry diff into a PhaseBreakdown.
 func PhasesFromDiff(diff []metrics.Snapshot) *PhaseBreakdown {
 	p := &PhaseBreakdown{}
 	for _, s := range diff {
-		name := s.Name
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		switch name {
+		switch s.Name {
 		case "jbs_transport_sent_bytes_total":
 			p.SentBytes += s.Value
 		case "jbs_transport_sent_frames_total":

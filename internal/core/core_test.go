@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/mof"
-	"repro/internal/rdma"
 	"repro/internal/transport"
 )
 
@@ -359,13 +358,6 @@ func transports(t *testing.T) map[string]func() (transport.Transport, string) {
 	return map[string]func() (transport.Transport, string){
 		"tcp": func() (transport.Transport, string) {
 			return transport.NewTCP(), "127.0.0.1:0"
-		},
-		"rdma": func() (transport.Transport, string) {
-			tr, err := transport.NewRDMA(rdma.NewFabric(), transport.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr, "supplier:1"
 		},
 	}
 }

@@ -288,6 +288,10 @@ func TestDrainHandoffReroutesFetch(t *testing.T) {
 	if n := a.Stats().DrainSheds; n == 0 {
 		t.Fatal("draining supplier recorded no drain sheds")
 	}
+	// The peer adds BytesServed after its last chunk's Send returns, which
+	// can trail the merger's delivery. finish retires the pipeline
+	// occupancy last, so Inflight() == 0 means settled.
+	waitFor(t, 5*time.Second, "the peer supplier to settle", func() bool { return b.Inflight() == 0 })
 	if bs := b.Stats().BytesServed; bs == 0 {
 		t.Fatal("peer supplier served no bytes after handoff")
 	}

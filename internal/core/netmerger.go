@@ -15,7 +15,7 @@ import (
 
 // MergerConfig configures a NetMerger.
 type MergerConfig struct {
-	// Transport is the network backend (TCP or RDMA).
+	// Transport is the network backend.
 	Transport transport.Transport
 	// MaxConnections caps the connection cache (512 in the paper).
 	MaxConnections int
@@ -853,25 +853,13 @@ func (m *NetMerger) readLoop(addr string, epoch uint64) {
 			l.Release()
 			res.data, res.lease = dst.Bytes(), dst
 		} else {
-			// One chunk: handed over in its receive lease, no reassembly.
-			res.data, res.lease = fitted(chunk.Payload, l)
+			// One chunk: handed over in its receive lease, no reassembly. A
+			// TCP receive leases the frame's own length, so the lease a
+			// reduce task parks weighs what its segment does.
+			res.data, res.lease = chunk.Payload, l
 		}
 		p.result <- res
 	}
-}
-
-// fitted returns payload, a view into the receive lease l, in a lease a
-// reduce task can afford to park until it ends: l itself unless its backing
-// is twice what the payload needs (TCP leases a frame's exact length, RDMA
-// the 128 KiB transport buffer whatever arrives), else a right-sized copy.
-func fitted(payload []byte, l *bufpool.Lease) ([]byte, *bufpool.Lease) {
-	if l.Cap() < 2*bufpool.ClassSize(len(payload)) {
-		return payload, l
-	}
-	fit := bufpool.Default().Get(len(payload))
-	copy(fit.Bytes(), payload)
-	l.Release()
-	return fit.Bytes(), fit
 }
 
 // lateChunkLocked accounts a chunk whose request is no longer pending: it

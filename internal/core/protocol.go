@@ -1,7 +1,7 @@
 // Package core implements JVM-Bypass Shuffling (JBS), the paper's
 // contribution: a native data-shuffling service that replaces Hadoop's
 // HttpServlets with the MOFSupplier and its MOFCopiers with the NetMerger
-// (Section III), running over the portable transport layer (TCP or RDMA).
+// (Section III), running over internal/transport.
 package core
 
 import (

@@ -21,7 +21,7 @@ type LookupFunc func(mapTask string) (dataPath, indexPath string, err error)
 
 // SupplierConfig configures a MOFSupplier.
 type SupplierConfig struct {
-	// Transport is the network backend (TCP or RDMA).
+	// Transport is the network backend.
 	Transport transport.Transport
 	// Addr is the listen address.
 	Addr string

@@ -208,15 +208,18 @@ func (c *Cluster) Create(path, localNode string) (*FileWriter, error) {
 		}
 	}
 	// Reserve the name so concurrent creates collide deterministically.
-	c.files[path] = &FileInfo{Path: path}
-	return &FileWriter{c: c, path: path, local: localNode}, nil
+	reserved := &FileInfo{Path: path}
+	c.files[path] = reserved
+	return &FileWriter{c: c, path: path, reserved: reserved, local: localNode}, nil
 }
 
-// FileWriter accumulates bytes into blocks.
+// FileWriter accumulates bytes into blocks. It ends in exactly one of
+// Close, which commits the file, or Abort, which leaves nothing behind.
 type FileWriter struct {
-	c     *Cluster
-	path  string
-	local string
+	c        *Cluster
+	path     string
+	reserved *FileInfo // the placeholder Create put under path
+	local    string
 	// buf holds the block being filled; it is written out and emptied,
 	// keeping its capacity, every time it reaches BlockSize.
 	buf    []byte
@@ -293,19 +296,20 @@ func (w *FileWriter) flushBlock(data []byte) error {
 	return nil
 }
 
-// Close flushes the final partial block and commits the file metadata.
+// Close flushes the final partial block and commits the file metadata. A
+// Close that fails discards the file as Abort does.
 func (w *FileWriter) Close() error {
 	if w.closed {
 		return ErrClosed
 	}
 	w.closed = true
-	if w.err != nil {
-		return w.err
+	err := w.err
+	if err == nil && len(w.buf) > 0 {
+		err = w.flushBlock(w.buf)
 	}
-	if len(w.buf) > 0 {
-		if err := w.flushBlock(w.buf); err != nil {
-			return err
-		}
+	if err != nil {
+		w.discard()
+		return err
 	}
 	w.c.putBlockBuf(w.buf)
 	w.buf = nil
@@ -313,6 +317,34 @@ func (w *FileWriter) Close() error {
 	defer w.c.mu.Unlock()
 	w.c.files[w.path] = &FileInfo{Path: w.path, Size: w.size, Blocks: w.blocks}
 	return nil
+}
+
+// Abort gives up on a file that will not be completed: the replicas of
+// every block already flushed are deleted, the reserved name is released,
+// and the block buffer goes back to the cluster. It is idempotent and does
+// nothing after Close.
+func (w *FileWriter) Abort() {
+	if !w.closed {
+		w.closed = true
+		w.discard()
+	}
+}
+
+// discard undoes everything the writer left on the cluster.
+func (w *FileWriter) discard() {
+	for _, b := range w.blocks {
+		for _, h := range b.Hosts {
+			os.Remove(w.c.blockPath(h, b.ID))
+		}
+	}
+	w.blocks = nil
+	w.c.putBlockBuf(w.buf)
+	w.buf = nil
+	w.c.mu.Lock()
+	defer w.c.mu.Unlock()
+	if w.c.files[w.path] == w.reserved {
+		delete(w.c.files, w.path)
+	}
 }
 
 // Stat returns file metadata.

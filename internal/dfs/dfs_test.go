@@ -203,6 +203,63 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+func TestWriterAbort(t *testing.T) {
+	c := newTestCluster(t, 64, 2)
+	w, _ := c.Create("/f", "n1")
+	if _, err := w.Write(make([]byte, 150)); err != nil { // two blocks flushed
+		t.Fatal(err)
+	}
+	flushed := w.blocks
+	w.Abort()
+	w.Abort() // idempotent
+	if _, err := c.Stat("/f"); !errors.Is(err, ErrNotFound) {
+		t.Fatal("aborted file still visible")
+	}
+	for _, b := range flushed {
+		for _, h := range b.Hosts {
+			if _, err := os.Stat(c.blockPath(h, b.ID)); !os.IsNotExist(err) {
+				t.Fatalf("aborted block %d still on %s", b.ID, h)
+			}
+		}
+	}
+	if len(c.blockBufs) != 1 {
+		t.Fatal("Abort did not return the block buffer")
+	}
+	// The name is free again; Abort after Close leaves the file alone.
+	writeFile(t, c, "/f", "n1", []byte("kept"))
+	w2, _ := c.Create("/g", "n1")
+	w2.Close()
+	w2.Abort()
+	if _, err := c.Stat("/g"); err != nil {
+		t.Fatalf("Abort after Close removed the file: %v", err)
+	}
+	if got := readAll(t, c, "/f", "n1"); string(got) != "kept" {
+		t.Fatalf("file re-created after abort reads %q", got)
+	}
+
+	// A Close that cannot flush its last block discards the file as Abort
+	// does: the blocks it had flushed go too.
+	w3, _ := c.Create("/h", "n1")
+	w3.Write(make([]byte, 150))
+	flushed = w3.blocks
+	if err := os.RemoveAll(c.nodeDir["n1"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w3.Close(); err == nil {
+		t.Fatal("Close succeeded without its datanode")
+	}
+	if _, err := c.Stat("/h"); !errors.Is(err, ErrNotFound) {
+		t.Fatal("file whose Close failed is still visible")
+	}
+	for _, b := range flushed {
+		for _, h := range b.Hosts {
+			if _, err := os.Stat(c.blockPath(h, b.ID)); !os.IsNotExist(err) {
+				t.Fatalf("block %d of the failed file still on %s", b.ID, h)
+			}
+		}
+	}
+}
+
 func TestSplitsAlignWithBlocks(t *testing.T) {
 	c := newTestCluster(t, 100, 2)
 	writeFile(t, c, "/f", "n1", make([]byte, 250))

@@ -1,7 +1,7 @@
 // Package leakcheck detects leaked goroutines at the end of a test run —
 // the runtime complement to jbsvet's static `goroutines` check. The JBS
 // pipeline (MOFSupplier accept/prefetch/xmit loops, NetMerger readers and
-// injector, the RDMA emulation's event threads) spawns goroutines on every
+// injector) spawns goroutines on every
 // connection; a single missed shutdown path stalls `go test`, pins
 // memory, and at production scale turns into a slow node. Wiring
 // leakcheck.Main into a package's TestMain makes that class of bug a test

@@ -607,6 +607,9 @@ func (c *Cluster) runReduceTask(jobID string, job *Job, rID int, node string, nu
 	if err != nil {
 		return "", err
 	}
+	// Every error exit discards the attempt's blocks; once Close has
+	// committed the file, Abort does nothing.
+	defer w.Abort()
 	// The file writer is itself a block-sized buffer, so records go to it
 	// directly. Emit cannot fail: the first write error is kept for the end
 	// of the reduce (the writer refuses everything after it).

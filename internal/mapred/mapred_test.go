@@ -3,6 +3,7 @@ package mapred
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -718,6 +719,83 @@ func TestFlakyReduceTaskRetries(t *testing.T) {
 	counts := parseCounts(t, catOutputs(t, fs, res))
 	if counts["x"] != 1 || counts["y"] != 1 {
 		t.Fatalf("counts = %v", counts)
+	}
+}
+
+// TestFailedReduceAttemptLeavesNoBlocks: a reduce attempt that fails after
+// its output file has flushed blocks takes those blocks with it. The
+// retried job's output is byte-identical to a fault-free run's, and every
+// blk_* file on every datanode belongs to a file the namenode lists.
+func TestFailedReduceAttemptLeavesNoBlocks(t *testing.T) {
+	const blockSize = 256
+	var input strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&input, "w%06d\n", i) // 8 bytes: lines never straddle a block
+	}
+	// run executes one word count whose reduce function fails on its
+	// failAt-th call (never, for 0) and returns the output and the blocks
+	// no file owns.
+	run := func(failAt int64) (string, []string) {
+		root := t.TempDir()
+		nodes := []string{"node00", "node01"}
+		fs, err := dfs.NewCluster(dfs.Config{BlockSize: blockSize, Replication: 2}, nodes, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCluster(Config{Nodes: nodes, WorkDir: t.TempDir()}, fs, newLocalProvider())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.cfg.MaxTaskAttempts = 2
+		putFile(t, fs, "/in", input.String())
+
+		job := wordCountJob("/in", "/out", 1)
+		var calls atomic.Int64
+		inner := job.Reduce
+		job.Reduce = func(k []byte, vs [][]byte, emit Emit) error {
+			if calls.Add(1) == failAt {
+				return fmt.Errorf("reduce fails after %d groups", failAt-1)
+			}
+			return inner(k, vs, emit)
+		}
+		res, err := c.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(min(failAt, 1)); res.Counters.TaskRetries != want {
+			t.Fatalf("retries = %d, want %d", res.Counters.TaskRetries, want)
+		}
+		owned := map[string]bool{}
+		for _, fi := range fs.List("") {
+			for _, b := range fi.Blocks {
+				for _, h := range b.Hosts {
+					owned[filepath.Join(root, h, fmt.Sprintf("blk_%d", b.ID))] = true
+				}
+			}
+		}
+		stored, err := filepath.Glob(filepath.Join(root, "*", "blk_*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var orphans []string
+		for _, p := range stored {
+			if !owned[p] {
+				orphans = append(orphans, p)
+			}
+		}
+		return catOutputs(t, fs, res), orphans
+	}
+
+	want, _ := run(0)
+	// 199 groups of 10 output bytes each fill seven 256-byte blocks before
+	// the first attempt fails.
+	got, orphans := run(200)
+	if got != want {
+		t.Fatal("retried reduce's output differs from the fault-free run's")
+	}
+	if len(orphans) != 0 {
+		t.Fatalf("blocks no file owns after the failed attempt: %v", orphans)
 	}
 }
 

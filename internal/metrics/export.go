@@ -22,8 +22,8 @@ type Snapshot struct {
 }
 
 // splitName separates a label-carrying name
-// (`foo_total{backend="tcp"}`) into its base name and the label body
-// (`backend="tcp"`, without braces). Plain names return an empty label
+// (`foo_total{node="a"}`) into its base name and the label body
+// (`node="a"`, without braces). Plain names return an empty label
 // body.
 func splitName(name string) (base, labels string) {
 	i := strings.IndexByte(name, '{')

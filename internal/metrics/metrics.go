@@ -15,7 +15,7 @@
 //
 // Metric names follow the Prometheus convention (snake_case, _total for
 // counters, unit suffix for histograms) and may carry a literal label set
-// in the name ("jbs_transport_sent_bytes_total{backend=\"tcp\"}"); the
+// in the name ("jbs_merger_inflight{node=\"10.0.0.7:9010\"}"); the
 // registry treats the full string as the key and the text exporter splits
 // it back apart. See docs/OBSERVABILITY.md for the catalogue.
 package metrics

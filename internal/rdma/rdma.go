@@ -1,19 +1,14 @@
-// Package rdma emulates the RDMA verbs programming model in process memory.
-//
-// The paper's JBS transport uses RDMA verbs through the rdma_cm connection
-// manager (Section IV-A, Fig. 6): a client allocates a connection (queue
-// pair), calls rdma_connect; the server's event thread sees a
+// Package rdma models the rdma_cm connection manager the paper's JBS
+// transport is built on (Section IV-A, Fig. 6): a client allocates a
+// connection and calls rdma_connect; the server's event thread sees a
 // CONNECT_REQUEST on its event channel, allocates a connection, and calls
-// rdma_accept; both sides then observe an ESTABLISHED event, completing the
-// queue pair. Data moves via work requests posted to the QP and completions
-// harvested from completion queues, out of registered memory regions, over
-// the Reliable Connection (RC) service.
+// rdma_accept; both sides then observe an ESTABLISHED event. A server may
+// reject the request instead, and either side may later disconnect.
 //
-// Real hardware is substituted by an in-process Fabric: addresses are
-// strings, "the wire" is a memory copy, and ordering/blocking semantics of
-// RC (in-order delivery, receiver-not-ready blocking) are preserved. This
-// keeps the JBS transport code structurally faithful to a verbs
-// implementation while running anywhere.
+// Only the handshake is modelled, in process memory: addresses are strings
+// and events travel on channels. No data moves over a ConnID. The shuffle's
+// bytes travel over internal/transport's TCP backend, and the cost of RDMA
+// verbs in the paper's figures comes from internal/simnet's fabric models.
 package rdma
 
 import (
@@ -22,15 +17,11 @@ import (
 	"sync"
 )
 
-// Errors returned by the verbs emulation.
+// Errors returned by the connection manager.
 var (
-	ErrAddrInUse     = errors.New("rdma: address already in use")
-	ErrNoListener    = errors.New("rdma: no listener at address")
-	ErrClosed        = errors.New("rdma: connection closed")
-	ErrNotConnected  = errors.New("rdma: queue pair not established")
-	ErrBadState      = errors.New("rdma: invalid connection state for operation")
-	ErrOutOfRange    = errors.New("rdma: work request outside memory region")
-	ErrListenerClose = errors.New("rdma: listener closed")
+	ErrAddrInUse  = errors.New("rdma: address already in use")
+	ErrNoListener = errors.New("rdma: no listener at address")
+	ErrBadState   = errors.New("rdma: invalid connection state for operation")
 )
 
 // CMEventType enumerates connection-manager events (subset of rdma_cm).
@@ -43,7 +34,7 @@ const (
 	ConnectRequest CMEventType = iota
 	// Established is delivered to both sides once Accept completes.
 	Established
-	// Disconnected is delivered when the peer disconnects.
+	// Disconnected is delivered to both sides when either disconnects.
 	Disconnected
 	// Rejected is delivered to the client when the server rejects.
 	Rejected
@@ -84,9 +75,15 @@ const (
 	stateClosed
 )
 
-// Fabric is an in-process emulated RDMA fabric. Addresses are arbitrary
-// strings (conventionally "node:service").
+// listenBacklog bounds the connection requests a listener holds before its
+// event thread takes them (rdma_listen's backlog).
+const listenBacklog = 128
+
+// Fabric is an in-process connection-manager domain. Addresses are
+// arbitrary strings (conventionally "node:service").
 type Fabric struct {
+	// mu guards listeners and the state and peer of every ConnID and
+	// Listener on the fabric.
 	mu        sync.Mutex
 	listeners map[string]*Listener
 }
@@ -101,8 +98,6 @@ type Listener struct {
 	fabric *Fabric
 	addr   string
 	events chan CMEvent
-
-	mu     sync.Mutex
 	closed bool
 }
 
@@ -113,13 +108,10 @@ func (f *Fabric) Listen(addr string) (*Listener, error) {
 	if _, ok := f.listeners[addr]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
 	}
-	l := &Listener{fabric: f, addr: addr, events: make(chan CMEvent, 128)}
+	l := &Listener{fabric: f, addr: addr, events: make(chan CMEvent, listenBacklog)}
 	f.listeners[addr] = l
 	return l, nil
 }
-
-// Addr returns the listen address.
-func (l *Listener) Addr() string { return l.addr }
 
 // Events returns the listener's CM event channel; ConnectRequest events
 // arrive here. A dedicated network thread normally drains this channel, as
@@ -128,139 +120,74 @@ func (l *Listener) Events() <-chan CMEvent { return l.events }
 
 // Close unregisters the listener. Pending undelivered requests are dropped.
 func (l *Listener) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	l.closed = true
-	l.mu.Unlock()
-
 	l.fabric.mu.Lock()
-	delete(l.fabric.listeners, l.addr)
-	l.fabric.mu.Unlock()
-	close(l.events)
-	return nil
-}
-
-func (l *Listener) deliver(ev CMEvent) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrListenerClose
+	defer l.fabric.mu.Unlock()
+	if !l.closed {
+		l.closed = true
+		delete(l.fabric.listeners, l.addr)
+		close(l.events)
 	}
-	//jbsvet:ignore lockhygiene the mutex is what serializes this send against close(l.events) in Close; the 128-slot buffer absorbs bursts
-	l.events <- ev
 	return nil
 }
 
-// ConnID is the emulated rdma_cm_id: one endpoint of a (potential)
-// connection, owning its queue pair once established.
+// ConnID is the modelled rdma_cm_id: one endpoint of a (potential)
+// connection.
 type ConnID struct {
 	fabric *Fabric
 	events chan CMEvent
-
-	mu     sync.Mutex
 	state  connState
 	peer   *ConnID
-	qp     *QueuePair
-	remote string // address of the remote side, for diagnostics
 }
 
 // NewConnID allocates a client-side connection identifier ("alloc conn" in
 // Fig. 6).
 func (f *Fabric) NewConnID() *ConnID {
-	return &ConnID{fabric: f, events: make(chan CMEvent, 16), state: stateIdle}
+	return &ConnID{fabric: f, events: make(chan CMEvent, 16)}
 }
 
 // Events returns this connection's CM event channel (Established,
 // Disconnected, Rejected).
 func (id *ConnID) Events() <-chan CMEvent { return id.events }
 
-// RemoteAddr returns the address of the peer, when known.
-func (id *ConnID) RemoteAddr() string {
-	id.mu.Lock()
-	defer id.mu.Unlock()
-	return id.remote
-}
-
 // Connect sends a connection request to the listener at addr
 // (rdma_connect). The call is asynchronous like the real verb: success
 // means the request was delivered; the caller must wait for Established
 // (or Rejected) on Events.
 func (id *ConnID) Connect(addr string) error {
-	id.mu.Lock()
+	f := id.fabric
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if id.state != stateIdle {
-		id.mu.Unlock()
 		return ErrBadState
 	}
-	id.state = stateConnecting
-	id.remote = addr
-	id.mu.Unlock()
-
-	id.fabric.mu.Lock()
-	l, ok := id.fabric.listeners[addr]
-	id.fabric.mu.Unlock()
+	l, ok := f.listeners[addr]
 	if !ok {
-		id.mu.Lock()
-		id.state = stateIdle
-		id.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoListener, addr)
 	}
-
 	// Allocate the server-side connection carried by the request event.
-	server := &ConnID{
-		fabric: id.fabric,
-		events: make(chan CMEvent, 16),
-		state:  stateRequestDelivered,
-		peer:   id,
-		remote: "client",
+	server := &ConnID{fabric: f, events: make(chan CMEvent, 16), state: stateRequestDelivered, peer: id}
+	select {
+	case l.events <- CMEvent{Type: ConnectRequest, ID: server}:
+	default:
+		return fmt.Errorf("rdma: listener backlog full at %s", addr)
 	}
-	id.mu.Lock()
-	id.peer = server
-	id.mu.Unlock()
-
-	if err := l.deliver(CMEvent{Type: ConnectRequest, ID: server}); err != nil {
-		id.mu.Lock()
-		id.state = stateIdle
-		id.peer = nil
-		id.mu.Unlock()
-		return err
-	}
+	id.state, id.peer = stateConnecting, server
 	return nil
 }
 
 // Accept accepts a connection request (rdma_accept). Valid only on the
 // server-side ConnID delivered by a ConnectRequest event. On success both
-// sides receive Established and have functional queue pairs.
+// sides receive Established.
 func (id *ConnID) Accept() error {
-	id.mu.Lock()
-	if id.state != stateRequestDelivered {
-		id.mu.Unlock()
-		return ErrBadState
-	}
+	f := id.fabric
+	f.mu.Lock()
 	client := id.peer
-	id.mu.Unlock()
-
-	client.mu.Lock()
-	if client.state != stateConnecting {
-		client.mu.Unlock()
+	if id.state != stateRequestDelivered || client.state != stateConnecting {
+		f.mu.Unlock()
 		return ErrBadState
 	}
-	client.mu.Unlock()
-
-	// Build the cross-connected queue pairs.
-	a, b := newQueuePairPair(client, id)
-
-	client.mu.Lock()
-	client.qp = a
-	client.state = stateEstablished
-	client.mu.Unlock()
-
-	id.mu.Lock()
-	id.qp = b
-	id.state = stateEstablished
-	id.mu.Unlock()
+	id.state, client.state = stateEstablished, stateEstablished
+	f.mu.Unlock()
 
 	// Both network threads detect the established event.
 	id.events <- CMEvent{Type: Established, ID: id}
@@ -268,65 +195,40 @@ func (id *ConnID) Accept() error {
 	return nil
 }
 
-// Reject declines a connection request; the client receives Rejected.
+// Reject declines a connection request; the client receives Rejected and
+// may connect again.
 func (id *ConnID) Reject() error {
-	id.mu.Lock()
+	f := id.fabric
+	f.mu.Lock()
 	if id.state != stateRequestDelivered {
-		id.mu.Unlock()
+		f.mu.Unlock()
 		return ErrBadState
 	}
 	client := id.peer
-	id.state = stateClosed
-	id.peer = nil
-	id.mu.Unlock()
-
-	client.mu.Lock()
-	client.state = stateIdle
-	client.peer = nil
-	client.mu.Unlock()
+	id.state, id.peer = stateClosed, nil
+	client.state, client.peer = stateIdle, nil
+	f.mu.Unlock()
 	client.events <- CMEvent{Type: Rejected, ID: client}
 	return nil
 }
 
-// QP returns the established queue pair, or an error before establishment.
-func (id *ConnID) QP() (*QueuePair, error) {
-	id.mu.Lock()
-	defer id.mu.Unlock()
-	if id.state != stateEstablished || id.qp == nil {
-		return nil, ErrNotConnected
-	}
-	return id.qp, nil
-}
-
 // Disconnect tears down an established connection. Both sides receive
-// Disconnected; outstanding and future work requests complete with
-// ErrClosed (completion-queue flush).
+// Disconnected.
 func (id *ConnID) Disconnect() error {
-	id.mu.Lock()
+	f := id.fabric
+	f.mu.Lock()
 	if id.state != stateEstablished {
-		id.mu.Unlock()
+		f.mu.Unlock()
 		return ErrBadState
 	}
-	id.state = stateClosed
 	peer := id.peer
-	qp := id.qp
-	id.mu.Unlock()
+	notifyPeer := peer.state != stateClosed
+	id.state, peer.state = stateClosed, stateClosed
+	f.mu.Unlock()
 
-	qp.close()
 	id.events <- CMEvent{Type: Disconnected, ID: id}
-
-	if peer != nil {
-		peer.mu.Lock()
-		alreadyClosed := peer.state == stateClosed
-		peer.state = stateClosed
-		peerQP := peer.qp
-		peer.mu.Unlock()
-		if !alreadyClosed {
-			if peerQP != nil {
-				peerQP.close()
-			}
-			peer.events <- CMEvent{Type: Disconnected, ID: peer}
-		}
+	if notifyPeer {
+		peer.events <- CMEvent{Type: Disconnected, ID: peer}
 	}
 	return nil
 }

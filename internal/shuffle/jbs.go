@@ -8,16 +8,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/merge"
-	"repro/internal/rdma"
 	"repro/internal/transport"
 )
 
 // JBSConfig configures the JBS shuffle plugin.
 type JBSConfig struct {
-	// Transport selects the backend: "tcp" or "rdma". "rdma" also covers
-	// RoCE (identical implementation, different activation, Section IV).
+	// Transport accepts only "" or "tcp"; anything else is an error. TCP
+	// is the one transport. The field is kept because the repository
+	// benchmark sets it, and is removed by ROADMAP item 3(b)'s benchmark
+	// change.
 	Transport string
-	// Net carries buffer size / pool / connection-cache tunables.
+	// Net carries the buffer size and connection-cache tunables.
 	Net transport.Config
 	// Supplier tunables (DataCache size, prefetch batch, xmit workers);
 	// Transport and Addr are filled per node.
@@ -35,12 +36,8 @@ type JBSConfig struct {
 }
 
 func (c *JBSConfig) applyDefaults() error {
-	switch c.Transport {
-	case "":
-		c.Transport = "tcp"
-	case "tcp", "rdma":
-	default:
-		return fmt.Errorf("shuffle: unknown transport %q", c.Transport)
+	if c.Transport != "" && c.Transport != "tcp" {
+		return fmt.Errorf("shuffle: JBSConfig.Transport %q: only \"tcp\" is supported", c.Transport)
 	}
 	if c.Net.BufferSize == 0 {
 		c.Net = transport.DefaultConfig()
@@ -53,10 +50,9 @@ func (c *JBSConfig) applyDefaults() error {
 
 // JBSProvider plugs JVM-Bypass Shuffling into the engine: one MOFSupplier
 // and one NetMerger per node, both native components launched by the
-// TaskTracker in the paper (Section III-A), sharing a portable transport.
+// TaskTracker in the paper (Section III-A), over TCP.
 type JBSProvider struct {
-	cfg    JBSConfig
-	fabric *rdma.Fabric
+	cfg JBSConfig
 
 	mu        sync.Mutex
 	suppliers map[string]*core.MOFSupplier
@@ -68,42 +64,18 @@ func NewJBSProvider(cfg JBSConfig) (*JBSProvider, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	p := &JBSProvider{
+	return &JBSProvider{
 		cfg:       cfg,
 		suppliers: make(map[string]*core.MOFSupplier),
 		mergers:   make(map[string]*core.NetMerger),
-	}
-	if cfg.Transport == "rdma" {
-		p.fabric = rdma.NewFabric()
-	}
-	return p, nil
+	}, nil
 }
 
-// Name returns "jbs-tcp" or "jbs-rdma".
-func (p *JBSProvider) Name() string { return "jbs-" + p.cfg.Transport }
-
-// newTransport builds the per-provider backend instance.
-func (p *JBSProvider) newTransport() (transport.Transport, error) {
-	if p.cfg.Transport == "rdma" {
-		return transport.NewRDMA(p.fabric, p.cfg.Net)
-	}
-	return transport.NewTCP(), nil
-}
-
-// listenAddr picks the node's listen address for the backend.
-func (p *JBSProvider) listenAddr(node string) string {
-	if p.cfg.Transport == "rdma" {
-		return node + ":jbs"
-	}
-	return "127.0.0.1:0"
-}
+// Name returns "jbs-tcp".
+func (p *JBSProvider) Name() string { return "jbs-tcp" }
 
 // StartNode launches the node's MOFSupplier.
 func (p *JBSProvider) StartNode(node string, reg *mapred.MOFRegistry) (string, func() error, error) {
-	tr, err := p.newTransport()
-	if err != nil {
-		return "", nil, err
-	}
 	lookup := func(task string) (string, string, error) {
 		paths, ok := reg.Lookup(task)
 		if !ok {
@@ -112,8 +84,8 @@ func (p *JBSProvider) StartNode(node string, reg *mapred.MOFRegistry) (string, f
 		return paths.Data, paths.Index, nil
 	}
 	cfg := p.cfg.Supplier
-	cfg.Transport = tr
-	cfg.Addr = p.listenAddr(node)
+	cfg.Transport = transport.NewTCP()
+	cfg.Addr = "127.0.0.1:0"
 	cfg.BufferSize = p.cfg.Net.BufferSize
 	s, err := core.NewMOFSupplier(cfg, lookup)
 	if err != nil {
@@ -127,12 +99,8 @@ func (p *JBSProvider) StartNode(node string, reg *mapred.MOFRegistry) (string, f
 
 // NewFetcher launches the node's NetMerger.
 func (p *JBSProvider) NewFetcher(node string, addrOf func(string) (string, error)) (mapred.Fetcher, error) {
-	tr, err := p.newTransport()
-	if err != nil {
-		return nil, err
-	}
 	m, err := core.NewNetMerger(core.MergerConfig{
-		Transport:      tr,
+		Transport:      transport.NewTCP(),
 		MaxConnections: p.cfg.Net.MaxConnections,
 		WindowPerNode:  p.cfg.WindowPerNode,
 		MaxRetries:     p.cfg.FetchRetries,

@@ -105,13 +105,6 @@ func providers(t *testing.T) map[string]func() mapred.ShuffleProvider {
 			}
 			return p
 		},
-		"jbs-rdma": func() mapred.ShuffleProvider {
-			p, err := NewJBSProvider(JBSConfig{Transport: "rdma"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		},
 	}
 }
 
@@ -140,12 +133,8 @@ func TestWordCountAcrossAllProviders(t *testing.T) {
 			}
 		})
 	}
-	if len(outputs) == 3 {
-		for i := 1; i < 3; i++ {
-			if outputs[i] != outputs[0] {
-				t.Fatalf("provider %s output differs from %s", names[i], names[0])
-			}
-		}
+	if len(outputs) == 2 && outputs[1] != outputs[0] {
+		t.Fatalf("provider %s output differs from %s", names[1], names[0])
 	}
 }
 
@@ -210,6 +199,17 @@ func TestJBSSupplierPipelineServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A supplier adds BytesServed after its last chunk's Send returns,
+	// which can trail the job's end; Inflight() == 0 is ordered after it.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, node := range []string{"node00", "node01"} {
+		prov.mu.Lock()
+		s := prov.suppliers[node]
+		prov.mu.Unlock()
+		for s.Inflight() != 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	var served, requests int64
 	for _, node := range []string{"node00", "node01"} {
 		st := prov.SupplierStats(node)
@@ -228,19 +228,22 @@ func TestHTTPProviderName(t *testing.T) {
 	if NewHTTPProvider(HTTPConfig{}).Name() != "hadoop-http" {
 		t.Fatal("baseline name")
 	}
-	p, _ := NewJBSProvider(JBSConfig{Transport: "tcp"})
-	if p.Name() != "jbs-tcp" {
-		t.Fatal("jbs-tcp name")
-	}
-	p2, _ := NewJBSProvider(JBSConfig{Transport: "rdma"})
-	if p2.Name() != "jbs-rdma" {
-		t.Fatal("jbs-rdma name")
+	for _, transport := range []string{"", "tcp"} {
+		p, err := NewJBSProvider(JBSConfig{Transport: transport})
+		if err != nil || p.Name() != "jbs-tcp" {
+			t.Fatalf("Transport %q: provider %v, err %v; want jbs-tcp", transport, p, err)
+		}
 	}
 }
 
+// TCP is the one JBS transport: any other value, including the deleted
+// emulated-RDMA backend, is refused with an error naming the field.
 func TestJBSConfigRejectsUnknownTransport(t *testing.T) {
-	if _, err := NewJBSProvider(JBSConfig{Transport: "carrier-pigeon"}); err == nil {
-		t.Fatal("unknown transport accepted")
+	for _, transport := range []string{"rdma", "carrier-pigeon"} {
+		_, err := NewJBSProvider(JBSConfig{Transport: transport})
+		if err == nil || !strings.Contains(err.Error(), "JBSConfig.Transport") {
+			t.Errorf("Transport %q: err = %v, want an error naming JBSConfig.Transport", transport, err)
+		}
 	}
 }
 
@@ -319,7 +322,7 @@ func TestBaselineErrorPropagation(t *testing.T) {
 }
 
 func TestTerasortStyleJobOnJBS(t *testing.T) {
-	prov, _ := NewJBSProvider(JBSConfig{Transport: "rdma"})
+	prov, _ := NewJBSProvider(JBSConfig{})
 	fs, c := fixture(t, prov, 3, 1000)
 	// 100 fixed-width records: 10-byte key, 10-byte record.
 	var sb strings.Builder
@@ -460,11 +463,10 @@ func pooledBytesOut() int {
 
 // TestReduceTaskPinsWhatItFetchedOnEveryBackend: a reduce task parks the
 // lease behind every segment until it ends, so a lease must weigh about
-// what its segment does. The RDMA backend receives each frame into a lease
-// of the transport buffer size — 128 KiB behind a word-count segment of a
-// few hundred bytes — which the NetMerger must not hand over as it is.
+// what its segment does — not, say, a 128 KiB transport buffer behind a
+// word-count segment of a few hundred bytes. TCP is the only backend.
 func TestReduceTaskPinsWhatItFetchedOnEveryBackend(t *testing.T) {
-	for _, backend := range []string{"tcp", "rdma"} {
+	for _, backend := range []string{"tcp"} {
 		t.Run(backend, func(t *testing.T) {
 			p, err := NewJBSProvider(JBSConfig{Transport: backend})
 			if err != nil {

@@ -1,43 +1,28 @@
 package transport
 
 import (
-	"fmt"
-
 	"repro/internal/metrics"
 )
 
-// backendMetrics is one backend's wire accounting. Handles are resolved
-// once at package init; the per-frame cost is a few atomic adds and two
-// time.Now reads, far below the syscall they sit next to.
-type backendMetrics struct {
-	sentBytes  *metrics.Counter
-	sentFrames *metrics.Counter
-	recvBytes  *metrics.Counter
-	recvFrames *metrics.Counter
-	// sendNS times one framed send (writev / chunked registered-buffer
-	// copies). recvNS times payload receipt only — from the frame header
-	// (TCP) or first chunk (RDMA) to the last byte — so idle waiting for
-	// the next frame does not pollute the distribution.
-	sendNS *metrics.Histogram
-	recvNS *metrics.Histogram
-}
-
-func newBackendMetrics(backend string) *backendMetrics {
-	r := metrics.Default()
-	lbl := func(name string) string { return fmt.Sprintf("%s{backend=%q}", name, backend) }
-	return &backendMetrics{
-		sentBytes:  r.Counter(lbl("jbs_transport_sent_bytes_total"), "bytes", "payload bytes sent (framing headers excluded)"),
-		sentFrames: r.Counter(lbl("jbs_transport_sent_frames_total"), "frames", "framed messages sent"),
-		recvBytes:  r.Counter(lbl("jbs_transport_recv_bytes_total"), "bytes", "payload bytes received"),
-		recvFrames: r.Counter(lbl("jbs_transport_recv_frames_total"), "frames", "framed messages received"),
-		sendNS:     r.Histogram(lbl("jbs_transport_send_ns"), "ns", "one framed send, header to last byte"),
-		recvNS:     r.Histogram(lbl("jbs_transport_recv_ns"), "ns", "one framed receive, first byte to last"),
-	}
-}
-
+// Wire accounting for every TCP connection in the process. Handles are
+// resolved once at package init; the per-frame cost is a few atomic adds
+// and two time.Now reads, far below the syscall they sit next to.
 var (
-	tcpMetrics  = newBackendMetrics("tcp")
-	rdmaMetrics = newBackendMetrics("rdma")
+	sentBytes = metrics.Default().Counter("jbs_transport_sent_bytes_total", "bytes",
+		"payload bytes sent (framing headers excluded)")
+	sentFrames = metrics.Default().Counter("jbs_transport_sent_frames_total", "frames",
+		"framed messages sent")
+	recvBytes = metrics.Default().Counter("jbs_transport_recv_bytes_total", "bytes",
+		"payload bytes received")
+	recvFrames = metrics.Default().Counter("jbs_transport_recv_frames_total", "frames",
+		"framed messages received")
+	// sendNS times one framed send (one writev). recvNS times payload
+	// receipt only, from the frame header to the last byte, so idle waiting
+	// for the next frame does not pollute the distribution.
+	sendNS = metrics.Default().Histogram("jbs_transport_send_ns", "ns",
+		"one framed send, header to last byte")
+	recvNS = metrics.Default().Histogram("jbs_transport_recv_ns", "ns",
+		"one framed receive, first byte to last")
 )
 
 // Connection-cache metrics aggregate over every ConnCache instance in the

@@ -130,9 +130,9 @@ func (c *tcpConn) writeFrame(total int, bufs [][]byte) error {
 	if _, err := c.vecs.WriteTo(c.nc); err != nil {
 		return c.mapErr(err)
 	}
-	tcpMetrics.sendNS.Observe(time.Since(start).Nanoseconds())
-	tcpMetrics.sentFrames.Inc()
-	tcpMetrics.sentBytes.Add(int64(total))
+	sendNS.Observe(time.Since(start).Nanoseconds())
+	sentFrames.Inc()
+	sentBytes.Add(int64(total))
 	return nil
 }
 
@@ -161,9 +161,9 @@ func (c *tcpConn) Recv() ([]byte, error) {
 	if _, err := io.ReadFull(c.br, msg); err != nil {
 		return nil, c.mapErr(err)
 	}
-	tcpMetrics.recvNS.Observe(time.Since(start).Nanoseconds())
-	tcpMetrics.recvFrames.Inc()
-	tcpMetrics.recvBytes.Add(int64(n))
+	recvNS.Observe(time.Since(start).Nanoseconds())
+	recvFrames.Inc()
+	recvBytes.Add(int64(n))
 	return msg, nil
 }
 
@@ -184,9 +184,9 @@ func (c *tcpConn) RecvBuf() (*bufpool.Lease, error) {
 		l.Release()
 		return nil, c.mapErr(err)
 	}
-	tcpMetrics.recvNS.Observe(time.Since(start).Nanoseconds())
-	tcpMetrics.recvFrames.Inc()
-	tcpMetrics.recvBytes.Add(int64(n))
+	recvNS.Observe(time.Since(start).Nanoseconds())
+	recvFrames.Inc()
+	recvBytes.Add(int64(n))
 	return l, nil
 }
 

@@ -1,11 +1,10 @@
-// Package transport is JBS's portable network layer (Section IV): one
-// message-oriented API over two interchangeable backends, conventional
-// TCP/IP sockets and RDMA verbs (which also covers RoCE — the paper notes
-// the implementation is identical for RDMA and RoCE, only the activation
-// differs). It also provides the connection cache (connections are kept for
-// reuse, at most 512 active, LRU teardown; Section IV-A) and the pool of
-// fixed-size transport buffers whose size is the Fig. 11 tuning knob
-// (default 128 KB).
+// Package transport is JBS's network layer (Section IV): a framed,
+// message-oriented API over TCP/IP sockets, plus the connection cache
+// (connections are kept for reuse, at most 512 active, LRU teardown;
+// Section IV-A). The paper's RDMA and RoCE backends are not emulated here:
+// their handshake is internal/rdma and their cost internal/simnet. Other
+// Transport implementations decorate TCP (internal/faultnet's fault
+// injector, the repository benchmark's tracers).
 package transport
 
 import (
@@ -37,8 +36,9 @@ func Transient(err error) bool {
 // buffers are far below this; it exists to fail fast on stream corruption.
 const MaxFrameSize = 64 << 20
 
-// DefaultBufferSize is the default transport buffer size. The paper selects
-// 128 KB after the Fig. 11 sweep.
+// DefaultBufferSize is the default transport buffer size: the largest
+// chunk a supplier puts in one frame. The paper selects 128 KB after the
+// Fig. 11 sweep.
 const DefaultBufferSize = 128 << 10
 
 // DefaultMaxConnections is the connection-cache limit (Section IV-A).
@@ -59,7 +59,7 @@ type Conn interface {
 }
 
 // PooledReceiver is implemented by connections whose receive path can land
-// frames in pooled buffers. Both built-in backends implement it; use the
+// frames in pooled buffers. TCP connections implement it; use the
 // package-level RecvBuf to fall back gracefully on any Conn.
 type PooledReceiver interface {
 	// RecvBuf returns the next framed message in a leased buffer. The
@@ -68,9 +68,8 @@ type PooledReceiver interface {
 }
 
 // VectorSender is implemented by connections that can gather one framed
-// message from several slices without coalescing (writev on TCP, chunked
-// registered-buffer copies on RDMA). Use the package-level SendVec to fall
-// back gracefully on any Conn.
+// message from several slices without coalescing (writev on TCP). Use the
+// package-level SendVec to fall back gracefully on any Conn.
 type VectorSender interface {
 	// SendVec transmits the concatenation of bufs as one framed message.
 	SendVec(bufs [][]byte) error
@@ -122,9 +121,9 @@ type Listener interface {
 	Addr() string
 }
 
-// Transport is one pluggable network backend.
+// Transport is one network backend.
 type Transport interface {
-	// Name identifies the backend ("tcp" or "rdma").
+	// Name identifies the backend ("tcp").
 	Name() string
 	// Listen binds a listener at addr.
 	Listen(addr string) (Listener, error)
@@ -132,14 +131,10 @@ type Transport interface {
 	Dial(addr string) (Conn, error)
 }
 
-// Config carries the tunables shared by all backends.
+// Config carries the network tunables.
 type Config struct {
 	// BufferSize is the transport buffer size in bytes (Fig. 11 knob).
 	BufferSize int
-	// BufferCount is how many transport buffers the pool holds; data
-	// threads contend for them (the paper's very-large-buffer degradation
-	// comes from fewer available buffers).
-	BufferCount int
 	// MaxConnections caps cached connections (512 in the paper).
 	MaxConnections int
 }
@@ -148,7 +143,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		BufferSize:     DefaultBufferSize,
-		BufferCount:    64,
 		MaxConnections: DefaultMaxConnections,
 	}
 }
@@ -160,9 +154,6 @@ func (c Config) Validate() error {
 	}
 	if c.BufferSize > MaxFrameSize {
 		return fmt.Errorf("transport: buffer size %d exceeds frame limit %d", c.BufferSize, MaxFrameSize)
-	}
-	if c.BufferCount <= 0 {
-		return fmt.Errorf("transport: buffer count %d must be positive", c.BufferCount)
 	}
 	if c.MaxConnections <= 0 {
 		return fmt.Errorf("transport: max connections %d must be positive", c.MaxConnections)
