@@ -67,7 +67,7 @@ type obligation struct {
 }
 
 // event is one ownership-relevant action inside a statement. Kills are
-// emitted before acquires so `l = pool.Grow(l, n)` discharges the old
+// emitted before acquires so `l = regrow(l, n)` discharges the old
 // obligation before binding the new one.
 type event struct {
 	kill    types.Object // discharge every obligation bound to this var
@@ -399,7 +399,7 @@ func (an *leaseAnalysis) scanStmt(s ast.Stmt) []event {
 }
 
 // sortEvents moves kills ahead of acquires so a statement that both
-// consumes and produces (l = pool.Grow(l, n)) discharges first.
+// consumes and produces (l = regrow(l, n)) discharges first.
 func sortEvents(evs []event) []event {
 	var kills, acquires []event
 	for _, e := range evs {
@@ -572,7 +572,7 @@ func (an *leaseAnalysis) scanAssign(lhs, rhs []ast.Expr, tok token.Token) []even
 }
 
 // killBeforeRebind discharges obligations already bound to obj when it
-// is rebound by a fresh acquire: `l = pool.Grow(l, n)` style code has
+// is rebound by a fresh acquire: `l = regrow(l, n)` style code has
 // already consumed the old lease via the callee's summary; rebinding
 // without consumption is treated optimistically (the old value may have
 // been released earlier on this path).

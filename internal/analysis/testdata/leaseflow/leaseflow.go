@@ -87,9 +87,19 @@ func cleanGoHandoff(p *bufpool.Pool) {
 	}()
 }
 
+// regrow consumes l and produces a larger lease carrying its bytes.
+func regrow(p *bufpool.Pool, l *bufpool.Lease, n int) *bufpool.Lease {
+	nl := p.Get(n)
+	copy(nl.Bytes(), l.Bytes())
+	l.Release()
+	return nl
+}
+
+// cleanGrowRebind consumes and produces in one statement: the kill on the
+// old lease must be ordered before the new binding.
 func cleanGrowRebind(p *bufpool.Pool) {
 	l := p.Get(8)
-	l = p.Grow(l, 64)
+	l = regrow(p, l, 64)
 	l.Release()
 }
 

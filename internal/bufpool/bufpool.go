@@ -197,22 +197,6 @@ func (p *Pool) Adopt(buf []byte) *Lease {
 	return l
 }
 
-// Grow returns a lease with capacity for at least capacity bytes carrying
-// l's current bytes and length. When l already fits it is returned
-// unchanged; otherwise a larger lease is acquired, l's bytes are copied,
-// and l is released. The caller must treat the returned lease as the new
-// owner handle.
-func (p *Pool) Grow(l *Lease, capacity int) *Lease {
-	if capacity <= len(l.full) {
-		return l
-	}
-	nl := p.Get(capacity)
-	copy(nl.full, l.Bytes())
-	nl.n = l.n
-	l.Release()
-	return nl
-}
-
 // Stats snapshots the counters.
 func (p *Pool) Stats() Stats {
 	gets, puts := p.gets.Load(), p.puts.Load()
@@ -267,11 +251,9 @@ func (l *Lease) Bytes() []byte { return l.full[:l.n] }
 // Len returns the logical length.
 func (l *Lease) Len() int { return l.n }
 
-// Cap returns the backing capacity (the size class).
-func (l *Lease) Cap() int { return len(l.full) }
-
-// SetLen resizes the logical length within the backing capacity; it panics
-// beyond Cap. Use Pool.Grow to enlarge the backing buffer.
+// SetLen resizes the logical length within the backing capacity (the
+// size class, cap(Bytes())); it panics beyond it. A lease never grows: a
+// larger buffer is a new Get.
 func (l *Lease) SetLen(n int) {
 	if n < 0 || n > len(l.full) {
 		panic(fmt.Sprintf("bufpool: SetLen(%d) outside capacity %d", n, len(l.full)))

@@ -48,8 +48,8 @@ func TestClassFor(t *testing.T) {
 func TestGetReleaseRecycles(t *testing.T) {
 	p := New()
 	l := p.Get(1000)
-	if len(l.Bytes()) != 1000 || l.Cap() != 1<<10 {
-		t.Fatalf("lease len=%d cap=%d", len(l.Bytes()), l.Cap())
+	if len(l.Bytes()) != 1000 || cap(l.Bytes()) != 1<<10 {
+		t.Fatalf("lease len=%d cap=%d", len(l.Bytes()), cap(l.Bytes()))
 	}
 	// The class-sized buffer must come back on a subsequent Get. One
 	// cycle is not guaranteed: sync.Pool deliberately drops a fraction
@@ -156,31 +156,10 @@ func TestAdopt(t *testing.T) {
 	}
 	// An adopted buffer must not enter a size class.
 	l2 := p.Get(len(buf))
-	if l2.Cap() == len(buf) {
+	if cap(l2.Bytes()) == len(buf) {
 		t.Error("adopted buffer recycled into a class")
 	}
 	l2.Release()
-}
-
-func TestGrow(t *testing.T) {
-	p := New()
-	l := p.Get(4)
-	copy(l.Bytes(), "abcd")
-	same := p.Grow(l, 4)
-	if same != l {
-		t.Fatal("Grow reallocated within capacity")
-	}
-	grown := p.Grow(l, 1<<12)
-	if grown == l || grown.Cap() < 1<<12 {
-		t.Fatalf("Grow kept capacity %d", grown.Cap())
-	}
-	if string(grown.Bytes()) != "abcd" {
-		t.Fatalf("Grow lost contents: %q", grown.Bytes())
-	}
-	grown.Release()
-	if err := p.LeakCheck(); err != nil {
-		t.Fatal(err) // Grow must have released the old lease
-	}
 }
 
 func TestSetLen(t *testing.T) {
@@ -190,14 +169,14 @@ func TestSetLen(t *testing.T) {
 	if len(l.Bytes()) != 0 {
 		t.Fatal("SetLen(0) ignored")
 	}
-	l.SetLen(l.Cap())
+	l.SetLen(cap(l.Bytes()))
 	defer l.Release()
 	defer func() {
 		if recover() == nil {
-			t.Error("SetLen beyond Cap did not panic")
+			t.Error("SetLen beyond capacity did not panic")
 		}
 	}()
-	l.SetLen(l.Cap() + 1)
+	l.SetLen(cap(l.Bytes()) + 1)
 }
 
 func TestConcurrentGetRelease(t *testing.T) {

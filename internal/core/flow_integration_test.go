@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,6 +50,52 @@ func flowSupplierFixture(t *testing.T, tr transport.Transport, tasks, parts int,
 	return &supplierFixture{supplier: s, addr: s.Addr(), segments: segs}
 }
 
+// holdFirstData wraps a supplier's transport: the first data frame each
+// connection sends waits, up to two seconds, until release reports true.
+type holdFirstData struct {
+	transport.Transport
+	release func() bool
+}
+
+func (h *holdFirstData) Listen(addr string) (transport.Listener, error) {
+	lis, err := h.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &holdListener{Listener: lis, h: h}, nil
+}
+
+type holdListener struct {
+	transport.Listener
+	h *holdFirstData
+}
+
+func (l *holdListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &holdConn{Conn: c, h: l.h}, nil
+}
+
+// holdConn embeds the plain Conn interface, so the supplier's gathered
+// sends fall back to Send, where the hold sits.
+type holdConn struct {
+	transport.Conn
+	h    *holdFirstData
+	held bool // Sends are serialized by the supplier's send mutex
+}
+
+func (c *holdConn) Send(msg []byte) error {
+	if !c.held && len(msg) > 0 && msg[0] == msgDataChunk {
+		c.held = true
+		for deadline := time.Now().Add(2 * time.Second); !c.h.release() && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	return c.Conn.Send(msg)
+}
+
 // TestFlowShedBackoffRetryEndToEnd drives a real supplier+merger pair into
 // admission shedding and checks the loop converges: every segment arrives
 // intact, no fetch surfaces an error, and the sheds actually happened.
@@ -57,7 +104,16 @@ func TestFlowShedBackoffRetryEndToEnd(t *testing.T) {
 	// AdmitBytes 1: the oversized-alone rule serializes the pipeline to
 	// one resident segment, so concurrent arrivals shed deterministically.
 	fc := &flow.Config{AdmitBytes: 1, RetryAfter: 200 * time.Microsecond}
-	fx := flowSupplierFixture(t, tr, 8, 4, fc, nil)
+	// The first segment's data is held until admission has shed a later
+	// arrival: the segment stays charged while the burst is admitted, so
+	// the overlap is certain however a loaded scheduler orders the two.
+	var sup atomic.Pointer[MOFSupplier]
+	hold := &holdFirstData{Transport: tr, release: func() bool {
+		s := sup.Load()
+		return s != nil && s.FlowState().Ledger.Sheds > 0
+	}}
+	fx := flowSupplierFixture(t, hold, 8, 4, fc, nil)
+	sup.Store(fx.supplier)
 
 	m, err := NewNetMerger(MergerConfig{
 		Transport:     tr,
@@ -265,16 +321,17 @@ func TestShedFrameIgnoredForForeignFetch(t *testing.T) {
 	}
 	defer m.Close()
 	owner, foreign := "10.0.0.1:7000", "10.0.0.2:7000"
-	results := make(chan fetchResult, 1) // Close drains pending into this
+	results := make(chan fetchResult, 1) // Close fails the live fetch into this
 	m.mu.Lock()
 	for _, addr := range []string{owner, foreign} {
 		g := &nodeGroup{addr: addr, inflightG: inflightGauge(addr)}
 		g.win = flow.NewWindow(*m.cfg.Flow, flow.WindowGauge(addr))
 		m.groups[addr] = g
-		m.ring = append(m.ring, addr)
+		m.ring = append(m.ring, g)
 	}
-	p := &pendingFetch{id: 7, spec: FetchSpec{Addr: owner, MapTask: "m-0"}, result: results}
-	m.pending[7] = p
+	p := &pendingFetch{id: 7, spec: FetchSpec{Addr: owner, MapTask: "m-0"}, result: results,
+		g: m.groups[owner], state: inFlight}
+	m.live[7] = p
 	m.groups[owner].acquire()
 	m.mu.Unlock()
 
@@ -283,7 +340,7 @@ func TestShedFrameIgnoredForForeignFetch(t *testing.T) {
 		t.Fatalf("foreign shed returned error: %v", err)
 	}
 	m.mu.Lock()
-	if _, ok := m.pending[7]; !ok {
+	if !attemptIn(m, 7, inFlight) {
 		t.Fatal("foreign shed removed the owner's pending fetch")
 	}
 	if got := m.groups[owner].inflight; got != 1 {
@@ -292,30 +349,30 @@ func TestShedFrameIgnoredForForeignFetch(t *testing.T) {
 	if got := m.groups[foreign].inflight; got != 0 {
 		t.Errorf("foreign inflight = %d, want 0", got)
 	}
-	if m.sheds != 0 {
-		t.Errorf("sheds = %d after a dropped foreign shed, want 0", m.sheds)
+	if m.stats.Sheds != 0 {
+		t.Errorf("sheds = %d after a dropped foreign shed, want 0", m.stats.Sheds)
 	}
 	m.mu.Unlock()
 
-	// The same frame from the true owner sheds normally: pending moves to
-	// parked and the slot is released. (The minute-long retry-after keeps
-	// the unpark timer from firing before Close stops it.)
+	// The same frame from the true owner sheds normally: the fetch moves
+	// from in flight to parked and the slot is released. (The minute-long
+	// retry-after keeps the unpark timer from firing before Close stops it.)
 	if err := m.handleFlowFrame(owner, frame); err != nil {
 		t.Fatal(err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.pending[7]; ok {
+	if attemptIn(m, 7, inFlight) {
 		t.Error("owner shed left the fetch pending")
 	}
-	if _, ok := m.parked[7]; !ok {
+	if !attemptIn(m, 7, parked) {
 		t.Error("owner shed did not park the fetch")
 	}
 	if got := m.groups[owner].inflight; got != 0 {
 		t.Errorf("owner inflight = %d after its shed, want 0", got)
 	}
-	if m.sheds != 1 {
-		t.Errorf("sheds = %d, want 1", m.sheds)
+	if m.stats.Sheds != 1 {
+		t.Errorf("sheds = %d, want 1", m.stats.Sheds)
 	}
 }
 

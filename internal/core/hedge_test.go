@@ -105,6 +105,24 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// attemptIn reports whether attempt id is live in state s. Callers hold
+// m.mu.
+func attemptIn(m *NetMerger, id uint64, s attemptState) bool {
+	p := m.live[id]
+	return p != nil && p.state == s
+}
+
+// attemptsIn counts m's live attempts in state s. Callers hold m.mu.
+func attemptsIn(m *NetMerger, s attemptState) int {
+	n := 0
+	for _, p := range m.live {
+		if p.state == s {
+			n++
+		}
+	}
+	return n
+}
+
 // checkHedgeConservation asserts the controller's conservation law:
 // every launched speculative attempt reached exactly one terminal state.
 func checkHedgeConservation(t *testing.T, st MergerStats) {
@@ -219,7 +237,7 @@ func TestHedgeLoserLateDeliveryAccounting(t *testing.T) {
 	waitFor(t, time.Second, "loser tracking entry retired", func() bool {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return len(m.loserIDs) == 0
+		return attemptsIn(m, lost) == 0
 	})
 	// Slot/ledger accounting intact: a follow-up fetch (no hedge pressure
 	// on the now-sampled node) must run clean.
@@ -375,8 +393,8 @@ func TestHedgeShedGuards(t *testing.T) {
 	waitFor(t, 2*time.Second, "the hedge attempt to be in flight", func() bool {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		for _, p := range m.pending {
-			if p.isHedge {
+		for _, p := range m.live {
+			if p.isHedge && p.state == inFlight {
 				hedgeID = p.id
 			}
 		}
@@ -427,12 +445,12 @@ func TestHedgeShedGuards(t *testing.T) {
 	}
 	checkHedgeConservation(t, st)
 	m.mu.Lock()
-	_, origPending := m.pending[hedgeID-1]
-	_, hedgePending := m.pending[hedgeID]
-	parked := len(m.parked)
+	origPending := attemptIn(m, hedgeID-1, inFlight)
+	hedgePending := attemptIn(m, hedgeID, inFlight)
+	parkedN := attemptsIn(m, parked)
 	m.mu.Unlock()
-	if hedgePending || parked != 0 {
-		t.Fatalf("shed hedge attempt still pending=%v parked=%d, want cancelled outright", hedgePending, parked)
+	if hedgePending || parkedN != 0 {
+		t.Fatalf("shed hedge attempt still pending=%v parked=%d, want cancelled outright", hedgePending, parkedN)
 	}
 	if !origPending {
 		t.Fatal("original attempt vanished: the twin must race on after the hedge is shed")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -170,84 +171,107 @@ type fetchResult struct {
 	err   error
 }
 
-// pendingFetch is one request in flight through the NetMerger.
+// attemptState is where one fetch attempt is in its lifecycle. The
+// transitions, and what each settles, are the table in
+// docs/ARCHITECTURE.md ("Life of a segment fetch"); retireLocked is the
+// only way out of queued, inFlight or parked.
+type attemptState uint8
+
+const (
+	queued   attemptState = iota // in its node group's queue, no slot held
+	inFlight                     // holds a window slot; its request is (about to be) on the wire
+	parked                       // waiting out a shed or retry backoff
+	lost                         // cancelled loser of a hedged race whose request was on the wire
+	done                         // retired; no map or queue reaches it any more
+)
+
+// outcome is the event that retires an attempt.
+type outcome uint8
+
+const (
+	onDeliver     outcome = iota // its last chunk arrived
+	onRemoteError                // its supplier answered with an error chunk
+	onShed                       // its supplier shed it
+	onConnFail                   // its connection failed, stalled or refused the send
+	onTwinWon                    // the other attempt of its hedged pair delivered
+	onClose                      // the merger closed
+)
+
+// pendingFetch is one attempt at a fetch. Every field is guarded by m.mu,
+// except asm's bytes (see readLoop). The one-byte fields share the last
+// word: one is allocated per fetch.
 type pendingFetch struct {
 	id   uint64
 	spec FetchSpec
+	// g is spec.Addr's node group: the queue or window that holds the
+	// attempt, and the connection its frames arrive on.
+	g *nodeGroup
 	// asm is this attempt's reassembly lease, sized by the segment's first
-	// chunk; got is how much of it the chunks so far claim. m.mu guards
-	// both but not the bytes: the connection's reader, their only writer,
-	// copies outside the lock under a Retain of its own, so whoever retires
-	// the attempt may dropAsm at once.
+	// chunk; got is how much of it the chunks so far claim. The connection's
+	// reader, the bytes' only writer, copies outside the lock under a Retain
+	// of its own, so whoever retires the attempt may drop asm at once.
 	asm      *bufpool.Lease
 	got      int
 	attempts int
 	result   chan<- fetchResult
-	// sentAt anchors the fetch RTT histogram; it is written under m.mu
-	// just before injection (so the read side, also under m.mu, races with
-	// nothing) and overwritten on each retry.
+	// sentAt anchors the RTT histogram, the deadline and the hedge
+	// threshold; it is stamped under m.mu just before injection.
 	sentAt time.Time
-	// backoff is the pending retry timer while the fetch is parked (after
-	// a shed response or between retry attempts); Close stops it. Guarded
-	// by m.mu.
+	// backoff is the parked attempt's unpark timer.
 	backoff *time.Timer
-	// shedPark distinguishes a shed park (counted as a shed retry on
-	// unpark) from a failure-backoff park (already counted as a retry
-	// when parked). Guarded by m.mu.
-	shedPark bool
-
-	// Hedging state, all guarded by m.mu. twin links the two attempts
-	// of a hedged pair symmetrically; nil means this attempt races
-	// alone (either it was never hedged, or its twin already resolved).
-	// Exactly one attempt of a pair ever sends on result: the first
-	// clean finisher cancels the other under the lock, and an attempt
-	// that dies while its twin lives is cancelled quietly instead of
-	// retrying or surfacing an error.
+	// twin links the two attempts of a hedged pair symmetrically; nil means
+	// the attempt races alone. Exactly one attempt of a pair sends on
+	// result.
 	twin *pendingFetch
-	// isHedge marks the speculative (duplicate) attempt of a pair.
-	isHedge bool
-	// hedged marks a fetch the controller already acted on (launched a
-	// hedge, or found no replica), so the scanner considers each fetch
-	// at most once.
-	hedged bool
-	// hedgeDenied dedupes the budget-denial counter per fetch.
+
+	state attemptState
+	// shedPark tells a shed park (counted as a shed retry on unpark,
+	// re-resolved) from a failure backoff (counted as a retry when parked,
+	// rotated to the next replica).
+	shedPark bool
+	// isHedge marks the speculative attempt of a pair; hedged marks a
+	// fetch the controller already acted on; hedgeDenied dedupes the
+	// budget denial counter.
+	isHedge     bool
+	hedged      bool
 	hedgeDenied bool
-	// budgetHeld marks a speculative attempt currently charged against
-	// the hedge budget; cleared exactly once via the budget helpers.
-	budgetHeld bool
 }
 
 // dropAsm gives up the attempt's partial reassembly and returns how many
 // bytes it held. Callers hold m.mu.
-func (p *pendingFetch) dropAsm() int {
+func (p *pendingFetch) dropAsm() int64 {
 	n := p.got
 	if p.asm != nil {
 		p.asm.Release()
 	}
 	p.asm, p.got = nil, 0
-	return n
+	return int64(n)
 }
 
 // nodeGroup holds the per-remote-node request queue, ordered by arrival
-// (Section III-C), plus its in-flight window accounting.
+// (Section III-C), plus its in-flight window accounting. Guarded by m.mu.
 type nodeGroup struct {
-	addr      string
+	addr string
+	// queue may hold attempts retired while queued (a hedge pair's loser);
+	// the injector skips anything not in state queued.
 	queue     []*pendingFetch
 	inflight  int
 	inflightG *metrics.Gauge // registry mirror of inflight, labeled by node
 	// win is the node pair's AIMD congestion window; nil when flow
-	// control is disabled (fixed WindowPerNode). Guarded by m.mu.
+	// control is disabled (fixed WindowPerNode).
 	win *flow.Window
 	// epoch counts connection generations for this node: it increments
 	// each time the node's connection is declared dead, and every failure
 	// report carries the epoch it observed. A report whose epoch no
 	// longer matches is stale — a concurrent observer (read loop, send
-	// path, deadline watchdog) already recycled that connection — and is
-	// dropped, so one dead connection can never release in-flight slots
-	// twice or tear down its freshly dialed replacement. Guarded by m.mu.
+	// path, deadline scan) already recycled that connection — and is
+	// dropped, so one dead connection never fails its attempts twice or
+	// tears down its freshly dialed replacement.
 	epoch uint64
+	// reading is set while a reader goroutine serves the current epoch.
+	reading bool
 	// rtt is the node's rolling RTT window feeding the hedge threshold;
-	// nil when hedging is disabled. Guarded by m.mu.
+	// nil when hedging is disabled.
 	rtt *flow.RTTRing
 }
 
@@ -259,10 +283,10 @@ func (g *nodeGroup) acquire() {
 	g.inflightG.Add(1)
 }
 
-// release returns n in-flight slots to the group's window.
-func (g *nodeGroup) release(n int) {
-	g.inflight -= n
-	g.inflightG.Add(int64(-n))
+// release returns one in-flight slot to the group's window.
+func (g *nodeGroup) release() {
+	g.inflight--
+	g.inflightG.Add(-1)
 }
 
 // limit returns the group's current in-flight limit: the AIMD window
@@ -284,54 +308,25 @@ type NetMerger struct {
 	cfg   MergerConfig
 	cache *transport.ConnCache
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	groups  map[string]*nodeGroup
-	ring    []string
-	next    int
-	pending map[uint64]*pendingFetch
-	// parked holds fetches shed by a supplier, waiting out their
-	// retry-after backoff before re-queueing. Guarded by m.mu.
-	parked map[uint64]*pendingFetch
+	mu     sync.Mutex
+	cond   *sync.Cond
+	groups map[string]*nodeGroup
+	ring   []*nodeGroup // injection order
+	next   int
+	// live holds every attempt not yet done, by request id.
+	live   map[uint64]*pendingFetch
 	nextID uint64
 	closed bool
-
-	readers map[string]bool // addr -> reader goroutine running
-	reqBuf  []byte          // request marshalling scratch; only injectLoop's send touches it
-
-	wg        sync.WaitGroup
-	watchStop chan struct{} // closed by Close; stops the deadline watchdog
-
-	unregister func() // flow registry removal; nil when flow is off
-
-	requests      int64
-	bytes         int64
-	errCount      int64
-	retries       int64
-	connsHigh     int64
-	sheds         int64
-	shedRetries   int64
-	corruptFrames int64
-	deadlineTrips int64
-	rerouted      int64
-
-	// Hedging controller state, guarded by m.mu. hedgeOutstanding and
-	// its gauge only move inside the budget helpers, so the pair can
-	// never drift. loserIDs remembers cancelled in-flight attempts
-	// (id → node address) so their late chunks are counted as duplicate
-	// bytes instead of vanishing from the accounting; entries die on
-	// the supplier's terminal chunk or the connection's failure.
+	stats  MergerStats
+	// hedgeOutstanding counts linked hedged pairs: a duplicate is charged
+	// to the budget exactly while its pair is linked.
 	hedgeOutstanding int
-	loserIDs         map[uint64]string
-	hedges           int64
-	hedgeWins        int64
-	hedgeLosses      int64
-	hedgeSheds       int64
-	hedgeFails       int64
-	hedgeErrors      int64
-	hedgeAdoptions   int64
-	hedgeDenials     int64
-	hedgeDupBytes    int64
+
+	reqBuf []byte // request marshalling scratch; only injectLoop's send touches it
+
+	wg         sync.WaitGroup
+	stop       chan struct{} // closed by Close; stops the scan loop
+	unregister func()        // flow registry removal; nil when flow is off
 }
 
 // NewNetMerger creates the node's consolidated fetch engine.
@@ -340,27 +335,19 @@ func NewNetMerger(cfg MergerConfig) (*NetMerger, error) {
 		return nil, err
 	}
 	m := &NetMerger{
-		cfg:       cfg,
-		cache:     transport.NewConnCache(cfg.Transport, cfg.MaxConnections),
-		groups:    make(map[string]*nodeGroup),
-		pending:   make(map[uint64]*pendingFetch),
-		parked:    make(map[uint64]*pendingFetch),
-		readers:   make(map[string]bool),
-		watchStop: make(chan struct{}),
+		cfg:    cfg,
+		cache:  transport.NewConnCache(cfg.Transport, cfg.MaxConnections),
+		groups: make(map[string]*nodeGroup),
+		live:   make(map[uint64]*pendingFetch),
+		stop:   make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if cfg.Flow != nil {
 		m.unregister = flow.Register(m)
 	}
-	if cfg.Hedge != nil {
-		m.loserIDs = make(map[uint64]string)
-		m.wg.Add(1)
-		go m.hedgeLoop()
-	}
-	m.wg.Add(1)
+	m.wg.Add(2)
 	go m.injectLoop()
-	m.wg.Add(1)
-	go m.watchdog()
+	go m.scanLoop()
 	return m, nil
 }
 
@@ -370,14 +357,14 @@ func (m *NetMerger) FlowState() flow.State {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := flow.State{
-		Name: "merger", Sheds: m.sheds, ShedRetries: m.shedRetries,
-		Hedges: m.hedges, HedgeWins: m.hedgeWins,
-		HedgeDupBytes: m.hedgeDupBytes, HedgeOutstanding: m.hedgeOutstanding,
+		Name: "merger", Sheds: m.stats.Sheds, ShedRetries: m.stats.ShedRetries,
+		Hedges: m.stats.Hedges, HedgeWins: m.stats.HedgeWins,
+		HedgeDupBytes: m.stats.HedgeDupBytes, HedgeOutstanding: m.hedgeOutstanding,
 	}
-	for _, addr := range m.ring {
-		if g := m.groups[addr]; g.win != nil {
+	for _, g := range m.ring {
+		if g.win != nil {
 			ws := g.win.State()
-			ws.Node = addr
+			ws.Node = g.addr
 			st.Windows = append(st.Windows, ws)
 		}
 	}
@@ -388,28 +375,13 @@ func (m *NetMerger) FlowState() flow.State {
 func (m *NetMerger) Stats() MergerStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return MergerStats{
-		Requests:      m.requests,
-		BytesFetched:  m.bytes,
-		Errors:        m.errCount,
-		Retries:       m.retries,
-		ConnectionsHi: m.connsHigh,
-		Sheds:         m.sheds,
-		ShedRetries:   m.shedRetries,
-		CorruptFrames: m.corruptFrames,
-		DeadlineTrips: m.deadlineTrips,
-		Rerouted:      m.rerouted,
+	return m.stats
+}
 
-		Hedges:         m.hedges,
-		HedgeWins:      m.hedgeWins,
-		HedgeLosses:    m.hedgeLosses,
-		HedgeSheds:     m.hedgeSheds,
-		HedgeFails:     m.hedgeFails,
-		HedgeErrors:    m.hedgeErrors,
-		HedgeAdoptions: m.hedgeAdoptions,
-		HedgeDenials:   m.hedgeDenials,
-		HedgeDupBytes:  m.hedgeDupBytes,
-	}
+// bump adds one to a MergerStats field and to its process-wide metric.
+func bump(n *int64, c *metrics.Counter) {
+	*n++
+	c.Inc()
 }
 
 // Close shuts the merger down; outstanding fetches fail.
@@ -420,51 +392,12 @@ func (m *NetMerger) Close() error {
 		return nil
 	}
 	m.closed = true
-	// A hedged pair holds two attempts for one logical fetch and one
-	// buffered result slot; collect with twin dedup so exactly one
-	// terminal result is sent per fetch.
-	seen := make(map[*pendingFetch]bool)
-	var outstanding []*pendingFetch
-	collect := func(p *pendingFetch) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		if p.twin != nil {
-			seen[p.twin] = true
-		}
-		outstanding = append(outstanding, p)
-	}
-	for id, p := range m.pending {
-		delete(m.pending, id)
-		collect(p)
-	}
-	for _, g := range m.groups {
-		for _, p := range g.queue {
-			collect(p)
-		}
-		g.queue = nil
-	}
-	for id, p := range m.parked {
-		delete(m.parked, id)
-		if p.backoff != nil {
-			p.backoff.Stop()
-		}
-		collect(p)
-	}
-	// Racing duplicates die with the merger; return their budget slots so
-	// the process-wide outstanding gauge reads zero after shutdown.
-	for p := range seen {
-		m.releaseHedgeBudgetLocked(p)
-		p.dropAsm()
-	}
-	for _, p := range outstanding {
-		//jbsvet:ignore lockhygiene result channels are buffered for every outstanding fetch; this send cannot block
-		p.result <- fetchResult{spec: p.spec, err: transport.ErrConnClosed}
+	for _, p := range m.live {
+		m.retireLocked(p, onClose, transport.ErrConnClosed, 0)
 	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	close(m.watchStop)
+	close(m.stop)
 	if m.unregister != nil {
 		m.unregister()
 	}
@@ -473,25 +406,30 @@ func (m *NetMerger) Close() error {
 	return err
 }
 
-// groupForLocked returns (creating if needed) the node group for addr.
-// Must be called with m.mu held.
-func (m *NetMerger) groupForLocked(addr string) *nodeGroup {
-	g, ok := m.groups[addr]
+// enqueueLocked makes p a queued attempt of its address's node group: at
+// the tail in arrival order, or at the head (a retry or a hedge is late
+// already). Must be called with m.mu held.
+func (m *NetMerger) enqueueLocked(p *pendingFetch, head bool) {
+	g, ok := m.groups[p.spec.Addr]
 	if !ok {
-		g = &nodeGroup{addr: addr, inflightG: inflightGauge(addr)}
+		g = &nodeGroup{addr: p.spec.Addr, inflightG: inflightGauge(p.spec.Addr)}
 		if m.cfg.Flow != nil {
-			g.win = flow.NewWindow(*m.cfg.Flow, flow.WindowGauge(addr))
+			g.win = flow.NewWindow(*m.cfg.Flow, flow.WindowGauge(g.addr))
 		}
 		if m.cfg.Hedge != nil {
 			g.rtt = new(flow.RTTRing)
 		}
-		m.groups[addr] = g
-		m.ring = append(m.ring, addr)
-		if n := int64(len(m.ring)); n > m.connsHigh {
-			m.connsHigh = n
-		}
+		m.groups[g.addr] = g
+		m.ring = append(m.ring, g)
+		m.stats.ConnectionsHi = max(m.stats.ConnectionsHi, int64(len(m.ring)))
 	}
-	return g
+	p.g, p.state = g, queued
+	m.live[p.id] = p
+	if head {
+		g.queue = slices.Insert(g.queue, 0, p)
+	} else {
+		g.queue = append(g.queue, p)
+	}
 }
 
 // errNoResolver reports an empty-Addr spec fetched without a Resolver.
@@ -527,14 +465,7 @@ func (m *NetMerger) FetchLeases(specs []FetchSpec, deliver func(spec FetchSpec, 
 	// below still sees len(specs) of them.
 	resolved := specs
 	failed := 0
-	needResolve := false
-	for _, spec := range specs {
-		if spec.Addr == "" {
-			needResolve = true
-			break
-		}
-	}
-	if needResolve {
+	if slices.ContainsFunc(specs, func(s FetchSpec) bool { return s.Addr == "" }) {
 		// Copy-on-resolve keeps the common static-address path free of
 		// the extra slice allocation (the hot-path alloc budget is exact).
 		resolved = make([]FetchSpec, 0, len(specs))
@@ -565,14 +496,12 @@ func (m *NetMerger) FetchLeases(specs []FetchSpec, deliver func(spec FetchSpec, 
 		m.mu.Unlock()
 		return transport.ErrConnClosed
 	}
-	m.requests += int64(failed)
-	m.errCount += int64(failed)
+	m.stats.Requests += int64(failed)
+	m.stats.Errors += int64(failed)
 	for _, spec := range resolved {
 		m.nextID++
-		p := &pendingFetch{id: m.nextID, spec: spec, result: results}
-		g := m.groupForLocked(spec.Addr)
-		g.queue = append(g.queue, p) // arrival order within the group
-		m.requests++
+		m.enqueueLocked(&pendingFetch{id: m.nextID, spec: spec, result: results}, false)
+		m.stats.Requests++
 		mrgFetches.Inc()
 		tracer.Mark(spec.MapTask, spec.Partition, metrics.StageEnqueued)
 	}
@@ -604,64 +533,55 @@ func (m *NetMerger) injectLoop() {
 	defer m.wg.Done()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for {
-		if m.closed {
-			return
-		}
-		sent := false
-		for scanned := 0; scanned < len(m.ring); scanned++ {
-			if m.next >= len(m.ring) {
-				m.next = 0
-			}
-			addr := m.ring[m.next]
+	for !m.closed {
+		var g *nodeGroup
+		for range len(m.ring) {
+			m.next %= len(m.ring)
+			c := m.ring[m.next]
 			m.next++
-			g := m.groups[addr]
-			if len(g.queue) == 0 || g.inflight >= g.limit(m.cfg.WindowPerNode) {
+			if c.inflight >= c.limit(m.cfg.WindowPerNode) {
 				continue
 			}
-			p := g.queue[0]
-			g.queue = g.queue[1:]
-			g.acquire()
-			m.pending[p.id] = p
-			m.ensureReader(g)
-			// Stamp before the lock drops: once pending holds p, the read
-			// loop may touch it, so the stamp must happen-before that.
-			p.sentAt = time.Now()
-			tracer.Mark(p.spec.MapTask, p.spec.Partition, metrics.StageSent)
-			// Send outside the lock: the connection may block.
-			m.mu.Unlock()
-			err := m.send(addr, p)
-			m.mu.Lock()
-			if err != nil {
-				// Only unwind if p is still ours: a concurrent failConn
-				// (read-loop error, deadline trip) may have already removed
-				// p from pending, released its slot, and re-queued it —
-				// unwinding again would release the slot twice and schedule
-				// the fetch twice.
-				if _, still := m.pending[p.id]; still {
-					delete(m.pending, p.id)
-					g.release(1)
-					if m.closed {
-						return
-					}
-					m.failOrRetryLocked(g, p, err)
-				}
+			for len(c.queue) > 0 && c.queue[0].state != queued {
+				c.queue = c.queue[1:] // retired while queued
 			}
-			sent = true
-			break // restart the scan after releasing the lock
+			if len(c.queue) > 0 {
+				g = c
+				break
+			}
 		}
-		if !sent {
-			if m.closed {
-				return
-			}
+		if g == nil {
 			m.cond.Wait()
+			continue
+		}
+		p := g.queue[0]
+		g.queue = g.queue[1:]
+		g.acquire()
+		p.state = inFlight
+		if !g.reading {
+			g.reading = true
+			m.wg.Add(1)
+			go m.readLoop(g, g.epoch)
+		}
+		// Stamp before the lock drops: once p is in flight, the read loop
+		// may touch it, so the stamp must happen-before that.
+		p.sentAt = time.Now()
+		tracer.Mark(p.spec.MapTask, p.spec.Partition, metrics.StageSent)
+		// Send outside the lock: the connection may block.
+		m.mu.Unlock()
+		err := m.send(g.addr, p)
+		m.mu.Lock()
+		// A concurrent failConn (read-loop error, deadline trip) or Close
+		// may have retired p already.
+		if err != nil && p.state == inFlight {
+			m.retireLocked(p, onConnFail, err, 0)
 		}
 	}
 }
 
 // send transmits one fetch request on the (cached) connection to addr. The
 // request is encoded into the injector's own scratch (send has no other
-// caller; both backends finish with the bytes before Send returns), not a
+// caller; the transport is done with the bytes before Send returns), not a
 // pooled lease: the response can overtake Send's return, and a Fetch that
 // has returned must not leave a request lease outstanding behind it.
 func (m *NetMerger) send(addr string, p *pendingFetch) error {
@@ -685,230 +605,168 @@ func (m *NetMerger) send(addr string, p *pendingFetch) error {
 	return nil
 }
 
-// ensureReader starts the response reader for the group's node once,
-// bound to the group's current connection epoch. Must be called with
-// m.mu held.
-func (m *NetMerger) ensureReader(g *nodeGroup) {
-	if m.readers[g.addr] {
-		return
-	}
-	m.readers[g.addr] = true
-	m.wg.Add(1)
-	go m.readLoop(g.addr, g.epoch)
-}
-
 // noteCorrupt counts a frame rejected by the CRC32C checksum. Corruption
 // is counted at the point of detection, before the recovery race is
 // resolved: the damaged frame is a fact regardless of which observer wins
 // the failover.
 func (m *NetMerger) noteCorrupt(err error) {
-	if !errors.Is(err, ErrCorruptFrame) {
-		return
-	}
-	mrgCorruptFrames.Inc()
-	m.mu.Lock()
-	m.corruptFrames++
-	m.mu.Unlock()
-}
-
-// readLoop drains response chunks from one node's connection and completes
-// pending fetches. It reads the connection belonging to the given group
-// epoch; any failure it reports is dropped as stale once that epoch has
-// passed.
-func (m *NetMerger) readLoop(addr string, epoch uint64) {
-	defer m.wg.Done()
-	conn, err := m.cache.Get(addr)
-	if err != nil {
-		// Dial failure: nothing was cached, so there is no connection to
-		// invalidate — only slots to unwind and fetches to retry.
-		m.failConn(addr, epoch, nil, err)
-		return
-	}
-	for {
-		l, err := transport.RecvBuf(conn)
-		if err != nil {
-			m.failConn(addr, epoch, conn, err)
-			return
-		}
-		if b := l.Bytes(); len(b) > 0 && (b[0] == msgShed || b[0] == msgCredit) {
-			err = m.handleFlowFrame(addr, b)
-			l.Release()
-			if err != nil {
-				m.noteCorrupt(err)
-				m.failConn(addr, epoch, conn, err)
-				return
-			}
-			continue
-		}
-		chunk, err := decodeDataChunk(l.Bytes())
-		if err != nil {
-			l.Release()
-			// A corrupt or malformed frame poisons the stream — framing
-			// after it cannot be trusted — so the connection is torn down
-			// and every in-flight fetch to this node re-sent on a fresh
-			// one: detection at the merger, transparent re-fetch.
-			m.noteCorrupt(err)
-			m.failConn(addr, epoch, conn, err)
-			return
-		}
-		if chunk.Failed {
-			p := m.remoteError(addr, chunk)
-			remote := fmt.Errorf("%w: %s", ErrRemote, chunk.Payload)
-			l.Release()
-			if p != nil {
-				p.result <- fetchResult{spec: p.spec, err: remote}
-			}
-			continue
-		}
+	if errors.Is(err, ErrCorruptFrame) {
 		m.mu.Lock()
-		p, ok := m.pending[chunk.ID]
-		if ok && chunk.Sized {
-			tracer.Mark(p.spec.MapTask, p.spec.Partition, metrics.StageFirstChunk)
-			p.dropAsm() // a sized chunk starts its segment over
-			if !chunk.Last {
-				// Several chunks are reassembled in one lease of the announced
-				// size. A pool miss allocates and clears that much, so it is
-				// taken with the lock dropped: the attempt may be retired, or
-				// the connection failed over, by the time the lock is back.
-				m.mu.Unlock()
-				asm := bufpool.Default().Get(int(chunk.Total))
-				m.mu.Lock()
-				if ok = m.pending[chunk.ID] == p && m.groups[addr].epoch == epoch; ok {
-					p.asm = asm
-				} else {
-					asm.Release()
-				}
+		bump(&m.stats.CorruptFrames, mrgCorruptFrames)
+		m.mu.Unlock()
+	}
+}
+
+// readLoop drains response frames from one node's connection of the given
+// epoch until the connection fails (a dial failure leaves no connection to
+// invalidate); the failure is dropped as stale once that epoch has passed.
+func (m *NetMerger) readLoop(g *nodeGroup, epoch uint64) {
+	defer m.wg.Done()
+	conn, err := m.cache.Get(g.addr)
+	for err == nil {
+		var l *bufpool.Lease
+		if l, err = transport.RecvBuf(conn); err == nil {
+			err = m.onFrame(g, epoch, l)
+		}
+	}
+	m.noteCorrupt(err)
+	m.failConn(g, epoch, conn, err)
+}
+
+// onFrame handles one frame from g's connection of the given epoch and
+// gives up l: to the segment it completes, or to the pool. An error ends
+// the connection — a corrupt or malformed frame poisons the stream, since
+// framing after it cannot be trusted, so every fetch in flight to the node
+// is re-sent on a fresh one: detection at the merger, transparent re-fetch.
+func (m *NetMerger) onFrame(g *nodeGroup, epoch uint64, l *bufpool.Lease) error {
+	if b := l.Bytes(); len(b) > 0 && (b[0] == msgShed || b[0] == msgCredit) {
+		err := m.handleFlowFrame(g.addr, b)
+		l.Release()
+		return err
+	}
+	chunk, err := decodeDataChunk(l.Bytes())
+	if err != nil {
+		l.Release()
+		return err
+	}
+	m.mu.Lock()
+	p := m.attemptLocked(g, &chunk)
+	if p != nil && chunk.Failed {
+		// A definitive per-request answer, never retried.
+		m.retireLocked(p, onRemoteError, fmt.Errorf("%w: %s", ErrRemote, chunk.Payload), 0)
+		p = nil
+	}
+	if p != nil && chunk.Sized {
+		tracer.Mark(p.spec.MapTask, p.spec.Partition, metrics.StageFirstChunk)
+		p.dropAsm() // a sized chunk starts its segment over
+		if !chunk.Last {
+			// Several chunks are reassembled in one lease of the announced
+			// size. A pool miss allocates and clears that much, so it is
+			// taken with the lock dropped: the attempt may be retired, or
+			// the connection failed over, by the time the lock is back.
+			m.mu.Unlock()
+			asm := bufpool.Default().Get(int(chunk.Total))
+			m.mu.Lock()
+			if p.state == inFlight && g.epoch == epoch {
+				p.asm = asm
+			} else {
+				asm.Release()
+				p = nil
 			}
 		}
-		if !ok {
-			m.lateChunkLocked(addr, chunk)
-			m.mu.Unlock()
-			l.Release()
-			continue
-		}
-		total := -1 // a chunk with no sized one before it fits nothing
-		if p.asm != nil {
-			total = p.asm.Len()
-		} else if chunk.Sized {
-			total = int(chunk.Total)
-		}
-		dst, off, end := p.asm, p.got, p.got+len(chunk.Payload)
-		if end > total || (chunk.Last && end != total) {
-			// The stream no longer adds up to the segment it announced:
-			// nothing after this frame can be trusted either.
-			m.mu.Unlock()
-			l.Release()
-			m.failConn(addr, epoch, conn, fmt.Errorf("%w: chunk [%d,%d) of a %d-byte segment", ErrBadMessage, off, end, total))
-			return
-		}
-		p.got = end
-		if !chunk.Last {
-			// The copy runs outside the lock, pinned: a concurrent retire
-			// (deadline trip, hedge loss, Close) drops the attempt's own
-			// reference and the buffer survives until this one goes.
-			dst.Retain()
-			m.mu.Unlock()
-			copy(dst.Bytes()[off:], chunk.Payload)
-			dst.Release()
-			l.Release()
-			continue
-		}
-		// Completion: once p leaves pending (and its twin is cut loose)
-		// only this goroutine can reach it, so the last copy needs no pin.
-		delete(m.pending, chunk.ID)
-		p.asm = nil
-		g := m.groups[addr]
-		g.release(1)
-		if g.win != nil {
-			g.win.OnClean()
-		}
-		m.bytes += int64(end)
-		mrgBytes.Add(int64(end))
-		rtt := time.Since(p.sentAt).Nanoseconds()
-		mrgRTT.Observe(rtt)
-		if g.rtt != nil {
-			g.rtt.Add(rtt)
-		}
-		if p.isHedge {
-			// The speculative attempt delivered — whether it out-raced a
-			// live twin or carried the fetch alone after adoption.
-			m.hedgeWins++
-			mrgHedgeWins.Inc()
-			m.releaseHedgeBudgetLocked(p)
-		}
-		var cancelAddr string
-		var cancelID uint64
-		if p.twin != nil {
-			cancelAddr, cancelID = m.cancelLoserLocked(p.twin)
-		}
-		tracer.Mark(p.spec.MapTask, p.spec.Partition, metrics.StageDelivered)
-		m.cond.Broadcast()
+	}
+	if p == nil {
 		m.mu.Unlock()
-		if cancelAddr != "" {
-			m.sendCancel(cancelAddr, cancelID)
-		}
-		res := fetchResult{spec: p.spec}
-		if dst != nil {
-			copy(dst.Bytes()[off:], chunk.Payload)
-			l.Release()
-			res.data, res.lease = dst.Bytes(), dst
-		} else {
-			// One chunk: handed over in its receive lease, no reassembly. A
-			// TCP receive leases the frame's own length, so the lease a
-			// reduce task parks weighs what its segment does.
-			res.data, res.lease = chunk.Payload, l
-		}
-		p.result <- res
-	}
-}
-
-// lateChunkLocked accounts a chunk whose request is no longer pending: it
-// failed over already, or is a cancelled hedge loser, whose late chunks are
-// the price of the race and land in the duplicate-byte ledger. Holds m.mu.
-func (m *NetMerger) lateChunkLocked(addr string, chunk dataChunk) {
-	if a, lost := m.loserIDs[chunk.ID]; lost && a == addr {
-		m.noteDupBytesLocked(int64(len(chunk.Payload)))
-		if chunk.Last || chunk.Failed {
-			delete(m.loserIDs, chunk.ID)
-		}
-	}
-}
-
-// remoteError books the error chunk addr's supplier answered a fetch with
-// — a definitive per-request answer, never retried — and returns the
-// fetch to fail, or nil when nobody waits for this attempt any more.
-func (m *NetMerger) remoteError(addr string, chunk dataChunk) *pendingFetch {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.pending[chunk.ID]
-	if !ok {
-		m.lateChunkLocked(addr, chunk)
+		l.Release()
 		return nil
 	}
-	delete(m.pending, chunk.ID)
-	m.groups[addr].release(1)
-	m.cond.Broadcast()
-	if p.twin != nil {
-		// One attempt of a live hedged pair hit a remote error; the twin
-		// still races, so the fetch neither fails nor retries here.
-		m.noteHedgeAttemptFailureLocked(p)
+	total := -1 // a chunk with no sized one before it fits nothing
+	if p.asm != nil {
+		total = p.asm.Len()
+	} else if chunk.Sized {
+		total = int(chunk.Total)
+	}
+	dst, off, end := p.asm, p.got, p.got+len(chunk.Payload)
+	if end > total || (chunk.Last && end != total) {
+		// The stream no longer adds up to the segment it announced:
+		// nothing after this frame can be trusted either.
+		m.mu.Unlock()
+		l.Release()
+		return fmt.Errorf("%w: chunk [%d,%d) of a %d-byte segment", ErrBadMessage, off, end, total)
+	}
+	p.got = end
+	if !chunk.Last {
+		// The copy runs outside the lock, pinned: a concurrent retire
+		// (deadline trip, hedge loss, Close) drops the attempt's own
+		// reference and the buffer survives until this one goes.
+		dst.Retain()
+		m.mu.Unlock()
+		copy(dst.Bytes()[off:], chunk.Payload)
+		dst.Release()
+		l.Release()
 		return nil
 	}
-	p.dropAsm()
-	m.errCount++
-	mrgErrors.Inc()
-	if p.isHedge {
-		m.hedgeErrors++
-		mrgHedgeErrors.Inc()
+	// Completion: once p is retired (and its twin cut loose) only this
+	// goroutine can reach it, so the last copy needs no pin.
+	p.asm, p.got = nil, 0
+	t := p.twin
+	m.retireLocked(p, onDeliver, nil, 0)
+	cancel := t != nil && t.state == lost
+	m.stats.BytesFetched += int64(end)
+	mrgBytes.Add(int64(end))
+	rtt := time.Since(p.sentAt).Nanoseconds()
+	mrgRTT.Observe(rtt)
+	if g.rtt != nil {
+		g.rtt.Add(rtt)
+	}
+	tracer.Mark(p.spec.MapTask, p.spec.Partition, metrics.StageDelivered)
+	m.mu.Unlock()
+	if cancel {
+		m.sendCancel(t.g.addr, t.id)
+	}
+	res := fetchResult{spec: p.spec}
+	if dst != nil {
+		copy(dst.Bytes()[off:], chunk.Payload)
+		l.Release()
+		res.data, res.lease = dst.Bytes(), dst
+	} else {
+		// One chunk: handed over in its receive lease, no reassembly. A
+		// TCP receive leases the frame's own length, so the lease a
+		// reduce task parks weighs what its segment does.
+		res.data, res.lease = chunk.Payload, l
+	}
+	p.result <- res
+	return nil
+}
+
+// attemptLocked returns the in-flight attempt on g that a data or error
+// chunk names, or nil. A chunk for a cancelled hedge loser is the price of
+// the race and lands in the duplicate-byte ledger; the loser is done on
+// its supplier's terminal chunk. Anything else is late and dropped. Must
+// be called with m.mu held.
+func (m *NetMerger) attemptLocked(g *nodeGroup, c *dataChunk) *pendingFetch {
+	p := m.live[c.ID]
+	if p == nil || p.g != g {
+		return nil
+	}
+	if p.state == lost {
+		m.noteDupBytesLocked(int64(len(c.Payload)))
+		if c.Last || c.Failed {
+			p.state = done
+			delete(m.live, p.id)
+		}
+	}
+	if p.state != inFlight {
+		return nil
 	}
 	return p
 }
 
 // handleFlowFrame processes a SHED or CREDIT control frame from addr.
-// A shed parks the named fetch for its jittered retry-after backoff and
-// collapses the node's AIMD window; a credit widens it. A malformed
-// frame is returned as an error (the caller tears the connection down
-// like any other protocol violation).
+// A shed retires the named attempt (the node's AIMD window collapses); a
+// credit widens the window. A malformed frame is returned as an error
+// (the caller tears the connection down like any other protocol
+// violation).
 func (m *NetMerger) handleFlowFrame(addr string, b []byte) error {
 	if b[0] == msgCredit {
 		n, err := decodeCredit(b)
@@ -931,411 +789,372 @@ func (m *NetMerger) handleFlowFrame(addr string, b []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p, ok := m.pending[id]
-	if !ok {
-		// The fetch already failed over to another attempt — or it is a
-		// cancelled hedge loser (tracked in loserIDs until its terminal
-		// frame). Either way the frame must not touch any window: the
-		// loser's slot was already released, and shrinking the winner
-		// node's AIMD window for a race it won would be exactly the
-		// foreign-shed drift the owner guard below exists to stop.
-		return nil
+	// A supplier may only shed attempts in flight to it. Honoring any
+	// other shed would release a slot this node never held (permanent
+	// window drift) while leaking the real owner's, or shrink a window
+	// for a race its node already won (a cancelled loser). A hedge carries
+	// its own id with the replica's address, so a replica can only shed
+	// the attempt it serves, never its twin on the primary.
+	if p := m.live[id]; p != nil && p.state == inFlight && p.g.addr == addr {
+		m.retireLocked(p, onShed, nil, retryAfter)
 	}
-	if p.spec.Addr != addr {
-		// A supplier may only shed fetches it owns. Honoring a
-		// cross-node shed would decrement this node's inflight for a
-		// slot it never held (permanent window drift) while leaking the
-		// real owner's slot. Drop the frame; the owner's fetch runs its
-		// course. Hedge attempts carry their own distinct ids with the
-		// replica's address in spec.Addr, so the guard holds per
-		// attempt: a replica can only shed the attempt it serves, never
-		// its twin on the primary.
-		return nil
-	}
-	delete(m.pending, id)
-	p.dropAsm()
-	g := m.groups[addr]
-	g.release(1)
-	if g.win != nil {
-		// The shedding node is genuinely overloaded; its own window
-		// collapses. The twin's node (if any) is untouched — the frame
-		// says nothing about that node's health.
-		g.win.OnShed()
-	}
-	if p.twin != nil {
-		// An attempt of a live hedged pair never parks on a shed: the
-		// twin already races the same bytes, so re-sending this attempt
-		// later would only add load to an overloaded node. Cancel it;
-		// the twin carries the fetch alone. Not counted in Sheds — the
-		// shed/retry conservation law (Sheds == ShedRetries at drain)
-		// only covers parked-and-retried sheds.
-		if p.isHedge {
-			m.hedgeSheds++
-			mrgHedgeSheds.Inc()
-			m.releaseHedgeBudgetLocked(p)
-			m.unlinkTwinLocked(p)
-		} else {
-			m.hedgeAdoptions++
-			mrgHedgeAdoptions.Inc()
-			m.releaseHedgeBudgetLocked(p.twin)
-			m.unlinkTwinLocked(p)
-		}
-		m.cond.Broadcast()
-		return nil
-	}
-	m.sheds++
-	mrgSheds.Inc()
-	m.cond.Broadcast() // the freed slot may admit a queued fetch now
-	// Park the fetch for the supplier's hint plus up to 50% jitter, so a
-	// burst of sheds does not re-converge into a synchronized retry storm.
-	// A shed consumes no retry budget: the request was never serviced,
-	// and the AIMD collapse plus backoff bounds the re-send rate.
-	m.parkLocked(p, retryAfter+rand.N(retryAfter/2+1), true)
 	return nil
-}
-
-// parkLocked holds a fetch out of its queue for delay before re-queueing
-// it. shed marks a supplier-shed park (counted as a shed retry on unpark)
-// versus a failure-backoff park. Must be called with m.mu held.
-func (m *NetMerger) parkLocked(p *pendingFetch, delay time.Duration, shed bool) {
-	p.shedPark = shed
-	m.parked[p.id] = p
-	id := p.id
-	p.backoff = time.AfterFunc(delay, func() { m.unpark(id) })
-}
-
-// unpark re-queues a parked fetch at the head of its node group after its
-// backoff elapses. With a Resolver configured the fetch's owner is
-// re-resolved first — a shed from a draining supplier or a failure
-// backoff from a dead one lands here, and by now the registry may have
-// handed the shard to a peer; following the move is what makes drain
-// lossless. Runs on the backoff timer's goroutine.
-func (m *NetMerger) unpark(id uint64) {
-	m.mu.Lock()
-	p, ok := m.parked[id]
-	if !ok || m.closed {
-		m.mu.Unlock()
-		return // Close already failed it
-	}
-	addr := p.spec.Addr
-	if !p.shedPark && m.cfg.Replicas != nil {
-		// Failure-backoff park with a replica set available: rotate to
-		// the next replica instead of re-probing the address that just
-		// failed, so a dead or blacked-out primary costs one attempt,
-		// not the whole retry budget. Shed parks stay put — a shed is
-		// load, not death, and the retry-after hint belongs to the node
-		// that issued it. Resolve outside the lock (registry I/O may
-		// block); p stays in parked meanwhile — recheck below.
-		spec := p.spec
-		m.mu.Unlock()
-		addr = nextReplica(m.cfg.Replicas(spec), spec.Addr)
-		m.mu.Lock()
-		p, ok = m.parked[id]
-		if !ok || m.closed {
-			m.mu.Unlock()
-			return
-		}
-	} else if m.cfg.Resolver != nil {
-		// Resolve outside the lock (registry I/O may block); p stays in
-		// parked meanwhile, so only Close can touch it — recheck below.
-		spec := p.spec
-		m.mu.Unlock()
-		if a, err := m.cfg.Resolver(spec); err == nil && a != "" {
-			addr = a
-		}
-		m.mu.Lock()
-		p, ok = m.parked[id]
-		if !ok || m.closed {
-			m.mu.Unlock()
-			return
-		}
-	}
-	delete(m.parked, id)
-	p.backoff = nil
-	if addr != p.spec.Addr {
-		p.spec.Addr = addr
-		m.rerouted++
-		mrgRerouted.Inc()
-	}
-	g := m.groupForLocked(addr)
-	g.queue = append([]*pendingFetch{p}, g.queue...)
-	if p.shedPark {
-		m.shedRetries++
-		mrgShedRetries.Inc()
-	}
-	m.cond.Broadcast()
-	m.mu.Unlock()
 }
 
 // maxRetryBackoff caps the exponential retry delay.
 const maxRetryBackoff = 500 * time.Millisecond
 
-// failOrRetryLocked either parks a failed request for a jittered
-// exponential backoff — after which it re-queues at the head of its node
-// group and is re-sent on a freshly dialed connection — or, once its
-// retry budget is spent, surfaces the error. Must be called with m.mu
-// held.
-func (m *NetMerger) failOrRetryLocked(g *nodeGroup, p *pendingFetch, err error) {
-	if p.twin != nil {
-		// One attempt of a live hedged pair died (connection failure,
-		// deadline trip, failed send). The twin still races the same
-		// bytes, so this attempt is cancelled quietly: no retry budget
-		// burned, no error surfaced. If the twin dies too it inherits
-		// the full retry semantics alone.
-		m.noteHedgeAttemptFailureLocked(p)
+// retireLocked moves attempt p out of its state on event o and settles,
+// here and nowhere else, everything the attempt held:
+//   - its window slot, if it was in flight;
+//   - its reassembly lease (bytes of a race's loser are duplicates);
+//   - the AIMD signal: OnClean on delivery, OnShed on a shed (failConn
+//     sends OnTimeout once per failed connection);
+//   - its hedged pair and the pair's budget slot;
+//   - then what follows: a result on p.result, a park, or nothing (its
+//     twin carries the fetch, or the reader hands the delivery over).
+//
+// err is the failure to surface; after is a shed's retry-after hint. Must
+// be called with m.mu held.
+func (m *NetMerger) retireLocked(p *pendingFetch, o outcome, err error, after time.Duration) {
+	was, t, st := p.state, p.twin, &m.stats
+	switch was {
+	case inFlight:
+		p.g.release()
+	case parked:
+		p.backoff.Stop()
+	}
+	p.state = done
+	delete(m.live, p.id)
+	dup := p.dropAsm()
+	if o != onClose || p.isHedge {
+		// On Close the original answers for a linked pair; its hedge,
+		// still linked, knows to keep quiet.
+		m.unlinkLocked(p)
+	}
+	m.cond.Broadcast() // a freed slot or a decided race may admit a queued fetch
+	switch o {
+	case onDeliver:
+		if p.g.win != nil {
+			p.g.win.OnClean()
+		}
+		if p.isHedge {
+			bump(&st.HedgeWins, mrgHedgeWins)
+		}
+		if t != nil {
+			m.retireLocked(t, onTwinWon, nil, 0)
+		}
+		return
+	case onTwinWon:
+		// No AIMD signal: a decided race says nothing about congestion.
+		if p.isHedge {
+			bump(&st.HedgeLosses, mrgHedgeLosses)
+		}
+		m.noteDupBytesLocked(dup)
+		if was == inFlight {
+			// Its request is on the wire: keep the id until the supplier's
+			// terminal chunk or the connection's failure, so late chunks
+			// are booked as duplicates (the reader sends a CANCEL).
+			p.state = lost
+			m.live[p.id] = p
+		}
+		return
+	case onClose:
+		if was != lost && (t == nil || !p.isHedge) {
+			p.result <- fetchResult{spec: p.spec, err: err}
+		}
+		return
+	case onShed:
+		if p.g.win != nil {
+			// Only the shedding node's window collapses; the frame says
+			// nothing about the twin's node.
+			p.g.win.OnShed()
+		}
+	}
+	if t != nil {
+		// One attempt of a live pair failed or was shed. The twin races the
+		// same bytes, so this one is dropped quietly: no park (re-sending
+		// would only load an overloaded node), no retry budget burned, no
+		// error surfaced. If the twin dies too it retries alone.
+		switch {
+		case !p.isHedge:
+			bump(&st.HedgeAdoptions, mrgHedgeAdoptions)
+		case o == onShed:
+			bump(&st.HedgeSheds, mrgHedgeSheds)
+		default:
+			bump(&st.HedgeFails, mrgHedgeFails)
+		}
+		m.noteDupBytesLocked(dup)
 		return
 	}
-	p.attempts++
-	p.dropAsm() // partial chunks from the dead connection
-	if g != nil && p.attempts <= m.cfg.MaxRetries {
-		m.retries++
-		mrgRetries.Inc()
+	switch {
+	case o == onShed:
+		// Park for the supplier's hint plus up to 50% jitter, so a burst of
+		// sheds does not re-converge into a synchronized retry storm. A
+		// shed consumes no retry budget: the request was never serviced,
+		// and the AIMD collapse plus backoff bounds the re-send rate.
+		bump(&st.Sheds, mrgSheds)
+		m.parkLocked(p, after+rand.N(after/2+1), true)
+	case o == onConnFail && p.attempts < m.cfg.MaxRetries:
 		// Exponential, capped, jittered: a refused node is probed at a
 		// gentle rate instead of burning the retry budget in a tight
 		// dial-fail loop, and concurrent failures fan out rather than
 		// re-converging into a synchronized storm.
-		delay := m.cfg.RetryBackoff << min(p.attempts-1, 8)
-		if delay > maxRetryBackoff {
-			delay = maxRetryBackoff
-		}
+		p.attempts++
+		bump(&st.Retries, mrgRetries)
+		delay := min(m.cfg.RetryBackoff<<min(p.attempts-1, 8), maxRetryBackoff)
 		m.parkLocked(p, delay+rand.N(delay/2+1), false)
-		return
+	default:
+		bump(&st.Errors, mrgErrors)
+		if p.isHedge {
+			// An adopted speculative attempt surfaced the fetch's error:
+			// its terminal state for the hedge conservation law.
+			bump(&st.HedgeErrors, mrgHedgeErrors)
+		}
+		p.result <- fetchResult{spec: p.spec, err: err}
 	}
-	m.errCount++
-	mrgErrors.Inc()
-	if p.isHedge {
-		// An adopted speculative attempt exhausted the budget it
-		// inherited: its terminal state for the hedge conservation law.
-		m.hedgeErrors++
-		mrgHedgeErrors.Inc()
-	}
-	p.result <- fetchResult{spec: p.spec, err: err}
 }
 
-// errFetchStalled is the failure the deadline watchdog assigns to a
+// parkLocked holds p out of its queue for delay before unpark re-queues
+// it. Must be called with m.mu held.
+func (m *NetMerger) parkLocked(p *pendingFetch, delay time.Duration, shed bool) {
+	p.state, p.shedPark = parked, shed
+	m.live[p.id] = p
+	p.backoff = time.AfterFunc(delay, func() { m.unpark(p) })
+}
+
+// unpark re-queues a parked attempt at the head of its node group once its
+// backoff elapses, at the address nextAddr picks: by now a draining or
+// dead supplier's shard may have moved, and following the move is what
+// makes drain lossless. Runs on the backoff timer's goroutine.
+func (m *NetMerger) unpark(p *pendingFetch) {
+	m.mu.Lock()
+	if p.state != parked {
+		m.mu.Unlock()
+		return // retired meanwhile: Close, or its twin won
+	}
+	spec, step := p.spec, rotate
+	if p.shedPark {
+		step = reResolve
+	}
+	m.mu.Unlock()
+	addr := m.nextAddr(spec, step)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if p.state != parked {
+		return
+	}
+	if addr != p.spec.Addr {
+		p.spec.Addr = addr
+		bump(&m.stats.Rerouted, mrgRerouted)
+	}
+	if p.shedPark {
+		bump(&m.stats.ShedRetries, mrgShedRetries)
+	}
+	m.enqueueLocked(p, true)
+	m.cond.Broadcast()
+}
+
+// addrStep says why an attempt needs an address (see nextAddr).
+type addrStep uint8
+
+const (
+	rotate    addrStep = iota // a failure backoff ends: the replica after the failed one
+	reResolve                 // a shed backoff ends: the shard's current owner
+	hedge                     // a hedge launches: a replica other than the original's
+)
+
+// nextAddr picks where an attempt for spec goes next. With a replica set,
+// a failure rotates to the next replica in ring order (a dead primary
+// costs one attempt, not the retry budget) and a hedge races the same
+// replica — "" when there is none. A shed stays with the owner the
+// Resolver names (a shed is load, not death, and its retry-after hint
+// belongs to that node), and so does a failure without replicas. Both
+// callbacks may block on registry I/O: call it without m.mu.
+func (m *NetMerger) nextAddr(spec FetchSpec, step addrStep) string {
+	if step != reResolve && m.cfg.Replicas != nil {
+		rs := m.cfg.Replicas(spec)
+		i := slices.Index(rs, spec.Addr)
+		for k := 1; k <= len(rs); k++ {
+			if a := rs[(i+k)%len(rs)]; a != "" && a != spec.Addr {
+				return a
+			}
+		}
+		if step == hedge {
+			return ""
+		}
+		return spec.Addr
+	}
+	if m.cfg.Resolver != nil {
+		if a, err := m.cfg.Resolver(spec); err == nil && a != "" {
+			return a
+		}
+	}
+	return spec.Addr
+}
+
+// errFetchStalled is the failure the deadline scan assigns to a
 // connection whose oldest in-flight fetch exceeded FetchTimeout.
 var errFetchStalled = errors.New("core: fetch deadline exceeded (stalled connection)")
 
-// failConn handles a dead (or stalled) connection to addr, observed under
-// the given group epoch: every in-flight request to that node is re-queued
-// for a fresh connection (up to its retry budget) or failed. If the
-// epoch has already passed — another observer recycled the connection
-// first — the report is stale and dropped, so slots are never released
-// twice. conn, when non-nil, is the connection the caller observed
-// failing; invalidation is conn-identity-guarded so a stale report cannot
-// tear down a fresh replacement.
-func (m *NetMerger) failConn(addr string, epoch uint64, conn transport.Conn, err error) {
-	// Invalidate before unwinding so the retried fetches dial fresh.
-	// Transient (backpressure) conditions never invalidate — a shed peer
-	// is healthy (see ConnCache).
+// failConn handles a dead (or stalled) connection to g's node, observed
+// under the given epoch: every attempt in flight on it is retired (to a
+// retry or an error) and its cancelled losers forgotten. A report from an
+// epoch already passed is stale and dropped. conn, when non-nil, is the
+// connection the caller saw fail; invalidation is conn-identity-guarded so
+// a stale report cannot tear down a fresh replacement.
+func (m *NetMerger) failConn(g *nodeGroup, epoch uint64, conn transport.Conn, err error) {
+	// Invalidate before retiring so the retries dial fresh. Transient
+	// (backpressure) conditions never invalidate — a shed peer is healthy
+	// (see ConnCache).
 	if conn != nil {
-		m.cache.InvalidateConn(addr, conn, err)
+		m.cache.InvalidateConn(g.addr, conn, err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g := m.groups[addr]
-	if g == nil || g.epoch != epoch {
+	if g.epoch != epoch {
 		return // stale: this connection generation was already recycled
 	}
 	g.epoch++
-	m.readers[addr] = false
-	// Cancelled losers on this connection can send no more late chunks;
-	// drop their duplicate-byte tracking entries.
-	for id, a := range m.loserIDs {
-		if a == addr {
-			delete(m.loserIDs, id)
+	g.reading = false
+	failed := false
+	for _, p := range m.live {
+		if p.g != g {
+			continue
+		}
+		switch p.state {
+		case lost: // its connection can send no more late chunks
+			p.state = done
+			delete(m.live, p.id)
+		case inFlight:
+			failed = true
+			m.retireLocked(p, onConnFail, err, 0)
 		}
 	}
-	var interrupted []*pendingFetch
-	for id, p := range m.pending {
-		if p.spec.Addr == addr {
-			delete(m.pending, id)
-			interrupted = append(interrupted, p)
-		}
-	}
-	g.release(len(interrupted))
-	if g.win != nil && len(interrupted) > 0 {
+	if failed && g.win != nil {
 		g.win.OnTimeout()
-	}
-	m.cond.Broadcast()
-	if m.closed {
-		return
-	}
-	for _, p := range interrupted {
-		m.failOrRetryLocked(g, p, err)
 	}
 }
 
-// watchdog is the per-fetch deadline enforcer: a stalled connection — the
-// peer accepted requests but never responds — surfaces no transport error,
-// so without it a fetch would hang forever. The watchdog periodically
-// scans in-flight fetches and fails over any connection whose oldest
-// fetch has been waiting longer than FetchTimeout; the interrupted
-// fetches re-enter the retry path like any other connection failure.
-func (m *NetMerger) watchdog() {
+// stall is a connection the deadline scan found stalled.
+type stall struct {
+	g     *nodeGroup
+	epoch uint64
+}
+
+// hedgeCandidate is a fetch the scan decided to hedge, with its spec
+// copied under the lock for the replica lookup outside it.
+type hedgeCandidate struct {
+	p    *pendingFetch
+	spec FetchSpec
+}
+
+// scanLoop is the merger's one clock. A stalled connection — the peer
+// accepted requests but never responds — surfaces no transport error, so
+// each tick fails over any connection whose oldest in-flight fetch has
+// waited longer than FetchTimeout. With hedging on it also races fetches
+// past their node's threshold against a replica. A periodic scan instead
+// of per-fetch timers keeps the success path free of timers, at the price
+// of one tick of slack; the tick reuses its buffers and allocates nothing.
+func (m *NetMerger) scanLoop() {
 	defer m.wg.Done()
-	period := m.cfg.FetchTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
+	period := max(m.cfg.FetchTimeout/4, time.Millisecond)
+	if m.cfg.Hedge != nil {
+		period = min(period, m.cfg.Hedge.ScanInterval)
 	}
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
+	var stalls []stall
+	var hedges []hedgeCandidate
 	for {
 		select {
-		case <-m.watchStop:
+		case <-m.stop:
 			return
 		case <-ticker.C:
 		}
-		type stalledConn struct {
-			addr  string
-			epoch uint64
-		}
-		var stalled []stalledConn
-		now := time.Now()
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			return
-		}
-		seen := make(map[string]bool)
-		for _, p := range m.pending {
-			if now.Sub(p.sentAt) < m.cfg.FetchTimeout || seen[p.spec.Addr] {
-				continue
-			}
-			seen[p.spec.Addr] = true
-			if g := m.groups[p.spec.Addr]; g != nil {
-				stalled = append(stalled, stalledConn{p.spec.Addr, g.epoch})
-				// Count the trip at detection, like corrupt frames: tearing
-				// the conn down below wakes its blocked reader, whose own
-				// failConn may win the epoch race — the deadline violation
-				// is a fact regardless of which observer runs the failover.
-				m.deadlineTrips++
-				mrgDeadlineTrips.Inc()
-			}
-		}
-		m.mu.Unlock()
-		for _, s := range stalled {
-			// Peek, don't Get: a missing cache entry means the connection
-			// is already closed (invalidation and eviction both close), so
-			// there is nothing to tear down — only slots to unwind.
-			conn, _ := m.cache.Peek(s.addr)
-			m.failConn(s.addr, s.epoch, conn, errFetchStalled)
-		}
+		stalls, hedges = m.scan(stalls[:0], hedges[:0])
 	}
+}
+
+// scan is one tick. It collects, under the lock, the stalled connections
+// and the fetches to hedge into the given buffers, acts on them off the
+// lock, and hands the buffers back for the next tick.
+func (m *NetMerger) scan(stalls []stall, hedges []hedgeCandidate) ([]stall, []hedgeCandidate) {
+	now := time.Now()
+	m.mu.Lock()
+	h := m.cfg.Hedge
+	free := 0
+	if h != nil {
+		free = h.MaxOutstanding - m.hedgeOutstanding
+	}
+	for _, p := range m.live {
+		if p.state != inFlight {
+			continue
+		}
+		age := now.Sub(p.sentAt)
+		if age >= m.cfg.FetchTimeout && !slices.ContainsFunc(stalls, func(s stall) bool { return s.g == p.g }) {
+			stalls = append(stalls, stall{p.g, p.g.epoch})
+			// Count the trip at detection, like corrupt frames: tearing the
+			// conn down wakes its blocked reader, whose own failConn may win
+			// the epoch race — the deadline violation is a fact either way.
+			bump(&m.stats.DeadlineTrips, mrgDeadlineTrips)
+		}
+		if h == nil || p.twin != nil || p.hedged {
+			continue
+		}
+		if thr := h.Threshold(p.g.rtt); thr <= 0 || age < thr {
+			continue
+		}
+		if len(hedges) >= free {
+			// Budget exhausted: the retry backoff and deadline still cover
+			// the fetch.
+			m.denyHedgeLocked(p)
+			continue
+		}
+		hedges = append(hedges, hedgeCandidate{p, p.spec})
+	}
+	m.mu.Unlock()
+	for _, s := range stalls {
+		// Peek, don't Get: a missing cache entry means the connection is
+		// already closed (invalidation and eviction both close), so there
+		// is nothing to tear down — only attempts to retire.
+		conn, _ := m.cache.Peek(s.g.addr)
+		m.failConn(s.g, s.epoch, conn, errFetchStalled)
+	}
+	for _, c := range hedges {
+		m.launchHedge(c.p, c.spec, m.nextAddr(c.spec, hedge))
+	}
+	return stalls, hedges
 }
 
 // --- Hedging controller (speculative replica fetching) ---
 //
 // A fetch that outlives its node's quantile-derived latency threshold is
 // raced against a replica supplier: a duplicate request with its own id
-// goes to the first distinct address in the replica set, the first
-// CRC-clean response wins, and the loser is cancelled — removed from
-// every queue and map, its inflight slot released exactly once, no AIMD
-// signal fired (a decided race says nothing about congestion), and a
-// best-effort CANCEL frame sent so the supplier stops transmitting. A
-// budget caps concurrently racing duplicates; at the cap hedging
-// degrades to the plain retry/watchdog path instead of amplifying an
-// overload.
+// goes to the next distinct address in the replica set, the first
+// CRC-clean response wins, and the loser is retired (onTwinWon) with a
+// best-effort CANCEL frame so the supplier stops transmitting. A budget
+// caps concurrently racing duplicates; at the cap hedging degrades to the
+// plain retry/deadline path instead of amplifying an overload.
 
-// hedgeCandidate is one fetch the scanner decided to hedge, captured
-// under the lock so the replica resolution can happen outside it.
-type hedgeCandidate struct {
-	id   uint64
-	spec FetchSpec
-}
-
-// hedgeLoop drives the controller: a periodic scan of in-flight fetches
-// instead of a per-fetch timer, so an armed-but-never-tripped hedge
-// costs the hot path nothing (no timer allocation, no extra goroutine
-// per fetch) at the price of up to one ScanInterval of firing slack.
-func (m *NetMerger) hedgeLoop() {
-	defer m.wg.Done()
-	ticker := time.NewTicker(m.cfg.Hedge.ScanInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.watchStop:
-			return
-		case <-ticker.C:
-		}
-		for _, c := range m.hedgeCandidates() {
-			m.launchHedge(c.id, c.spec)
-		}
-	}
-}
-
-// hedgeCandidates scans in-flight fetches for ones past their node's
-// hedge threshold with budget room, at most one hedge per fetch ever.
-func (m *NetMerger) hedgeCandidates() []hedgeCandidate {
-	now := time.Now()
-	var cands []hedgeCandidate
+// launchHedge races a duplicate of attempt p against target, resolved
+// off the lock; p is re-checked, since it may have completed, failed over
+// or moved meanwhile.
+func (m *NetMerger) launchHedge(p *pendingFetch, spec FetchSpec, target string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return nil
-	}
-	free := m.cfg.Hedge.MaxOutstanding - m.hedgeOutstanding
-	for _, p := range m.pending {
-		if p.twin != nil || p.hedged {
-			continue // already raced (or racing)
-		}
-		g := m.groups[p.spec.Addr]
-		if g == nil {
-			continue
-		}
-		thr := m.cfg.Hedge.Threshold(g.rtt)
-		if thr <= 0 || now.Sub(p.sentAt) < thr {
-			continue
-		}
-		if len(cands) >= free {
-			// Budget exhausted: leave the fetch unhedged — the retry
-			// backoff and deadline watchdog still cover it — and count
-			// the denial once per fetch.
-			if !p.hedgeDenied {
-				p.hedgeDenied = true
-				m.hedgeDenials++
-				mrgHedgeDenials.Inc()
-			}
-			continue
-		}
-		cands = append(cands, hedgeCandidate{p.id, p.spec})
-	}
-	return cands
-}
-
-// launchHedge races a duplicate of fetch id against the first distinct
-// replica. Replica resolution happens outside the lock (the callback
-// may block on registry I/O), so the fetch is re-checked after
-// re-locking: it may have completed, failed over, or been hedged by a
-// shed/retry path meanwhile.
-func (m *NetMerger) launchHedge(id uint64, spec FetchSpec) {
-	var target string
-	for _, a := range m.cfg.Replicas(spec) {
-		if a != "" && a != spec.Addr {
-			target = a
-			break
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.pending[id]
-	if !ok || m.closed || p.twin != nil || p.hedged {
+	if p.state != inFlight || p.twin != nil || p.hedged || p.spec.Addr != spec.Addr {
 		return
 	}
 	if target == "" {
-		// No distinct replica to race. Mark the fetch so the scanner
-		// stops re-resolving it every tick; the watchdog remains its
-		// backstop.
+		// No distinct replica: stop considering the fetch; the deadline
+		// remains its backstop.
 		p.hedged = true
 		mrgHedgeNoReplica.Inc()
 		return
 	}
 	if m.hedgeOutstanding >= m.cfg.Hedge.MaxOutstanding {
-		if !p.hedgeDenied {
-			p.hedgeDenied = true
-			m.hedgeDenials++
-			mrgHedgeDenials.Inc()
-		}
+		m.denyHedgeLocked(p)
 		return
 	}
 	m.nextID++
@@ -1350,115 +1169,29 @@ func (m *NetMerger) launchHedge(id uint64, spec FetchSpec) {
 		hedged:   true,
 		twin:     p,
 	}
-	p.hedged = true
-	p.twin = h
-	m.acquireHedgeBudgetLocked(h)
-	m.hedges++
-	mrgHedges.Inc()
-	g := m.groupForLocked(target)
-	// Head of the replica's queue: the pair is already past its
-	// threshold, so every request ahead of it would add straggler
-	// latency to a fetch that is late by definition.
-	g.queue = append(g.queue, nil)
-	copy(g.queue[1:], g.queue)
-	g.queue[0] = h
+	p.hedged, p.twin = true, h
+	m.hedgeOutstanding++
+	mrgHedgeOutstanding.Add(1)
+	bump(&m.stats.Hedges, mrgHedges)
+	m.enqueueLocked(h, true)
 	m.cond.Broadcast()
 }
 
-// cancelLoserLocked withdraws the losing attempt of a hedged pair after
-// its twin delivered. The loser may be anywhere in its lifecycle:
-// in-flight (remove from pending, release its node's slot, remember its
-// id so late chunks land in the duplicate-byte ledger, and tell its
-// supplier to stop), queued (remove; it holds no slot yet), or — only
-// possible transiently — parked. No AIMD signal fires: a decided race
-// says nothing about either node's congestion. Returns the address and
-// id for a best-effort CANCEL frame when the loser's request may be on
-// the wire. Must be called with m.mu held.
-func (m *NetMerger) cancelLoserLocked(t *pendingFetch) (cancelAddr string, cancelID uint64) {
-	m.unlinkTwinLocked(t)
-	if t.isHedge {
-		m.hedgeLosses++
-		mrgHedgeLosses.Inc()
-		m.releaseHedgeBudgetLocked(t)
-	}
-	if _, ok := m.pending[t.id]; ok {
-		delete(m.pending, t.id)
-		g := m.groups[t.spec.Addr]
-		g.release(1)
-		m.noteDupBytesLocked(int64(t.dropAsm()))
-		if m.loserIDs != nil {
-			m.loserIDs[t.id] = t.spec.Addr
-		}
-		m.cond.Broadcast() // the freed slot may admit a queued fetch
-		return t.spec.Addr, t.id
-	}
-	if _, ok := m.parked[t.id]; ok {
-		delete(m.parked, t.id)
-		if t.backoff != nil {
-			t.backoff.Stop()
-		}
-		return "", 0
-	}
-	if g := m.groups[t.spec.Addr]; g != nil {
-		for i, q := range g.queue {
-			if q == t {
-				g.queue = append(g.queue[:i], g.queue[i+1:]...)
-				break
-			}
-		}
-	}
-	return "", 0
-}
-
-// noteHedgeAttemptFailureLocked records the death of one attempt of a
-// live hedged pair (remote error, connection failure, deadline trip,
-// shed-free failed send). The caller has already removed the attempt
-// from pending and released its slot; here it is unlinked so the twin
-// carries the fetch alone with full retry semantics. Must be called
+// denyHedgeLocked counts a budget denial, once per fetch. Must be called
 // with m.mu held.
-func (m *NetMerger) noteHedgeAttemptFailureLocked(p *pendingFetch) {
-	if p.isHedge {
-		m.hedgeFails++
-		mrgHedgeFails.Inc()
-		m.releaseHedgeBudgetLocked(p)
-	} else {
-		// The original died; the speculative attempt adopts the fetch.
-		// Its budget slot frees now — an adopted attempt is the only
-		// copy racing, not a duplicate.
-		m.hedgeAdoptions++
-		mrgHedgeAdoptions.Inc()
-		m.releaseHedgeBudgetLocked(p.twin)
-	}
-	m.noteDupBytesLocked(int64(p.dropAsm()))
-	m.unlinkTwinLocked(p)
-}
-
-// unlinkTwinLocked severs a hedged pair symmetrically. Must be called
-// with m.mu held.
-func (m *NetMerger) unlinkTwinLocked(p *pendingFetch) {
-	if p.twin != nil {
-		p.twin.twin = nil
-		p.twin = nil
+func (m *NetMerger) denyHedgeLocked(p *pendingFetch) {
+	if !p.hedgeDenied {
+		p.hedgeDenied = true
+		bump(&m.stats.HedgeDenials, mrgHedgeDenials)
 	}
 }
 
-// acquireHedgeBudgetLocked charges one racing duplicate to the hedge
-// budget. With releaseHedgeBudgetLocked it is the only place
-// hedgeOutstanding and its gauge move, so the two can never drift.
-// Must be called with m.mu held.
-func (m *NetMerger) acquireHedgeBudgetLocked(h *pendingFetch) {
-	h.budgetHeld = true
-	m.hedgeOutstanding++
-	mrgHedgeOutstanding.Add(1)
-}
-
-// releaseHedgeBudgetLocked returns a speculative attempt's budget slot
-// on its terminal transition (win, loss, shed, failure, adoption);
-// budgetHeld makes the release idempotent. Must be called with m.mu
-// held.
-func (m *NetMerger) releaseHedgeBudgetLocked(h *pendingFetch) {
-	if h != nil && h.budgetHeld {
-		h.budgetHeld = false
+// unlinkLocked severs p's hedged pair, if linked, and returns the pair's
+// budget slot. With launchHedge it is the only place hedgeOutstanding and
+// its gauge move. Must be called with m.mu held.
+func (m *NetMerger) unlinkLocked(p *pendingFetch) {
+	if t := p.twin; t != nil {
+		p.twin, t.twin = nil, nil
 		m.hedgeOutstanding--
 		mrgHedgeOutstanding.Add(-1)
 	}
@@ -1469,7 +1202,7 @@ func (m *NetMerger) releaseHedgeBudgetLocked(h *pendingFetch) {
 // called with m.mu held.
 func (m *NetMerger) noteDupBytesLocked(n int64) {
 	if n > 0 {
-		m.hedgeDupBytes += n
+		m.stats.HedgeDupBytes += n
 		mrgHedgeDupBytes.Add(n)
 	}
 }
@@ -1489,19 +1222,4 @@ func (m *NetMerger) sendCancel(addr string, id uint64) {
 	//jbsvet:ignore errcheck best-effort advisory frame; the reader owns this connection's failure handling
 	_ = conn.Send(appendCancel(l.Bytes()[:0], id))
 	l.Release()
-}
-
-// nextReplica returns the replica after cur in the set (wrapping), cur
-// itself when it is absent or alone, and "" only for an empty set whose
-// caller keeps its current address.
-func nextReplica(replicas []string, cur string) string {
-	for i, a := range replicas {
-		if a == cur {
-			return replicas[(i+1)%len(replicas)]
-		}
-	}
-	if len(replicas) > 0 && replicas[0] != "" {
-		return replicas[0]
-	}
-	return cur
 }

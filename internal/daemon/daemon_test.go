@@ -48,6 +48,22 @@ func startTestSupplier(t *testing.T, reg *registry.Server, id, dir string) *Supp
 	return d
 }
 
+// settle waits, bounded, until each supplier's pipeline is empty. A
+// supplier adds a fetch's BytesServed after its last chunk's Send returns,
+// which can trail the merger's delivery; Inflight() reads 0 only after.
+func settle(t *testing.T, sups ...*Supplier) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, s := range sups {
+		for s.sup.Inflight() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("supplier %s never settled: %d fetches in its pipeline", s.ID(), s.sup.Inflight())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // TestSupplierDaemonLifecycle walks the full multi-process topology
 // in-process: registry, two supplier daemons over one MOF directory, a
 // registry-addressed merger job; then drains one supplier mid-topology
@@ -77,6 +93,7 @@ func TestSupplierDaemonLifecycle(t *testing.T) {
 	if st.Segments != tasks*parts || st.Errors != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+	settle(t, a, b)
 	if a.Stats().BytesServed+b.Stats().BytesServed != st.Bytes {
 		t.Fatalf("supplier bytes %d+%d != merger bytes %d",
 			a.Stats().BytesServed, b.Stats().BytesServed, st.Bytes)
@@ -91,6 +108,7 @@ func TestSupplierDaemonLifecycle(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, a, b)
 	served := b.Stats().BytesServed
 	st2, err := RunMergerJob(job)
 	if err != nil {
@@ -99,6 +117,7 @@ func TestSupplierDaemonLifecycle(t *testing.T) {
 	if st2.Segments != tasks*parts || st2.Errors != 0 {
 		t.Fatalf("stats after drain = %+v", st2)
 	}
+	settle(t, a, b)
 	if b.Stats().BytesServed-served != st2.Bytes {
 		t.Fatal("post-drain job not served entirely by the surviving supplier")
 	}

@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -93,6 +94,17 @@ type pairRow struct {
 
 // report is the committed BENCH_<pr>.json.
 type report struct {
+	envelope
+	Paired  []pairRow    `json:"paired"`
+	Compare []compareRow `json:"compare"`
+	Runs    struct {
+		Parent []json.RawMessage `json:"parent"`
+		Change []json.RawMessage `json:"change"`
+	} `json:"runs"`
+}
+
+// envelope is what a report says about the whole run.
+type envelope struct {
 	PR          int             `json:"pr"`
 	ParentRev   string          `json:"parent_rev"`
 	ChangeRev   string          `json:"change_rev"`
@@ -102,12 +114,35 @@ type report struct {
 	TracedPairs int             `json:"traced_pairs"`
 	When        string          `json:"when"`
 	Fingerprint json.RawMessage `json:"fingerprint"`
-	Paired      []pairRow       `json:"paired"`
-	Compare     []compareRow    `json:"compare"`
-	Runs        struct {
-		Parent []json.RawMessage `json:"parent"`
-		Change []json.RawMessage `json:"change"`
-	} `json:"runs"`
+}
+
+// encode writes the report as JSON a diff can be read in: the envelope on
+// the first line, then one line per paired row, compare row and raw run.
+func (rep *report) encode() ([]byte, error) {
+	head, err := json.Marshal(rep.envelope)
+	if err != nil {
+		return nil, err
+	}
+	b := bytes.NewBuffer(head[:len(head)-1]) // reopen the object
+	rows := func(lead, indent, name string, n int, row func(int) any) {
+		fmt.Fprintf(b, "%s\n%s%q: [", lead, indent, name)
+		for i := 0; i < n; i++ {
+			line, lerr := json.Marshal(row(i))
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(b, "\n%s %s", indent, line)
+			err = errors.Join(err, lerr)
+		}
+		fmt.Fprintf(b, "\n%s]", indent)
+	}
+	rows(",", " ", "paired", len(rep.Paired), func(i int) any { return rep.Paired[i] })
+	rows(",", " ", "compare", len(rep.Compare), func(i int) any { return rep.Compare[i] })
+	b.WriteString(",\n \"runs\": {")
+	rows("", "  ", "parent", len(rep.Runs.Parent), func(i int) any { return rep.Runs.Parent[i] })
+	rows(",", "  ", "change", len(rep.Runs.Change), func(i int) any { return rep.Runs.Change[i] })
+	b.WriteString("\n }\n}\n")
+	return b.Bytes(), err
 }
 
 func main() {
@@ -198,8 +233,8 @@ func run() error {
 		}
 	}
 
-	rep := report{PR: *pr, Seed: *seed, Seconds: *seconds, Pairs: *pairs, TracedPairs: *traced,
-		When: time.Now().UTC().Format(time.RFC3339)}
+	rep := report{envelope: envelope{PR: *pr, Seed: *seed, Seconds: *seconds, Pairs: *pairs, TracedPairs: *traced,
+		When: time.Now().UTC().Format(time.RFC3339)}}
 	rep.ParentRev = gitOut(root, "rev-parse", *parentRev)
 	rep.ChangeRev = gitOut(root, "rev-parse", "HEAD")
 	if gitOut(root, "status", "--porcelain") != "" {
@@ -228,12 +263,12 @@ func run() error {
 	os.Stdout.Write(table)
 	rep.Compare = parseCompare(table)
 
-	out, err := json.MarshalIndent(rep, "", " ")
+	out, err := rep.encode()
 	if err != nil {
 		return err
 	}
 	name := fmt.Sprintf("BENCH_%d.json", *pr)
-	if err := os.WriteFile(filepath.Join(root, name), append(out, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(root, name), out, 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("\n%-18s %-22s %12s %12s %10s %6s  %s\n", "workload", "metric", "parent", "change", "parent IQR", "pairs", "gain")
