@@ -89,15 +89,16 @@ loc:
 # Close racing readers, first dials and hedge launches, the hedge/shed
 # test that used to trip into the Close hang, and the tests that read a
 # supplier's accounting after a fetch (they wait for Inflight() == 0
-# first; the daemon lifecycle test is the second line) — looped beside a
-# process that keeps one core busy. A hang fails by -timeout, with the
-# goroutine dump.
+# first; the daemon lifecycle test is the second line) — and, third, the
+# supplier request lifecycle and its Close, looped beside a process that
+# keeps one core busy. A hang fails by -timeout, with the goroutine dump.
 STRESS_COUNT ?= 100
 stress:
 	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
 	$(GO) test -count=$(STRESS_COUNT) -timeout 10m \
 		-run 'TestCloseRacesReadersAndHedges|TestCloseOvertakesFirstDial|TestHedgeShedGuards|TestFlowShedBackoffRetryEndToEnd|TestDrainHandoffReroutesFetch' ./internal/core && \
-	$(GO) test -count=$(STRESS_COUNT) -timeout 10m -run 'TestSupplierDaemonLifecycle' ./internal/daemon
+	$(GO) test -count=$(STRESS_COUNT) -timeout 10m -run 'TestSupplierDaemonLifecycle' ./internal/daemon && \
+	$(GO) test -count=$(STRESS_COUNT) -timeout 10m -run 'TestSupplierRequestLifecycle|TestSupplierCloseRetiresQueuedRequests' ./internal/core
 
 # multiproc-smoke: the process-level acceptance run — build the real
 # jbsregistryd/jbssupplierd/jbsmergerd binaries, spawn a registry plus

@@ -2,9 +2,8 @@
 // the registry for supplier membership and each supplier's advertised
 // /debug/jbs/flow endpoint for load signals (admission-ledger pressure,
 // capacity-shed rate, DRR queue depth), sizes the fleet with a
-// target-tracking policy on shed rate plus an optional step policy on
-// queue depth, and launches or retires local jbssupplierd processes to
-// match. Retirement always goes through the supplier's own
+// target-tracking policy on shed rate, and launches or retires local
+// jbssupplierd processes to match. Retirement always goes through the supplier's own
 // SIGTERM -> drain -> handoff path, so scaling down loses no fetch.
 // On SIGTERM or SIGINT the controller stops its control loop, then
 // retires every supplier it launched (gracefully) and exits 0. See
@@ -42,7 +41,6 @@ func main() {
 	admitBytes := flag.Int64("admit-bytes", 0, "admission-ledger budget for launched suppliers; 0 = flow off (no shed signal!)")
 	heartbeat := flag.Duration("heartbeat", 0, "heartbeat interval for launched suppliers; 0 = daemon default")
 	targetShed := flag.Float64("target-shed-rate", 50, "per-supplier capacity-shed rate (sheds/sec) the fleet is sized to hold")
-	queueHigh := flag.Int64("queue-high", 0, "fleet-wide queued-bytes high-water mark tripping a scale-up; 0 disables the queue policy")
 	quietFor := flag.Duration("quiet-for", 2*time.Second, "how long signals must stay quiet before a scale-down")
 	upCooldown := flag.Duration("up-cooldown", time.Second, "minimum gap between scale-ups")
 	downCooldown := flag.Duration("down-cooldown", 2*time.Second, "minimum gap between scale-downs")
@@ -79,26 +77,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "jbsautoscalerd:", err)
 		os.Exit(2)
 	}
-	policies := []autoscale.Policy{shedPolicy}
-	if *queueHigh > 0 {
-		queuePolicy, err := autoscale.NewQueueStep(autoscale.QueueStepConfig{
-			HighBytes:    *queueHigh,
-			QuietFor:     *quietFor,
-			UpCooldown:   *upCooldown,
-			DownCooldown: *downCooldown,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jbsautoscalerd:", err)
-			os.Exit(2)
-		}
-		policies = append(policies, queuePolicy)
-	}
 
 	reg := registry.NewClient(*registryAddr)
 	defer reg.Close()
 	a, err := autoscale.New(autoscale.Config{
 		Collector: &autoscale.FleetCollector{Registry: reg},
-		Policies:  policies,
+		Policies:  []autoscale.Policy{shedPolicy},
 		Launcher: &autoscale.ExecLauncher{
 			Binary:       *supplierBin,
 			RegistryAddr: *registryAddr,

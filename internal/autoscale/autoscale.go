@@ -9,8 +9,8 @@
 //
 //   - a Collector that samples the fleet (registry ownership map for
 //     membership, each supplier's /debug/jbs/flow endpoint for signals);
-//   - a Policy engine (target tracking on shed rate, a step policy on
-//     queue depth) whose decisions are pure functions of (now, signals)
+//   - a Policy engine (target tracking on shed rate) whose decisions
+//     are pure functions of (now, signals)
 //     — hysteresis and cooldowns live in the policies, the clock is
 //     injected, and the unit tests replay scripted signal sequences;
 //   - a Launcher that starts new supplier processes and retires surplus

@@ -169,98 +169,3 @@ func ceilDiv(a, b float64) int {
 	}
 	return n
 }
-
-// QueueStepConfig tunes a QueueStep policy.
-type QueueStepConfig struct {
-	// HighBytes trips a scale-up when the fleet-wide queued bytes reach
-	// it. Must be positive.
-	HighBytes int64
-	// LowBytes arms a scale-down when queued bytes stay at or under it.
-	// Must be below HighBytes. Zero means HighBytes/8.
-	LowBytes int64
-	// Step is how many suppliers one trip adds. Zero means 1.
-	Step int
-	// QuietFor is how long the queue must stay under LowBytes before a
-	// scale-down. Zero means 2s.
-	QuietFor time.Duration
-	// UpCooldown and DownCooldown gate consecutive moves. Zero means 1s
-	// and 2s.
-	UpCooldown, DownCooldown time.Duration
-}
-
-func (c *QueueStepConfig) applyDefaults() error {
-	if c.HighBytes <= 0 {
-		return fmt.Errorf("autoscale: HighBytes %d must be positive", c.HighBytes)
-	}
-	if c.LowBytes < 0 || (c.LowBytes != 0 && c.LowBytes >= c.HighBytes) {
-		return fmt.Errorf("autoscale: LowBytes %d must be in [0, HighBytes)", c.LowBytes)
-	}
-	if c.LowBytes == 0 {
-		c.LowBytes = c.HighBytes / 8
-	}
-	if c.Step <= 0 {
-		c.Step = 1
-	}
-	if c.QuietFor <= 0 {
-		c.QuietFor = 2 * time.Second
-	}
-	if c.UpCooldown <= 0 {
-		c.UpCooldown = time.Second
-	}
-	if c.DownCooldown <= 0 {
-		c.DownCooldown = 2 * time.Second
-	}
-	return nil
-}
-
-// QueueStep is a step policy on admission queue depth: queued bytes at
-// or above the high-water mark add Step suppliers; a queue that stays
-// at or under the low-water mark for the quiet window sheds one. The
-// gap between the marks is the hysteresis band where the policy holds.
-type QueueStep struct {
-	cfg        QueueStepConfig
-	cd         cooldown
-	quietSince time.Time
-}
-
-// NewQueueStep validates cfg and returns the policy.
-func NewQueueStep(cfg QueueStepConfig) (*QueueStep, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
-	}
-	return &QueueStep{
-		cfg: cfg,
-		cd:  cooldown{up: cfg.UpCooldown, down: cfg.DownCooldown},
-	}, nil
-}
-
-// Name implements Policy.
-func (p *QueueStep) Name() string { return "queue-step" }
-
-// Evaluate implements Policy.
-func (p *QueueStep) Evaluate(now time.Time, sig Signals) Decision {
-	switch {
-	case sig.QueuedBytes >= p.cfg.HighBytes:
-		p.quietSince = time.Time{}
-		if !p.cd.upReady(now) {
-			return Decision{Desired: sig.Live,
-				Reason: fmt.Sprintf("hold: queue %d B over high water, up-cooldown active", sig.QueuedBytes)}
-		}
-		p.cd.lastUp = now
-		return Decision{Desired: sig.Live + p.cfg.Step,
-			Reason: fmt.Sprintf("queue %d B >= high water %d B", sig.QueuedBytes, p.cfg.HighBytes)}
-	case sig.QueuedBytes <= p.cfg.LowBytes:
-		if p.quietSince.IsZero() {
-			p.quietSince = now
-		}
-		if now.Sub(p.quietSince) >= p.cfg.QuietFor && p.cd.downReady(now) && sig.Live > 1 {
-			p.cd.lastDown = now
-			return Decision{Desired: sig.Live - 1,
-				Reason: fmt.Sprintf("queue %d B under low water for %v", sig.QueuedBytes, p.cfg.QuietFor)}
-		}
-		return Decision{Desired: sig.Live, Reason: "hold: queue drained, waiting out hysteresis"}
-	default:
-		p.quietSince = time.Time{}
-		return Decision{Desired: sig.Live, Reason: "hold: queue inside hysteresis band"}
-	}
-}

@@ -122,48 +122,7 @@ func TestTargetTrackingDeterministic(t *testing.T) {
 	}
 }
 
-func newQueuePolicy(t *testing.T, cfg QueueStepConfig) *QueueStep {
-	t.Helper()
-	p, err := NewQueueStep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func TestQueueStepUpAndDown(t *testing.T) {
-	p := newQueuePolicy(t, QueueStepConfig{
-		HighBytes: 1 << 20, LowBytes: 1 << 17, Step: 2,
-		QuietFor: time.Second, UpCooldown: time.Second, DownCooldown: time.Second,
-	})
-	// Deep queue: step up by 2.
-	if d := p.Evaluate(at(0), Signals{Live: 1, QueuedBytes: 2 << 20}); d.Desired != 3 {
-		t.Fatalf("high-water eval desired = %d, want 3", d.Desired)
-	}
-	// Still deep, inside up-cooldown: hold.
-	if d := p.Evaluate(at(500*time.Millisecond), Signals{Live: 3, QueuedBytes: 2 << 20}); d.Desired != 3 {
-		t.Fatalf("cooldown eval desired = %d, want 3", d.Desired)
-	}
-	// Band between the marks: hold, and the quiet window stays unarmed.
-	if d := p.Evaluate(at(2*time.Second), Signals{Live: 3, QueuedBytes: 1 << 18}); d.Desired != 3 {
-		t.Fatalf("band eval desired = %d, want 3", d.Desired)
-	}
-	// Drained queue, quiet window runs, then one goes.
-	if d := p.Evaluate(at(3*time.Second), Signals{Live: 3, QueuedBytes: 0}); d.Desired != 3 {
-		t.Fatalf("quiet arming eval desired = %d, want 3", d.Desired)
-	}
-	if d := p.Evaluate(at(4*time.Second), Signals{Live: 3, QueuedBytes: 0}); d.Desired != 2 {
-		t.Fatalf("quiet elapsed eval desired = %d, want 2", d.Desired)
-	}
-}
-
-func TestQueueStepConfigValidation(t *testing.T) {
-	if _, err := NewQueueStep(QueueStepConfig{}); err == nil {
-		t.Fatal("zero HighBytes accepted")
-	}
-	if _, err := NewQueueStep(QueueStepConfig{HighBytes: 100, LowBytes: 100}); err == nil {
-		t.Fatal("LowBytes >= HighBytes accepted")
-	}
+func TestTargetTrackingConfigValidation(t *testing.T) {
 	if _, err := NewTargetTracking(TargetTrackingConfig{}); err == nil {
 		t.Fatal("zero TargetShedRate accepted")
 	}

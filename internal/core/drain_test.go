@@ -49,24 +49,27 @@ func TestDrainZeroInflightReturnsImmediately(t *testing.T) {
 	wg.Wait()
 }
 
-// buildBigMOF writes a one-partition MOF whose segment is large enough
-// that transmitting it fills the loopback socket buffers when the client
-// refuses to read.
-func buildBigMOF(t *testing.T, dir, task string, segBytes int) (dataPath, indexPath string) {
+// buildBigMOF writes a MOF of parts identical partitions of about
+// segBytes each: large enough that transmitting one fills the loopback
+// socket buffers when the client refuses to read, and equal in length so
+// a DataCache can be sized in whole segments.
+func buildBigMOF(t *testing.T, dir, task string, parts, segBytes int) (dataPath, indexPath string) {
 	t.Helper()
 	dataPath = filepath.Join(dir, task+".data")
 	indexPath = filepath.Join(dir, task+".index")
-	w, err := mof.NewWriter(dataPath, indexPath, 1)
+	w, err := mof.NewWriter(dataPath, indexPath, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.BeginSegment(0); err != nil {
-		t.Fatal(err)
-	}
 	val := bytes.Repeat([]byte("x"), 1024)
-	for written := 0; written < segBytes; written += len(val) {
-		if err := w.Append([]byte(fmt.Sprintf("k%08d", written)), val); err != nil {
+	for p := 0; p < parts; p++ {
+		if err := w.BeginSegment(p); err != nil {
 			t.Fatal(err)
+		}
+		for written := 0; written < segBytes; written += len(val) {
+			if err := w.Append([]byte(fmt.Sprintf("k%08d", written)), val); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -84,7 +87,7 @@ func TestDrainWaitsForInflightThenSheds(t *testing.T) {
 	tr := transport.NewTCP()
 	dir := t.TempDir()
 	const segBytes = 16 << 20 // >> loopback socket buffering, so xmit blocks
-	dataPath, indexPath := buildBigMOF(t, dir, "m-big", segBytes)
+	dataPath, indexPath := buildBigMOF(t, dir, "m-big", 1, segBytes)
 	lookup := func(task string) (string, string, error) {
 		if task != "m-big" {
 			return "", "", fmt.Errorf("no MOF %s", task)
@@ -289,7 +292,7 @@ func TestDrainHandoffReroutesFetch(t *testing.T) {
 		t.Fatal("draining supplier recorded no drain sheds")
 	}
 	// The peer adds BytesServed after its last chunk's Send returns, which
-	// can trail the merger's delivery. finish retires the pipeline
+	// can trail the merger's delivery. retire settles the pipeline
 	// occupancy last, so Inflight() == 0 means settled.
 	waitFor(t, 5*time.Second, "the peer supplier to settle", func() bool { return b.Inflight() == 0 })
 	if bs := b.Stats().BytesServed; bs == 0 {

@@ -165,7 +165,7 @@ func TestFlowShedBackoffRetryEndToEnd(t *testing.T) {
 		t.Errorf("sheds %d vs shed retries %d: parked fetches lost", st.Sheds, st.ShedRetries)
 	}
 	// The supplier releases a fetch's ledger charge after its last chunk's
-	// Send returns, which can trail the merger's delivery. finish retires
+	// Send returns, which can trail the merger's delivery. retire settles
 	// the pipeline occupancy last, so Inflight() == 0 means settled.
 	waitFor(t, 5*time.Second, "the supplier to settle", func() bool { return fx.supplier.Inflight() == 0 })
 	ls := fx.supplier.FlowState().Ledger

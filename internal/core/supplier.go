@@ -56,43 +56,15 @@ func (c *SupplierConfig) applyDefaults() error {
 	if c.Addr == "" {
 		return errors.New("core: supplier needs an address")
 	}
-	// Every numeric knob follows one rule: zero means default, negative is
-	// rejected by name.
-	if c.BufferSize < 0 {
-		return fmt.Errorf("core: supplier BufferSize %d must not be negative", c.BufferSize)
-	}
-	if c.DataCacheBytes < 0 {
-		return fmt.Errorf("core: supplier DataCacheBytes %d must not be negative", c.DataCacheBytes)
-	}
-	if c.PrefetchBatch < 0 {
-		return fmt.Errorf("core: supplier PrefetchBatch %d must not be negative", c.PrefetchBatch)
-	}
-	if c.XmitWorkers < 0 {
-		return fmt.Errorf("core: supplier XmitWorkers %d must not be negative", c.XmitWorkers)
-	}
-	if c.IndexCacheEntries < 0 {
-		return fmt.Errorf("core: supplier IndexCacheEntries %d must not be negative", c.IndexCacheEntries)
-	}
-	if c.FileCacheEntries < 0 {
-		return fmt.Errorf("core: supplier FileCacheEntries %d must not be negative", c.FileCacheEntries)
-	}
-	if c.BufferSize == 0 {
-		c.BufferSize = transport.DefaultBufferSize
-	}
-	if c.DataCacheBytes == 0 {
-		c.DataCacheBytes = 64 << 20
-	}
-	if c.PrefetchBatch == 0 {
-		c.PrefetchBatch = 4
-	}
-	if c.XmitWorkers == 0 {
-		c.XmitWorkers = 2
-	}
-	if c.IndexCacheEntries == 0 {
-		c.IndexCacheEntries = 256
-	}
-	if c.FileCacheEntries == 0 {
-		c.FileCacheEntries = 128
+	if err := errors.Join(
+		knob("BufferSize", &c.BufferSize, transport.DefaultBufferSize),
+		knob("DataCacheBytes", &c.DataCacheBytes, 64<<20),
+		knob("PrefetchBatch", &c.PrefetchBatch, 4),
+		knob("XmitWorkers", &c.XmitWorkers, 2),
+		knob("IndexCacheEntries", &c.IndexCacheEntries, 256),
+		knob("FileCacheEntries", &c.FileCacheEntries, 128),
+	); err != nil {
+		return err
 	}
 	if c.Flow != nil {
 		// Copy before defaulting so a shared Config literal isn't mutated.
@@ -101,6 +73,18 @@ func (c *SupplierConfig) applyDefaults() error {
 			return err
 		}
 		c.Flow = &fc
+	}
+	return nil
+}
+
+// knob applies the one rule every numeric knob follows: zero means def,
+// and a negative value is rejected by name.
+func knob[T int | int64](name string, v *T, def T) error {
+	if *v < 0 {
+		return fmt.Errorf("core: supplier %s %d must not be negative", name, *v)
+	}
+	if *v == 0 {
+		*v = def
 	}
 	return nil
 }
@@ -117,30 +101,91 @@ type SupplierStats struct {
 	Cancels     int64 // CANCEL frames received (merger withdrew a hedged fetch)
 }
 
-// supplierReq is one resolved fetch request in flight through the pipeline.
+// The supplier's counters, one per SupplierStats field and in its order;
+// count moves a counter and its process-wide metric together.
+const (
+	nRequests = iota
+	nBytesServed
+	nDiskReads
+	nCacheHits
+	nGroupTurns
+	nErrors
+	nDrainSheds
+	nCancels
+	nCounters
+)
+
+// counterMetric is each counter's process-wide metric. Disk reads and
+// cache hits have none of their own: mof and the DataCache count those.
+var counterMetric = [nCounters]*metrics.Counter{
+	nRequests: supRequests, nBytesServed: supBytes, nGroupTurns: supGroupTurns,
+	nErrors: supErrors, nDrainSheds: supDrainSheds, nCancels: supCancels,
+}
+
+// reqState is where a request is in the pipeline. It is a state, not a
+// nil check on the staged bytes, because an empty partition stages a
+// valid zero-length segment.
+type reqState uint8
+
+const (
+	reqNew     reqState = iota // decoded by connLoop, not yet admitted
+	reqQueued                  // admitted: in reqCh or a prefetch group
+	reqStaged                  // holds its staging pin: handed to, or waiting in, xmitCh
+	reqSending                 // a transmit worker is writing its chunks
+	reqDone                    // retired; the record is back in the pool
+)
+
+// depthGauge is the gauge that counts the requests in each state.
+var depthGauge = [reqDone + 1]*metrics.Gauge{
+	reqQueued: supQueueDepth, reqStaged: supXmitDepth, reqSending: supXmitDepth,
+}
+
+// enter moves r to state st, carrying the depth gauges along.
+func enter(r *supplierReq, st reqState) {
+	if g := depthGauge[r.state]; g != nil {
+		g.Add(-1)
+	}
+	if g := depthGauge[st]; g != nil {
+		g.Add(1)
+	}
+	r.state = st
+}
+
+// reqOutcome is the event that retires a request; it names the terminal
+// frame the request's merger gets.
+type reqOutcome uint8
+
+const (
+	reqServed     reqOutcome = iota // its last chunk went out: nothing more
+	reqFailed                       // unresolvable or unreadable: an error chunk
+	reqSendFailed                   // its connection refused a chunk: nothing
+	reqCancelled                    // a CANCEL withdrew it: the cancelled ack
+	reqDrainShed                    // the supplier is draining: SHED
+	reqLedgerShed                   // the ledger is past its hard limit: SHED
+	reqClosed                       // the supplier closed: nothing
+)
+
+// supplierReq is one fetch request's trip through the pipeline.
 type supplierReq struct {
 	conn  *supplierConn
 	id    uint64
 	task  string
 	part  int
-	data  string // MOF data path
+	path  string // MOF data file
 	entry mof.IndexEntry
-	// charge is the byte charge held against the admission ledger for
-	// this request's resident life; zero when flow control is off (or
-	// the request was shed before admission).
+	state reqState
+	// seg is the staged segment. stage's Pin or Put pins it in the
+	// DataCache, the transmit worker sends from that same pin, and retire
+	// drops it.
+	seg []byte
+	// charge is the byte charge held against the admission ledger until
+	// retire; zero when flow control is off.
 	charge int64
 }
 
-// supplierReqPool recycles request records between fetches; without it
-// every fetch allocates one. A record goes back to the pool at whichever
-// point ends its trip through the pipeline (transmit done, stage failure,
-// shutdown); records dropped in channels at shutdown are simply collected.
+// supplierReqPool recycles request records between fetches; retire puts
+// every record back.
 var supplierReqPool = sync.Pool{New: func() any { return new(supplierReq) }}
-
-func putSupplierReq(r *supplierReq) {
-	*r = supplierReq{} // drop conn/string references before pooling
-	supplierReqPool.Put(r)
-}
 
 // supplierConn serializes response writes to one client connection. The
 // header scratch is reused under sendMu so chunking a segment performs no
@@ -153,9 +198,9 @@ type supplierConn struct {
 	vecs   [][]byte                  // sendMu-guarded gather scratch
 
 	// Fetch ids withdrawn by merger CANCEL frames, consumed at the next
-	// pipeline checkpoint (stage, transmit entry, or between chunks).
-	// nCancelled mirrors len(cancelled) so the per-chunk transmit check
-	// costs one atomic load — not a lock — while no cancel is pending.
+	// pipeline checkpoint (stage, or before any chunk is sent).
+	// nCancelled mirrors len(cancelled) so the per-chunk check costs one
+	// atomic load — not a lock — while no cancel is pending.
 	cancelMu   sync.Mutex
 	cancelled  map[uint64]struct{}
 	nCancelled atomic.Int64
@@ -198,50 +243,32 @@ func (sc *supplierConn) takeCancelled(id uint64) bool {
 	return ok
 }
 
-// isCancelled reports whether fetch id is withdrawn without consuming
-// the mark — the between-chunks transmit check, where the consuming
-// cleanup belongs to the caller's abort path.
-func (sc *supplierConn) isCancelled(id uint64) bool {
-	if sc.nCancelled.Load() == 0 {
-		return false
-	}
-	sc.cancelMu.Lock()
-	_, ok := sc.cancelled[id]
-	sc.cancelMu.Unlock()
-	return ok
-}
-
-// errXmitCancelled reports a transmission aborted between chunks by a
-// CANCEL frame. Internal to the transmit path — the merger sees a
-// truncated stream followed by the terminal cancelled ack.
+// errXmitCancelled reports a transmission stopped by a CANCEL frame before
+// or between chunks. Internal to the transmit path — the merger sees a
+// truncated (or no) stream followed by the cancelled ack.
 var errXmitCancelled = errors.New("transmit cancelled")
+
+// errFetchCancelled is the terminal ack for a fetch withdrawn by a
+// CANCEL frame. The merger's pending entry is already gone; the ack's
+// only job is to retire its late-chunk (duplicate byte) tracking.
+var errFetchCancelled = errors.New("cancelled by merger")
 
 func (sc *supplierConn) sendChunks(id uint64, data []byte, bufSize int) error {
 	sc.sendMu.Lock()
 	defer sc.sendMu.Unlock()
-	rest := data
-	first := true
+	// The first chunk announces the segment's total size (flagSized) so the
+	// merger can allocate its reassembly buffer exactly once.
+	rest, flags := data, flagSized
 	for {
-		if !first && sc.isCancelled(id) {
-			// A CANCEL landed mid-stream: stop here. The merger already
-			// retired this id, so a truncated stream is fine — the
-			// caller's terminal ack is what closes its tracking.
+		if sc.takeCancelled(id) {
+			// The merger already retired this id, so a truncated stream is
+			// fine: the cancelled ack is what closes its tracking.
 			return errXmitCancelled
 		}
-		chunk := rest
-		if len(chunk) > bufSize {
-			chunk = chunk[:bufSize]
-		}
+		chunk := rest[:min(len(rest), bufSize)]
 		rest = rest[len(chunk):]
-		var flags byte
 		if len(rest) == 0 {
 			flags |= flagLast
-		}
-		if first {
-			// The first chunk announces the segment's total size so the
-			// merger can allocate its reassembly buffer exactly once.
-			flags |= flagSized
-			first = false
 		}
 		hdr := appendChunkHeader(sc.hdr[:0], id, flags, int64(len(data)), chunk)
 		sc.vecs = append(sc.vecs[:0], hdr, chunk)
@@ -251,6 +278,7 @@ func (sc *supplierConn) sendChunks(id uint64, data []byte, bufSize int) error {
 		if len(rest) == 0 {
 			return nil
 		}
+		flags = 0
 	}
 }
 
@@ -317,14 +345,7 @@ type MOFSupplier struct {
 	drainCh    chan struct{}
 	drainStart time.Time
 
-	requests    atomic.Int64
-	bytesServed atomic.Int64
-	diskReads   atomic.Int64
-	cacheHits   atomic.Int64
-	groupTurns  atomic.Int64
-	errCount    atomic.Int64
-	drainSheds  atomic.Int64
-	cancels     atomic.Int64
+	counts [nCounters]atomic.Int64 // see count
 
 	closeOnce sync.Once
 }
@@ -359,12 +380,10 @@ func NewMOFSupplier(cfg SupplierConfig, lookup LookupFunc) (*MOFSupplier, error)
 		s.drr = flow.NewDRR(cfg.Flow.Quantum, cfg.Flow.Weights)
 		s.unregister = flow.Register(s)
 	}
-	s.wg.Add(1)
+	s.wg.Add(2 + cfg.XmitWorkers)
 	go s.acceptLoop()
-	s.wg.Add(1)
 	go s.prefetchLoop()
-	for i := 0; i < cfg.XmitWorkers; i++ {
-		s.wg.Add(1)
+	for range cfg.XmitWorkers {
 		go s.xmitLoop()
 	}
 	return s, nil
@@ -373,17 +392,22 @@ func NewMOFSupplier(cfg SupplierConfig, lookup LookupFunc) (*MOFSupplier, error)
 // Addr returns the bound listen address.
 func (s *MOFSupplier) Addr() string { return s.lis.Addr() }
 
+// count adds n to one of the supplier's counters and to its metric.
+func (s *MOFSupplier) count(c int, n int64) {
+	s.counts[c].Add(n)
+	if m := counterMetric[c]; m != nil {
+		m.Add(n)
+	}
+}
+
 // Stats snapshots the supplier's counters.
 func (s *MOFSupplier) Stats() SupplierStats {
+	n := func(c int) int64 { return s.counts[c].Load() }
 	return SupplierStats{
-		Requests:    s.requests.Load(),
-		BytesServed: s.bytesServed.Load(),
-		DiskReads:   s.diskReads.Load(),
-		CacheHits:   s.cacheHits.Load(),
-		GroupTurns:  s.groupTurns.Load(),
-		Errors:      s.errCount.Load(),
-		DrainSheds:  s.drainSheds.Load(),
-		Cancels:     s.cancels.Load(),
+		Requests: n(nRequests), BytesServed: n(nBytesServed),
+		DiskReads: n(nDiskReads), CacheHits: n(nCacheHits),
+		GroupTurns: n(nGroupTurns), Errors: n(nErrors),
+		DrainSheds: n(nDrainSheds), Cancels: n(nCancels),
 	}
 }
 
@@ -406,40 +430,50 @@ func (s *MOFSupplier) FlowState() flow.State {
 	return st
 }
 
-// tenantOf maps a map task to its scheduling tenant.
-func (s *MOFSupplier) tenantOf(task string) string {
-	if s.cfg.Tenant == nil {
-		return ""
+// retire is a request's one exit. Whatever ends its trip — served,
+// failed, cancelled, shed or cut off by Close — it settles, in this
+// order, everything the request holds:
+//   - the staging pin, if it was staged;
+//   - the terminal frame: an error chunk, the cancelled ack, SHED, or none;
+//   - the counter that records the outcome, with its metric;
+//   - the ledger charge; a release that ends a shedding episode
+//     broadcasts one credit to every connected merger;
+//   - its queue or xmit depth gauge;
+//   - the record, back to the pool;
+//   - its pipeline occupancy, last, so Inflight() reading 0 means every
+//     request's accounting has settled. The last one out of a drain
+//     completes it.
+//
+// It returns the terminal frame's send error. connLoop drops a connection
+// that cannot take an answer; the pipeline's exits leave that to the
+// connection's reader.
+func (s *MOFSupplier) retire(r *supplierReq, o reqOutcome, err error) error {
+	if r.state == reqStaged || r.state == reqSending {
+		s.dcache.Unpin(r.task, r.part)
 	}
-	return s.cfg.Tenant(task)
-}
-
-// releaseCharge returns a request's admitted bytes to the ledger at
-// whichever point ends its resident life. When the release recovers the
-// ledger from a shedding episode, the supplier broadcasts one credit to
-// every connected merger — the cue that capacity is back.
-func (s *MOFSupplier) releaseCharge(r *supplierReq) {
-	if s.ledger == nil || r.charge == 0 {
-		return
+	var ferr error
+	switch o {
+	case reqServed:
+		s.count(nBytesServed, int64(len(r.seg)))
+	case reqFailed:
+		s.count(nErrors, 1)
+		ferr = r.conn.sendError(r.id, err)
+	case reqSendFailed:
+		s.count(nErrors, 1)
+	case reqCancelled:
+		ferr = r.conn.sendError(r.id, errFetchCancelled)
+	case reqDrainShed:
+		s.count(nDrainSheds, 1)
+		fallthrough
+	case reqLedgerShed:
+		ferr = r.conn.sendShed(r.id, s.shedRetryAfter())
 	}
-	if s.ledger.Release(r.charge) {
+	if s.ledger != nil && r.charge != 0 && s.ledger.Release(r.charge) {
 		s.grantCredits()
 	}
-}
-
-// finish ends a request's trip through the pipeline at whichever point
-// terminates it (transmit done, stage failure, shutdown): the admission
-// charge is released, the record recycled, and the pipeline occupancy
-// retired — the last occupant out completes a pending drain.
-func (s *MOFSupplier) finish(r *supplierReq) {
-	s.releaseCharge(r)
-	putSupplierReq(r)
-	s.decInflight()
-}
-
-// decInflight retires one pipeline occupant. Under a drain the last one
-// out signals drain completion.
-func (s *MOFSupplier) decInflight() {
+	enter(r, reqDone)
+	*r = supplierReq{} // drop conn/string references before pooling
+	supplierReqPool.Put(r)
 	if s.inflight.Add(-1) == 0 && s.draining.Load() {
 		s.drainMu.Lock()
 		if s.drainCh != nil {
@@ -447,6 +481,7 @@ func (s *MOFSupplier) decInflight() {
 		}
 		s.drainMu.Unlock()
 	}
+	return ferr
 }
 
 // closeDrainLocked marks the drain complete (idempotently). The caller
@@ -545,8 +580,9 @@ func (s *MOFSupplier) grantCredits() {
 	}
 }
 
-// Close stops the supplier and its connections, drains the DataCache back
-// to the buffer pool, and closes the cached file handles.
+// Close stops the supplier and its connections, retires every request
+// still inside the pipeline, drains the DataCache back to the buffer
+// pool, and closes the cached file handles.
 func (s *MOFSupplier) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.done)
@@ -561,8 +597,25 @@ func (s *MOFSupplier) Close() error {
 		}
 	})
 	s.wg.Wait()
+	// The prefetch server retired its groups and the transmit workers the
+	// staged requests they found; these are what was handed over after
+	// the consumer's last look.
+	s.retireAll(s.reqCh)
+	s.retireAll(s.xmitCh)
 	s.dcache.Drain()
 	return s.fcache.Close()
+}
+
+// retireAll retires, as closed, every request waiting in ch.
+func (s *MOFSupplier) retireAll(ch chan *supplierReq) {
+	for {
+		select {
+		case r := <-ch:
+			s.retire(r, reqClosed, nil)
+		default:
+			return
+		}
+	}
 }
 
 func (s *MOFSupplier) acceptLoop() {
@@ -581,7 +634,7 @@ func (s *MOFSupplier) acceptLoop() {
 	}
 }
 
-// connLoop reads and resolves fetch requests from one client.
+// connLoop reads fetch requests and CANCEL frames from one client.
 func (s *MOFSupplier) connLoop(sc *supplierConn) {
 	defer s.wg.Done()
 	conn := sc.conn
@@ -597,110 +650,90 @@ func (s *MOFSupplier) connLoop(sc *supplierConn) {
 		if err != nil {
 			return
 		}
-		if b := l.Bytes(); len(b) > 0 && b[0] == msgCancel {
-			// A hedging merger withdrawing a fetch whose race is decided.
-			// Handled here, ahead of the request decoder (which treats
-			// any non-request frame as a protocol violation).
-			id, cerr := decodeCancel(b)
-			l.Release()
-			if cerr != nil {
-				if errors.Is(cerr, ErrCorruptFrame) {
-					supCorruptFrames.Inc()
-				}
-				s.errCount.Add(1)
-				supErrors.Inc()
-				return // protocol violation: drop the connection
-			}
-			sc.markCancelled(id)
-			s.cancels.Add(1)
-			supCancels.Inc()
-			continue
+		// A CANCEL is a hedging merger withdrawing a fetch whose race is
+		// decided. It is told apart ahead of the request decoder, which
+		// treats any non-request frame as a protocol violation.
+		b := l.Bytes()
+		cancel := len(b) > 0 && b[0] == msgCancel
+		var req fetchRequest
+		if cancel {
+			req.ID, err = decodeCancel(b)
+		} else {
+			req, err = decodeFetchRequestInterned(b, intern)
 		}
-		req, err := decodeFetchRequestInterned(l.Bytes(), intern)
-		l.Release() // the decoder copies (or interns) what it keeps
+		l.Release() // the decoders copy (or intern) what they keep
 		if err != nil {
 			if errors.Is(err, ErrCorruptFrame) {
 				supCorruptFrames.Inc()
 			}
-			s.errCount.Add(1)
-			supErrors.Inc()
+			s.count(nErrors, 1)
 			return // protocol violation: drop the connection
 		}
-		s.requests.Add(1)
-		supRequests.Inc()
-		resolved, rerr := s.resolve(sc, req)
-		if rerr != nil {
-			s.errCount.Add(1)
-			supErrors.Inc()
-			if serr := sc.sendError(req.ID, rerr); serr != nil {
-				return
-			}
+		if cancel {
+			sc.markCancelled(req.ID)
+			s.count(nCancels, 1)
 			continue
 		}
-		// Occupancy is claimed before the drain check: Drain's store of
-		// the latch and its read of inflight are both sequentially
-		// consistent atomics, so either this request sees the latch (and
-		// sheds) or Drain sees the occupancy (and waits for it). No
-		// request can slip into the pipeline unseen by a drain.
-		s.inflight.Add(1)
-		if s.draining.Load() {
-			s.drainSheds.Add(1)
-			supDrainSheds.Inc()
-			s.decInflight()
-			putSupplierReq(resolved)
-			if serr := sc.sendShed(req.ID, s.shedRetryAfter()); serr != nil {
-				return
-			}
-			continue
-		}
-		if s.ledger != nil {
-			// Admission: charge the segment's resident bytes before the
-			// request enters the pipeline. A shed charges nothing — the
-			// client backs off and retries; the connection stays up.
-			if s.ledger.Admit(resolved.entry.Length) == flow.Shed {
-				s.decInflight()
-				putSupplierReq(resolved)
-				if serr := sc.sendShed(req.ID, s.cfg.Flow.RetryAfter); serr != nil {
-					return
-				}
-				continue
-			}
-			resolved.charge = resolved.entry.Length
-		}
-		select {
-		case s.reqCh <- resolved:
-			supQueueDepth.Add(1)
-		case <-s.done:
-			s.finish(resolved)
+		s.count(nRequests, 1)
+		if !s.admit(sc, req) {
 			return
 		}
 	}
 }
 
+// admit resolves one request and queues it for the prefetch server, or
+// retires it on the spot: unresolvable (an error chunk), or shed by a
+// drain or by the ledger (SHED). A shed charges nothing: the merger backs
+// off and retries, and the connection stays up. admit reports false when
+// the connection could not take the answer or the supplier is closing.
+func (s *MOFSupplier) admit(sc *supplierConn, req fetchRequest) bool {
+	r := supplierReqPool.Get().(*supplierReq)
+	r.conn, r.id = sc, req.ID
+	// Occupancy is claimed before the drain check: Drain's store of the
+	// latch and its read of inflight are both sequentially consistent
+	// atomics, so either this request sees the latch (and sheds) or Drain
+	// sees the occupancy (and waits for it). No request can slip into the
+	// pipeline unseen by a drain.
+	s.inflight.Add(1)
+	o, err := reqFailed, s.resolve(r, req)
+	switch {
+	case err != nil:
+	case s.draining.Load():
+		o = reqDrainShed
+	case s.ledger != nil && s.ledger.Admit(r.entry.Length) == flow.Shed:
+		o = reqLedgerShed
+	default:
+		if s.ledger != nil {
+			r.charge = r.entry.Length
+		}
+		enter(r, reqQueued)
+		select {
+		case s.reqCh <- r:
+			return true
+		case <-s.done:
+			s.retire(r, reqClosed, nil)
+			return false
+		}
+	}
+	return s.retire(r, o, err) == nil
+}
+
 // resolve locates the requested segment via the IndexCache.
-func (s *MOFSupplier) resolve(sc *supplierConn, req fetchRequest) (*supplierReq, error) {
+func (s *MOFSupplier) resolve(r *supplierReq, req fetchRequest) error {
 	dataPath, indexPath, err := s.lookup(req.MapTask)
 	if err != nil {
-		return nil, fmt.Errorf("unknown MOF %s: %w", req.MapTask, err)
+		return fmt.Errorf("unknown MOF %s: %w", req.MapTask, err)
 	}
 	ix, err := s.icache.Get(indexPath)
 	if err != nil {
-		return nil, fmt.Errorf("index for %s: %w", req.MapTask, err)
+		return fmt.Errorf("index for %s: %w", req.MapTask, err)
 	}
 	entry, err := ix.Entry(int(req.Partition))
 	if err != nil {
-		return nil, fmt.Errorf("partition %d of %s: %w", req.Partition, req.MapTask, err)
+		return fmt.Errorf("partition %d of %s: %w", req.Partition, req.MapTask, err)
 	}
-	r := supplierReqPool.Get().(*supplierReq)
-	*r = supplierReq{
-		conn:  sc,
-		id:    req.ID,
-		task:  req.MapTask,
-		part:  int(req.Partition),
-		data:  dataPath,
-		entry: entry,
-	}
-	return r, nil
+	r.task, r.part, r.path, r.entry = req.MapTask, int(req.Partition), dataPath, entry
+	return nil
 }
 
 // mofGroup is the per-MOF request group: requests ordered by segment
@@ -729,13 +762,8 @@ func (g *mofGroup) insert(r *supplierReq) {
 // reset clears the group for reuse, dropping request references but
 // keeping the slice capacity.
 func (g *mofGroup) reset() {
-	for i := range g.reqs {
-		g.reqs[i] = nil
-	}
-	g.reqs = g.reqs[:0]
-	g.head = 0
-	g.task = ""
-	g.tenant = ""
+	clear(g.reqs)
+	*g = mofGroup{reqs: g.reqs[:0]}
 }
 
 // tenantRing is one tenant's round-robin ring of MOF group keys inside
@@ -751,15 +779,15 @@ type tenantRing struct {
 // control every group lives in one ring served strictly round-robin
 // (the paper's policy); with flow control groups are ringed per tenant
 // and the weighted deficit round-robin scheduler picks which tenant's
-// ring advances, so one heavy job cannot starve the others.
+// ring advances, so one heavy job cannot starve the others. On Close it
+// retires every request still waiting in a group.
 func (s *MOFSupplier) prefetchLoop() {
 	defer s.wg.Done()
 	groups := make(map[string]*mofGroup)  // task -> group
 	rings := make(map[string]*tenantRing) // tenant -> its group ring
 	var free []*mofGroup                  // drained groups, recycled
-	singleRing := &tenantRing{}           // the one ring when flow is off
 	if s.drr == nil {
-		rings[""] = singleRing
+		rings[""] = &tenantRing{} // the one ring when flow is off
 	}
 
 	add := func(r *supplierReq) {
@@ -771,7 +799,9 @@ func (s *MOFSupplier) prefetchLoop() {
 				g = &mofGroup{}
 			}
 			g.task = r.task
-			g.tenant = s.tenantOf(r.task)
+			if s.cfg.Tenant != nil {
+				g.tenant = s.cfg.Tenant(r.task)
+			}
 			groups[r.task] = g
 			tr := rings[g.tenant]
 			if tr == nil {
@@ -785,34 +815,35 @@ func (s *MOFSupplier) prefetchLoop() {
 			s.drr.Add(g.tenant, r.entry.Length)
 		}
 	}
-
-	for {
-		if len(groups) == 0 {
-			// Idle: block for work.
-			select {
-			case r, ok := <-s.reqCh:
-				if !ok {
-					return
-				}
-				supQueueDepth.Add(-1)
-				add(r)
-			case <-s.done:
-				return
-			}
-			continue
-		}
-		// Drain newly arrived requests without blocking, so grouping sees
-		// bursts together.
+	// take files arrivals into their groups. With block set it waits for
+	// the first one; then it takes whatever else has arrived without
+	// blocking, so grouping sees bursts together. It reports false once
+	// the supplier is closing.
+	take := func(block bool) bool {
 		for {
-			select {
-			case r := <-s.reqCh:
-				supQueueDepth.Add(-1)
-				add(r)
-				continue
-			default:
+			var r *supplierReq
+			if block {
+				select {
+				case r = <-s.reqCh:
+				case <-s.done:
+					return false
+				}
+			} else {
+				select {
+				case r = <-s.reqCh:
+				case <-s.done:
+					return false
+				default:
+					return true
+				}
 			}
-			break
+			add(r)
+			block = false
 		}
+	}
+
+	for idle := true; take(idle); {
+		idle = false
 		// Pick the tenant whose ring advances this turn.
 		tenant := ""
 		if s.drr != nil {
@@ -823,17 +854,8 @@ func (s *MOFSupplier) prefetchLoop() {
 				// request, so a tenant stays active while requests pend),
 				// but if accounting ever drifts, block for the next
 				// arrival — which re-activates its tenant — instead of
-				// busy-spinning a core on the non-blocking drain above.
-				select {
-				case r, ok := <-s.reqCh:
-					if !ok {
-						return
-					}
-					supQueueDepth.Add(-1)
-					add(r)
-				case <-s.done:
-					return
-				}
+				// busy-spinning a core.
+				idle = true
 				continue
 			}
 			tenant = tn
@@ -848,10 +870,7 @@ func (s *MOFSupplier) prefetchLoop() {
 		}
 		key := tr.keys[tr.next]
 		g := groups[key]
-		batch := s.cfg.PrefetchBatch
-		if batch > g.pending() {
-			batch = g.pending()
-		}
+		batch := min(s.cfg.PrefetchBatch, g.pending())
 		taken := g.reqs[g.head : g.head+batch]
 		g.head += batch
 		drained := g.pending() == 0
@@ -866,14 +885,12 @@ func (s *MOFSupplier) prefetchLoop() {
 		}
 		// Charge the DRR what Add charged on arrival: flow.Cost floors
 		// zero-length segments at one unit, keeping the tenant active
-		// exactly while it has pending requests.
+		// exactly while it has pending requests. The cost is read before
+		// stage, whose exits may recycle the record.
+		s.count(nGroupTurns, 1)
 		var batchCost int64
 		for _, r := range taken {
 			batchCost += flow.Cost(r.entry.Length)
-		}
-		s.groupTurns.Add(1)
-		supGroupTurns.Inc()
-		for _, r := range taken {
 			s.stage(r)
 		}
 		if s.drr != nil {
@@ -884,101 +901,75 @@ func (s *MOFSupplier) prefetchLoop() {
 			g.reset()
 			free = append(free, g)
 		}
+		idle = len(groups) == 0
+	}
+	for _, g := range groups {
+		for _, r := range g.reqs[g.head:] {
+			s.retire(r, reqClosed, nil)
+		}
 	}
 }
 
-// errFetchCancelled is the terminal ack for a fetch withdrawn by a
-// CANCEL frame. The merger's pending entry is already gone; the ack's
-// only job is to retire its late-chunk (duplicate byte) tracking.
-var errFetchCancelled = errors.New("cancelled by merger")
-
-// ackCancelled retires a request withdrawn by a CANCEL frame: skip the
-// remaining work, send the terminal ack, and exit through finish so
-// ledger and drain conservation hold. The ack is best-effort — if the
-// send fails the connection is dying and the merger's conn-failure path
-// cleans its tracking instead.
-func (s *MOFSupplier) ackCancelled(r *supplierReq) {
-	r.conn.sendError(r.id, errFetchCancelled)
-	s.finish(r)
-}
-
-// stage reads one segment (or hits the DataCache) and queues transmission.
+// stage pins one segment in the DataCache — a resident hit, or a disk
+// read that Put stages there — and hands the request, carrying that one
+// pin, to the transmit workers.
 func (s *MOFSupplier) stage(r *supplierReq) {
+	select {
+	case <-s.done:
+		// No new pins once Close has begun: a Put waiting on capacity
+		// could outlive the transmit workers that would free it.
+		s.retire(r, reqClosed, nil)
+		return
+	default:
+	}
 	if r.conn.takeCancelled(r.id) {
 		// Withdrawn before the disk read — the whole point of CANCEL:
 		// the loser of a hedge race costs no I/O at all.
-		s.ackCancelled(r)
+		s.retire(r, reqCancelled, nil)
 		return
 	}
-	if _, ok := s.dcache.Pin(r.task, r.part); ok {
-		s.cacheHits.Add(1)
+	seg, ok := s.dcache.Pin(r.task, r.part)
+	if ok {
+		s.count(nCacheHits, 1)
 	} else {
-		lease, err := mof.ReadSegmentLease(s.fcache, s.pool, r.data, r.entry)
+		lease, err := mof.ReadSegmentLease(s.fcache, s.pool, r.path, r.entry)
 		if err != nil {
-			s.errCount.Add(1)
-			supErrors.Inc()
-			r.conn.sendError(r.id, err)
-			s.finish(r)
+			s.retire(r, reqFailed, err)
 			return
 		}
-		s.diskReads.Add(1)
-		s.dcache.Put(r.task, r.part, lease) // cache owns the lease now
+		s.count(nDiskReads, 1)
+		seg = s.dcache.Put(r.task, r.part, lease) // the cache owns the lease now
 	}
+	r.seg = seg
+	enter(r, reqStaged)
 	tracer.Mark(r.task, r.part, metrics.StageStaged)
 	select {
 	case s.xmitCh <- r:
-		supXmitDepth.Add(1)
 	case <-s.done:
-		s.dcache.Unpin(r.task, r.part)
-		s.finish(r)
+		s.retire(r, reqClosed, nil)
 	}
 }
 
-// xmitLoop transmits staged segments asynchronously.
+// xmitLoop transmits staged segments asynchronously. On Close it retires
+// the requests still staged in xmitCh, whose pins a prefetch server
+// blocked in Put may be waiting on.
 func (s *MOFSupplier) xmitLoop() {
 	defer s.wg.Done()
 	for {
 		select {
 		case r := <-s.xmitCh:
-			if r.conn.takeCancelled(r.id) {
-				// Withdrawn while staged: drop the staging pin and ack
-				// without touching the wire.
-				s.dcache.Unpin(r.task, r.part)
-				supXmitDepth.Add(-1)
-				s.ackCancelled(r)
-				continue
-			}
-			data, ok := s.dcache.Pin(r.task, r.part)
-			if !ok {
-				// The staging pin guarantees residency; a miss here is a
-				// logic error surfaced to the client.
-				s.errCount.Add(1)
-				supErrors.Inc()
-				r.conn.sendError(r.id, errors.New("segment evicted while staged"))
-				supXmitDepth.Add(-1)
-				s.finish(r)
-				continue
-			}
+			enter(r, reqSending)
 			tracer.Mark(r.task, r.part, metrics.StageXmit)
-			err := r.conn.sendChunks(r.id, data, s.cfg.BufferSize)
-			s.dcache.Unpin(r.task, r.part) // xmit pin
-			s.dcache.Unpin(r.task, r.part) // staging pin
-			switch {
+			switch err := r.conn.sendChunks(r.id, r.seg, s.cfg.BufferSize); {
 			case err == nil:
-				s.bytesServed.Add(int64(len(data)))
-				supBytes.Add(int64(len(data)))
+				s.retire(r, reqServed, nil)
 			case errors.Is(err, errXmitCancelled):
-				// Aborted between chunks by a CANCEL; not an error. The
-				// terminal ack closes the truncated stream for the merger.
-				r.conn.takeCancelled(r.id)
-				r.conn.sendError(r.id, errFetchCancelled)
+				s.retire(r, reqCancelled, nil)
 			default:
-				s.errCount.Add(1)
-				supErrors.Inc()
+				s.retire(r, reqSendFailed, nil)
 			}
-			supXmitDepth.Add(-1)
-			s.finish(r)
 		case <-s.done:
+			s.retireAll(s.xmitCh)
 			return
 		}
 	}
