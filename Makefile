@@ -20,9 +20,9 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # vet: the stock toolchain vet plus jbsvet, the repo-specific pass
-# (lock hygiene, goroutine lifecycle, lease ownership flow, ledger
-# balance, lock ordering, unchecked Close/Write/Flush, sim-clock
-# purity, package doc comments). -stale-ignores keeps the
+# (lock hygiene, goroutine lifecycle, Close/Release/Abort ownership
+# flow and ledger charges, lock ordering, unchecked Close/Write/Flush,
+# sim-clock purity, package doc comments). -stale-ignores keeps the
 # //jbsvet:ignore inventory honest.
 vet:
 	$(GO) vet ./...

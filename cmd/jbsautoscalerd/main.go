@@ -108,6 +108,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "jbsautoscalerd:", err)
 			os.Exit(1)
 		}
+		defer lis.Close()
 		fmt.Printf("jbsautoscalerd: debug at http://%s/debug/jbs\n", lis.Addr())
 	}
 	a.Run()

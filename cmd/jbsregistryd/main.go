@@ -54,6 +54,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "jbsregistryd:", err)
 			os.Exit(1)
 		}
+		defer lis.Close()
 		fmt.Printf("jbsregistryd: debug at http://%s/debug/jbs\n", lis.Addr())
 	}
 	fmt.Printf("jbsregistryd: serving %d shards at %s (lease TTL %v)\n", *shards, s.Addr(), *leaseTTL)

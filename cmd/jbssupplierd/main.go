@@ -67,6 +67,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "jbssupplierd:", err)
 			os.Exit(1)
 		}
+		defer lis.Close()
 		advertiseDebug = lis.Addr().String()
 		fmt.Printf("jbssupplierd: debug at http://%s/debug/jbs\n", advertiseDebug)
 	}

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	jbsvet [-checks lockhygiene,goroutines,...] [-list] [-v]
+//	jbsvet [-checks closeflow,lockhygiene,...] [-list] [-v]
 //	       [-json] [-stale-ignores] [-timing] [patterns]
 //
 // Patterns are Go-style package patterns rooted at the module

@@ -118,6 +118,7 @@ func main() {
 				break
 			}
 		}
+		r.Close()
 		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 			parts := strings.SplitN(line, "\t", 2)
 			if len(parts) == 2 {

@@ -78,6 +78,7 @@ func main() {
 			log.Fatal(err)
 		}
 		data, err := io.ReadAll(r)
+		r.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

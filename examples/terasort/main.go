@@ -65,6 +65,7 @@ func runOnce(name string, provider mapred.ShuffleProvider) (time.Duration, *mapr
 			log.Fatal(err)
 		}
 		data, err := io.ReadAll(r)
+		r.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,22 +18,20 @@
 //   - doccomment: every package carries a godoc-convention package doc
 //     comment ("Package <name>" / "Command <name>") — the entry points
 //     the documentation pass (docs/ARCHITECTURE.md) builds on.
-//   - gaugepair: a plain int field and its mirror *metrics.Gauge field
-//     (x / xG, e.g. nodeGroup.inflight / inflightG) must move together
-//     in the same function — the inflight-drift class of bug.
 //   - testgoroutine: testing.T/B Fatal/Fatalf/FailNow/Skip/Skipf/SkipNow
 //     must not be called from goroutines spawned by a test — they stop
 //     only the calling goroutine, silently corrupting the test's control
 //     flow. The one check that runs over _test.go files.
 //
-// On top of the syntactic checks, three path-sensitive checks run over
-// per-function control-flow graphs (internal/analysis/cfg) with
-// lightweight interprocedural summaries (summary.go):
+// lockhygiene and two more checks run over per-function control-flow
+// graphs (internal/analysis/cfg, whose Forward is the one dataflow
+// solver), closeflow with lightweight interprocedural summaries
+// (summary.go):
 //
-//   - leaseflow: every bufpool/mof lease acquired must be Released or
-//     ownership-transferred on every path, including early-error returns.
-//   - ledgerbalance: every flow-ledger Admit charge must be drained or
-//     recorded on every path (Shed charges nothing).
+//   - closeflow: every value with a Close, Release or Abort method that a
+//     call returns, every parameter a function consumes on some path, and
+//     every flow-ledger Admit charge must be released, drained or
+//     ownership-transferred on every path, early-error returns included.
 //   - lockorder: the repo-wide mutex acquisition graph must be acyclic
 //     (whole-program; see ProgramCheck).
 //
@@ -80,10 +78,8 @@ func AllChecks() []Check {
 		&ErrCheck{},
 		&SimClockCheck{},
 		&DocCommentCheck{},
-		&GaugePairCheck{},
 		&TestGoroutineCheck{},
-		&LeaseFlowCheck{},
-		&LedgerBalanceCheck{},
+		&CloseFlowCheck{},
 		&LockOrderCheck{},
 	}
 }
@@ -117,15 +113,13 @@ func DefaultScopes() map[string][]string {
 			"internal/registry", "internal/daemon", "internal/autoscale"},
 		"errcheck": {"internal/transport", "internal/mof", "internal/mapred",
 			"internal/autoscale"},
-		"simclock":  {"internal/sim*", "internal/shuffle"},
-		"gaugepair": {"internal/core", "internal/flow"},
+		"simclock": {"internal/sim*", "internal/shuffle"},
 		// testgoroutine runs everywhere tests run; the explicit entry is
 		// documentation that the breadth is deliberate.
 		"testgoroutine": {"internal", "cmd"},
-		// leaseflow and ledgerbalance are unscoped (they run everywhere):
-		// the lease and ledger types only occur on the data path, so
-		// breadth costs nothing and catches new call sites automatically.
-		// lockorder is bounded to the concurrent core — the packages whose
+		// closeflow is unscoped (it runs everywhere): every package opens
+		// files, listeners or connections, and breadth catches new call
+		// sites automatically. lockorder is bounded to the concurrent core — the packages whose
 		// mutexes can nest across call chains.
 		"lockorder": {"internal/core", "internal/flow", "internal/transport",
 			"internal/mof", "internal/bufpool"},

@@ -103,11 +103,6 @@ func TestSimClockCheckGolden(t *testing.T) {
 	matchFindings(t, pkg, (&SimClockCheck{}).Run(pkg))
 }
 
-func TestGaugePairCheckGolden(t *testing.T) {
-	pkg := fixturePkg(t, "gaugepair")
-	matchFindings(t, pkg, (&GaugePairCheck{}).Run(pkg))
-}
-
 func TestTestGoroutineCheckGolden(t *testing.T) {
 	loaderOnce.Do(func() {
 		loader, loaderErr = NewLoader(".")

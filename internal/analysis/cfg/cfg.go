@@ -1,9 +1,10 @@
 // Package cfg builds per-function control-flow graphs over go/ast for
-// jbsvet's path-sensitive checks (leaseflow, ledgerbalance, lockorder —
-// see docs/STATIC_ANALYSIS.md). The graph is deliberately small: basic
-// blocks of statements, explicit edges for branches, loops, switches,
-// selects, labeled break/continue/goto, and a single synthetic exit
-// block that every return reaches. A panic terminates its block with no
+// jbsvet's path-sensitive checks (closeflow, lockhygiene, lockorder —
+// see docs/STATIC_ANALYSIS.md) and solves dataflow problems over them
+// (Forward, the one fixpoint the checks share). The graph is
+// deliberately small: basic blocks of statements, explicit edges for
+// branches, loops, switches, selects, labeled break/continue/goto, and a
+// single synthetic exit block that every return reaches. A panic terminates its block with no
 // successor — the checks reason about ordinary exits, and Go's runtime
 // unwinds deferred calls on panic anyway.
 //
@@ -550,6 +551,47 @@ func (g *Graph) Preds() [][]*Block {
 		}
 	}
 	return preds
+}
+
+// Forward solves a forward dataflow problem over g and returns the state
+// entering each block, indexed like g.Blocks. entry is the state entering
+// g.Entry. flow computes the state leaving b along b.Succs[succ] from the
+// state entering b — per edge, so a branch can refine what it knows — and
+// must not modify in. join merges a state arriving along an edge into the
+// state already entering that block and reports whether it grew; join
+// picks may-reach (union) or must-reach (intersection) facts.
+//
+// The first state to reach a block is taken as is and always counts as a
+// change, so every reachable block is visited even when what reaches it
+// is empty: propagation is change-driven, and a block whose first
+// computed out-state is empty must still enqueue its successors, or an
+// acquire below an early branch would go unanalyzed.
+func Forward[S any](g *Graph, entry S, flow func(b *Block, succ int, in S) S, join func(dst, src S) (S, bool)) []S {
+	in := make([]S, len(g.Blocks))
+	reached := make([]bool, len(g.Blocks))
+	queued := make([]bool, len(g.Blocks))
+	in[g.Entry.Index], reached[g.Entry.Index] = entry, true
+	work := []*Block{g.Entry}
+	queued[g.Entry.Index] = true
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		queued[b.Index] = false
+		for si, s := range b.Succs {
+			out := flow(b, si, in[b.Index])
+			changed := true
+			if reached[s.Index] {
+				in[s.Index], changed = join(in[s.Index], out)
+			} else {
+				in[s.Index], reached[s.Index] = out, true
+			}
+			if changed && !queued[s.Index] {
+				queued[s.Index] = true
+				work = append(work, s)
+			}
+		}
+	}
+	return in
 }
 
 // String renders the graph for debugging and golden tests: one line per

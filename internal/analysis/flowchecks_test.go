@@ -7,14 +7,25 @@ import (
 	"testing"
 )
 
+// TestLeaseFlowGolden runs closeflow over the lease fixture: the two
+// lease types and how each must be released.
 func TestLeaseFlowGolden(t *testing.T) {
-	pkg := fixturePkg(t, "leaseflow")
-	matchFindings(t, pkg, (&LeaseFlowCheck{}).Run(pkg))
+	pkg := fixturePkg(t, "closeflow/lease")
+	matchFindings(t, pkg, (&CloseFlowCheck{}).Run(pkg))
 }
 
+// TestLedgerBalanceGolden runs closeflow over the ledger fixture: every
+// charge must be matched by a release on every path.
 func TestLedgerBalanceGolden(t *testing.T) {
-	pkg := fixturePkg(t, "ledgerbalance")
-	matchFindings(t, pkg, (&LedgerBalanceCheck{}).Run(pkg))
+	pkg := fixturePkg(t, "closeflow/ledger")
+	matchFindings(t, pkg, (&CloseFlowCheck{}).Run(pkg))
+}
+
+// TestCloseFlowGolden runs closeflow over the three leaks found by hand,
+// with the rules they needed.
+func TestCloseFlowGolden(t *testing.T) {
+	pkg := fixturePkg(t, "closeflow/history")
+	matchFindings(t, pkg, (&CloseFlowCheck{}).Run(pkg))
 }
 
 func TestLockOrderGolden(t *testing.T) {
@@ -22,11 +33,11 @@ func TestLockOrderGolden(t *testing.T) {
 	matchFindings(t, pkg, (&LockOrderCheck{}).RunProgram([]*Package{pkg}))
 }
 
-// runFlowChecks runs all three path-sensitive checks over one package.
+// runFlowChecks runs the three checks on the CFG over one package.
 func runFlowChecks(pkg *Package) []Finding {
 	var fs []Finding
-	fs = append(fs, (&LeaseFlowCheck{}).Run(pkg)...)
-	fs = append(fs, (&LedgerBalanceCheck{}).Run(pkg)...)
+	fs = append(fs, (&CloseFlowCheck{}).Run(pkg)...)
+	fs = append(fs, (&LockCheck{}).Run(pkg)...)
 	fs = append(fs, (&LockOrderCheck{}).RunProgram([]*Package{pkg})...)
 	return fs
 }
@@ -69,17 +80,20 @@ func TestGenericsLoadTests(t *testing.T) {
 	}
 }
 
-// injectedSrc carries one known lease leak (early-error return) and one
-// known lock-order inversion (G before H in one function, H before G in
-// another). The self-test asserts both seeded bugs are caught — if a
-// refactor of the engine ever goes blind, this fails before the repo
-// quietly stops being checked.
+// injectedSrc carries one seeded bug per client of the CFG engine: a
+// lease leak and a FileWriter leak on an early-error return, an
+// undrained Admit, a return while locked, and a lock-order inversion (G
+// before H in one function, H before G in another). The self-test
+// asserts each is caught — if a refactor of the engine ever goes blind,
+// this fails before the repo quietly stops being checked.
 const injectedSrc = `package injected
 
 import (
 	"sync"
 
 	"repro/internal/bufpool"
+	"repro/internal/dfs"
+	"repro/internal/flow"
 )
 
 type G struct{ mu sync.Mutex }
@@ -91,6 +105,33 @@ func leakyRecv(p *bufpool.Pool, read func([]byte) error) (*bufpool.Lease, error)
 		return nil, err
 	}
 	return l, nil
+}
+
+func leakyWrite(c *dfs.Cluster, data []byte) error {
+	w, err := c.Create("out", "n0")
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(data); err != nil {
+		return err
+	}
+	return w.Close()
+}
+
+func undrained(l *flow.Ledger, n int64, send func() error) error {
+	if l.Admit(n) == flow.Shed {
+		return nil
+	}
+	return send()
+}
+
+func lockedReturn(g *G, ok bool) int {
+	g.mu.Lock()
+	if !ok {
+		return 0
+	}
+	g.mu.Unlock()
+	return 1
 }
 
 func ghPath(g *G, h *H) {
@@ -127,21 +168,34 @@ func TestSeededInjectionIsCaught(t *testing.T) {
 		t.Fatalf("injected package has type errors: %v", pkg.TypeErrors)
 	}
 
-	leaks := (&LeaseFlowCheck{}).Run(pkg)
-	if len(leaks) != 1 {
-		t.Fatalf("leaseflow on injected leak = %d findings, want 1:\n%v", len(leaks), leaks)
-	}
-	if !strings.Contains(leaks[0].Message, "may not be released or ownership-transferred") ||
-		!strings.Contains(leaks[0].Message, "leakyRecv") {
-		t.Errorf("leaseflow finding = %q, want the leakyRecv path leak", leaks[0].Message)
-	}
-
-	cycles := (&LockOrderCheck{}).RunProgram([]*Package{pkg})
-	if len(cycles) != 1 {
-		t.Fatalf("lockorder on injected inversion = %d findings, want 1:\n%v", len(cycles), cycles)
-	}
-	if !strings.Contains(cycles[0].Message, "lock-order cycle among {G.mu, H.mu}") {
-		t.Errorf("lockorder finding = %q, want the G.mu/H.mu cycle", cycles[0].Message)
+	for _, c := range []struct {
+		check Check
+		want  []string // one finding each, in position order
+	}{
+		{&CloseFlowCheck{}, []string{
+			"*bufpool.Lease from Get may not be released or ownership-transferred on every path (in leakyRecv)",
+			"*dfs.FileWriter from Create may not be released or ownership-transferred on every path (in leakyWrite)",
+			"ledger charge from Admit may not be drained (Release, drained helper, or charge-field store) on every path (in undrained)",
+		}},
+		{&LockCheck{}, []string{"return while g.mu is locked in lockedReturn"}},
+		{&LockOrderCheck{}, []string{"lock-order cycle among {G.mu, H.mu}"}},
+	} {
+		var got []Finding
+		if pc, ok := c.check.(ProgramCheck); ok {
+			got = pc.RunProgram([]*Package{pkg})
+		} else {
+			got = c.check.Run(pkg)
+		}
+		SortFindings(got)
+		if len(got) != len(c.want) {
+			t.Errorf("%s on the injected bugs = %d findings, want %d:\n%v", c.check.Name(), len(got), len(c.want), got)
+			continue
+		}
+		for i, f := range got {
+			if !strings.Contains(f.Message, c.want[i]) {
+				t.Errorf("%s finding %d = %q, want %q", c.check.Name(), i, f.Message, c.want[i])
+			}
+		}
 	}
 }
 

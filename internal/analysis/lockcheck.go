@@ -5,7 +5,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
+
+	"repro/internal/analysis/cfg"
 )
 
 // LockCheck enforces JBS's lock hygiene rules on every function:
@@ -24,11 +27,12 @@ import (
 // recvMu guarding a framed connection) are exempt from rule 3 — their
 // whole purpose is holding across one I/O — but still subject to 1 and 2.
 //
-// The held-lock tracking is branch-aware but intraprocedural and
-// heuristic: a branch that terminates (return/continue/break) does not
-// leak its lock state into the fall-through path, and after an
-// if/else both branches must hold a lock for it to count as held.
-// False negatives are possible; false positives should be rare.
+// The held-lock tracking runs on the function's CFG over lockorder's lock
+// events, intraprocedurally: a lock counts as held at a statement only
+// when every path reaching it holds the lock (a must-held meet), and as
+// covered by a deferred unlock when some path registered one — once a
+// defer is on the books it also covers later re-acquisitions. False
+// negatives are possible; false positives should be rare.
 type LockCheck struct{}
 
 // Name implements Check.
@@ -42,64 +46,70 @@ func (*LockCheck) Doc() string {
 // Run implements Check.
 func (c *LockCheck) Run(pkg *Package) []Finding {
 	var out []Finding
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			var name string
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body, name = fn.Body, fn.Name.Name
-			case *ast.FuncLit:
-				body, name = fn.Body, "func literal"
-			default:
-				return true
-			}
-			if body != nil {
-				s := &lockScanner{pkg: pkg, funcName: name,
-					use: make(map[string]*lockUse), deferred: make(map[string]bool)}
-				s.scanStmts(body.List, newHeldSet())
-				s.finishBalance()
-				out = append(out, s.findings...)
-			}
-			return true
-		})
-	}
+	eachBody(pkg, func(decl *ast.FuncDecl, lit *ast.FuncLit) {
+		s := &lockScanner{pkg: pkg, funcName: "func literal"}
+		if lit != nil {
+			s.scan(lit.Body)
+		} else {
+			s.funcName = decl.Name.Name
+			s.scan(decl.Body)
+		}
+		out = append(out, s.findings...)
+	})
 	return out
 }
 
-// lockUse tracks per-key balance within one function.
-type lockUse struct {
-	lockPos  token.Pos // first write-Lock
-	rlockPos token.Pos // first RLock
-	unlocks  int       // explicit or deferred Unlock
-	runlocks int       // explicit or deferred RUnlock
-}
-
-// heldSet maps lock key -> state while scanning.
+// heldState is one lock key's state at a program point.
 type heldState struct {
-	read     bool // held via RLock
-	deferred bool // a matching deferred unlock is registered
+	held     bool // on every path reaching this point
+	deferred bool // a matching deferred unlock is registered on some path
 }
 
-func newHeldSet() map[string]heldState { return map[string]heldState{} }
+// heldSet maps a lock key ("s.mu") to its state.
+type heldSet map[string]heldState
 
-func copyHeld(h map[string]heldState) map[string]heldState {
-	c := make(map[string]heldState, len(h))
-	for k, v := range h {
-		c[k] = v
+// apply updates the set for one lock event. A deferred Lock is not
+// modeled.
+func (h heldSet) apply(ev lockEvent) {
+	st := h[ev.key]
+	switch {
+	case ev.method == "" || (ev.deferred && ev.acquires()):
+		return
+	case ev.acquires():
+		st.held = true
+	case ev.deferred:
+		st.deferred = true
+	default:
+		st.held = false
 	}
-	return c
+	if st.held || st.deferred {
+		h[ev.key] = st
+	} else {
+		delete(h, ev.key)
+	}
 }
 
-// intersectHeld keeps keys held on both paths (deferred if on either).
-func intersectHeld(a, b map[string]heldState) map[string]heldState {
-	out := newHeldSet()
-	for k, va := range a {
-		if vb, ok := b[k]; ok {
-			out[k] = heldState{read: va.read && vb.read, deferred: va.deferred || vb.deferred}
+// meetHeld is the must-held meet: held where both paths hold the lock,
+// deferred where either registered the unlock.
+func meetHeld(dst, src heldSet) (heldSet, bool) {
+	out := make(heldSet, len(dst))
+	for k, st := range dst {
+		st.held = st.held && src[k].held
+		st.deferred = st.deferred || src[k].deferred
+		if st.held || st.deferred {
+			out[k] = st
 		}
 	}
-	return out
+	for k, st := range src {
+		if _, ok := dst[k]; !ok && st.deferred {
+			out[k] = heldState{deferred: true}
+		}
+	}
+	changed := len(out) != len(dst)
+	for k, st := range out {
+		changed = changed || dst[k] != st
+	}
+	return out, changed
 }
 
 // exemptLock reports whether key names an I/O-serialization mutex.
@@ -117,10 +127,10 @@ func exemptLock(key string) bool {
 	return false
 }
 
-// blockingHeld returns a non-exempt held key, or "".
-func blockingHeld(held map[string]heldState) string {
-	for k := range held {
-		if !exemptLock(k) {
+// blockingHeld returns a held, non-exempt key, or "".
+func blockingHeld(held heldSet) string {
+	for k, st := range held {
+		if st.held && !exemptLock(k) {
 			return k
 		}
 	}
@@ -130,11 +140,6 @@ func blockingHeld(held map[string]heldState) string {
 type lockScanner struct {
 	pkg      *Package
 	funcName string
-	use      map[string]*lockUse
-	// deferred records keys with a registered deferred unlock: once a
-	// defer is on the books it also covers later re-acquisitions of the
-	// same lock in this function.
-	deferred map[string]bool
 	findings []Finding
 }
 
@@ -146,249 +151,133 @@ func (s *lockScanner) addf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// lockCall classifies call as a sync lock operation. It returns the
-// canonical receiver key ("c.mu") and the method name.
-func (s *lockScanner) lockCall(call *ast.CallExpr) (key, method string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
+// scan checks one function body: balance over all its lock events, then
+// each statement against the held set the dataflow computes before it.
+func (s *lockScanner) scan(body *ast.BlockStmt) {
+	lb := newLockBody(s.pkg, body)
+	if lb == nil {
+		return
 	}
-	fn, _ := s.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	switch fn.Name() {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-		return types.ExprString(sel.X), fn.Name(), true
-	}
-	return "", "", false
-}
-
-// finishBalance reports locks that are never unlocked in the function.
-func (s *lockScanner) finishBalance() {
-	for key, u := range s.use {
-		if u.lockPos.IsValid() && u.unlocks == 0 {
-			s.addf(u.lockPos, "%s.Lock() in %s has no matching Unlock on any path", key, s.funcName)
-		}
-		if u.rlockPos.IsValid() && u.runlocks == 0 {
-			s.addf(u.rlockPos, "%s.RLock() in %s has no matching RUnlock on any path", key, s.funcName)
-		}
-	}
-}
-
-func (s *lockScanner) useFor(key string) *lockUse {
-	u, ok := s.use[key]
-	if !ok {
-		u = &lockUse{}
-		s.use[key] = u
-	}
-	return u
-}
-
-// applyLockCall updates balance and held state for one lock call.
-func (s *lockScanner) applyLockCall(call *ast.CallExpr, key, method string, deferred bool, held map[string]heldState) {
-	u := s.useFor(key)
-	switch method {
-	case "Lock":
-		if !u.lockPos.IsValid() {
-			u.lockPos = call.Pos()
-		}
-		if !deferred {
-			held[key] = heldState{deferred: s.deferred[key]}
-		}
-	case "RLock":
-		if !u.rlockPos.IsValid() {
-			u.rlockPos = call.Pos()
-		}
-		if !deferred {
-			held[key] = heldState{read: true, deferred: s.deferred[key]}
-		}
-	case "Unlock", "RUnlock":
-		if method == "Unlock" {
-			u.unlocks++
-		} else {
-			u.runlocks++
-		}
-		if deferred {
-			s.deferred[key] = true
-			if st, ok := held[key]; ok {
-				st.deferred = true
-				held[key] = st
-			}
-		} else {
-			delete(held, key)
-		}
-	}
-}
-
-// scanStmts walks one statement list, threading the held-lock state.
-// It returns the exit state and whether the list terminates abruptly
-// (return/branch/panic) rather than falling through.
-func (s *lockScanner) scanStmts(stmts []ast.Stmt, held map[string]heldState) (map[string]heldState, bool) {
-	for _, stmt := range stmts {
-		var term bool
-		held, term = s.scanStmt(stmt, held)
-		if term {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (s *lockScanner) scanStmt(stmt ast.Stmt, held map[string]heldState) (map[string]heldState, bool) {
-	switch st := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if key, method, ok := s.lockCall(call); ok {
-				s.applyLockCall(call, key, method, false, held)
-				return held, false
-			}
-			if isPanicCall(call) {
-				return held, true
+	s.balance(lb)
+	in := cfg.Forward(lb.g, heldSet{}, func(b *cfg.Block, _ int, in heldSet) heldSet {
+		out := maps.Clone(in)
+		for _, n := range blockNodes(b) {
+			for _, ev := range lb.events[n] {
+				out.apply(ev)
 			}
 		}
-		s.checkBlocking(st, held)
-		return held, false
+		return out
+	}, meetHeld)
 
-	case *ast.DeferStmt:
-		if key, method, ok := s.lockCall(st.Call); ok {
-			s.applyLockCall(st.Call, key, method, true, held)
-			return held, false
-		}
-		// The deferred call itself runs at return; don't treat its body
-		// as executing here.
-		return held, false
-
-	case *ast.SendStmt:
-		if key := blockingHeld(held); key != "" {
-			s.addf(st.Pos(), "channel send while %s is held in %s", key, s.funcName)
-		}
-		return held, false
-
-	case *ast.ReturnStmt:
-		s.checkBlocking(st, held)
-		for key, state := range held {
-			if !state.deferred {
-				s.addf(st.Pos(), "return while %s is locked in %s (no deferred unlock)", key, s.funcName)
-			}
-		}
-		return held, true
-
-	case *ast.BranchStmt: // break, continue, goto, fallthrough
-		return held, st.Tok != token.FALLTHROUGH
-
-	case *ast.LabeledStmt:
-		return s.scanStmt(st.Stmt, held)
-
-	case *ast.BlockStmt:
-		return s.scanStmts(st.List, held)
-
-	case *ast.IfStmt:
-		if st.Init != nil {
-			held, _ = s.scanStmt(st.Init, held)
-		}
-		s.checkBlocking(st.Cond, held)
-		bodyHeld, bodyTerm := s.scanStmts(st.Body.List, copyHeld(held))
-		elseHeld, elseTerm := copyHeld(held), false
-		if st.Else != nil {
-			elseHeld, elseTerm = s.scanStmt(st.Else, copyHeld(held))
-		}
-		switch {
-		case bodyTerm && elseTerm:
-			return held, st.Else != nil // no else: fall through remains
-		case bodyTerm:
-			return elseHeld, false
-		case elseTerm:
-			return bodyHeld, false
-		default:
-			return intersectHeld(bodyHeld, elseHeld), false
-		}
-
-	case *ast.ForStmt:
-		if st.Init != nil {
-			held, _ = s.scanStmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			s.checkBlocking(st.Cond, held)
-		}
-		s.scanStmts(st.Body.List, copyHeld(held))
-		return held, false
-
-	case *ast.RangeStmt:
-		if t := s.pkg.Info.TypeOf(st.X); t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				if key := blockingHeld(held); key != "" {
-					s.addf(st.Pos(), "range over channel while %s is held in %s", key, s.funcName)
+	// A select's comm statements open its case blocks; the select itself
+	// is the blocking operation, reported once.
+	comms := make(map[ast.Node]*ast.SelectStmt)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectStmt); ok {
+			for _, cs := range sel.Body.List {
+				if cc := cs.(*ast.CommClause); cc.Comm != nil {
+					comms[cc.Comm] = sel
 				}
 			}
 		}
-		s.checkBlocking(st.X, held)
-		s.scanStmts(st.Body.List, copyHeld(held))
-		return held, false
+		return true
+	})
+	reported := make(map[*ast.SelectStmt]bool)
+	for _, b := range lb.g.Blocks {
+		if in[b.Index] == nil {
+			continue // unreachable
+		}
+		held := maps.Clone(in[b.Index])
+		for _, n := range blockNodes(b) {
+			if sel := comms[n]; sel != nil {
+				if key := blockingHeld(held); key != "" && !reported[sel] && !hasDefault(sel) {
+					s.addf(sel.Pos(), "blocking select while %s is held in %s", key, s.funcName)
+				}
+				reported[sel] = true
+			} else {
+				s.checkStmt(n, held)
+			}
+			for _, ev := range lb.events[n] {
+				held.apply(ev)
+			}
+		}
+	}
+}
 
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, clause := range st.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
+// balance reports locks that are never unlocked, explicitly or by defer,
+// anywhere in the function.
+func (s *lockScanner) balance(lb *lockBody) {
+	type use struct{ key, method string } // method: Lock or RLock
+	first := make(map[use]token.Pos)
+	unlocked := make(map[use]bool)
+	for _, evs := range lb.events {
+		for _, ev := range evs {
+			u := use{ev.key, strings.Replace(ev.method, "Unlock", "Lock", 1)}
+			switch {
+			case ev.method == "":
+			case ev.acquires():
+				if p, ok := first[u]; !ok || ev.pos < p {
+					first[u] = ev.pos
+				}
+			default:
+				unlocked[u] = true
 			}
 		}
-		if !hasDefault {
-			if key := blockingHeld(held); key != "" {
-				s.addf(st.Pos(), "blocking select while %s is held in %s", key, s.funcName)
-			}
+	}
+	for u, pos := range first {
+		if !unlocked[u] {
+			s.addf(pos, "%s.%s() in %s has no matching %s on any path",
+				u.key, u.method, s.funcName, strings.Replace(u.method, "Lock", "Unlock", 1))
 		}
-		for _, clause := range st.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok {
-				s.scanStmts(cc.Body, copyHeld(held))
-			}
-		}
-		return held, false
+	}
+}
 
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			held, _ = s.scanStmt(st.Init, held)
+// hasDefault reports whether a select has a default clause (a poll).
+func hasDefault(sel *ast.SelectStmt) bool {
+	for _, cs := range sel.Body.List {
+		if cs.(*ast.CommClause).Comm == nil {
+			return true
 		}
-		s.checkBlocking(st.Tag, held)
-		for _, clause := range st.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, copyHeld(held))
+	}
+	return false
+}
+
+// checkStmt flags what one statement (or block condition) does while a
+// lock is held: a return with no deferred unlock, or a blocking operation
+// under a state mutex.
+func (s *lockScanner) checkStmt(n ast.Node, held heldSet) {
+	key := blockingHeld(held)
+	switch st := n.(type) {
+	case *ast.ReturnStmt:
+		s.checkBlocking(st, key)
+		for k, state := range held {
+			if state.held && !state.deferred {
+				s.addf(st.Pos(), "return while %s is locked in %s (no deferred unlock)", k, s.funcName)
 			}
 		}
-		return held, false
-
-	case *ast.TypeSwitchStmt:
-		for _, clause := range st.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, copyHeld(held))
-			}
-		}
-		return held, false
-
+	case *ast.DeferStmt:
+		// The deferred call runs at return, not here.
 	case *ast.GoStmt:
 		// The goroutine runs concurrently and does not inherit our locks;
 		// only its argument expressions evaluate here.
 		for _, arg := range st.Call.Args {
-			s.checkBlocking(arg, held)
+			s.checkBlocking(arg, key)
 		}
-		return held, false
-
-	case nil:
-		return held, false
-
-	default: // assignments, declarations, inc/dec, ...
-		s.checkBlocking(stmt, held)
-		return held, false
+	case *ast.RangeStmt:
+		if t := s.pkg.Info.TypeOf(st.X); t != nil && key != "" {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				s.addf(st.Pos(), "range over channel while %s is held in %s", key, s.funcName)
+			}
+		}
+		s.checkBlocking(st.X, key)
+	default:
+		s.checkBlocking(n, key)
 	}
 }
 
 // checkBlocking flags blocking operations inside node (not descending into
-// function literals) while a non-exempt lock is held.
-func (s *lockScanner) checkBlocking(node ast.Node, held map[string]heldState) {
-	if node == nil {
-		return
-	}
-	key := blockingHeld(held)
+// function literals) while key, a non-exempt lock, is held.
+func (s *lockScanner) checkBlocking(node ast.Node, key string) {
 	if key == "" {
 		return
 	}
@@ -472,10 +361,4 @@ func fromNetPackage(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "net"
-}
-
-// isPanicCall reports whether call is the builtin panic.
-func isPanicCall(call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == "panic"
 }

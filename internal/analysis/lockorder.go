@@ -45,29 +45,16 @@ func (c *LockOrderCheck) RunProgram(pkgs []*Package) []Finding {
 		inLS:     make(map[*types.Func]bool),
 	}
 	for _, pkg := range pkgs {
-		if pkg.loader != nil {
-			lo.sum = pkg.loader.summaries()
-			break
-		}
-	}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, d := range file.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				lo.analyzeBody(pkg, fd.Name.Name, fd.Body)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if fl, ok := n.(*ast.FuncLit); ok {
-						// A literal may run on any goroutine; analyze it with
-						// an empty held set of its own.
-						lo.analyzeBody(pkg, fd.Name.Name+" (func literal)", fl.Body)
-					}
-					return true
-				})
+		lo.sum = pkg.summaries()
+		// A literal may run on any goroutine; it is analysed with an empty
+		// held set of its own.
+		eachBody(pkg, func(decl *ast.FuncDecl, lit *ast.FuncLit) {
+			if lit != nil {
+				lo.analyzeBody(pkg, bodyName(decl, lit), lit.Body)
+			} else {
+				lo.analyzeBody(pkg, bodyName(decl, lit), decl.Body)
 			}
-		}
+		})
 	}
 	return lo.cycles()
 }
@@ -91,20 +78,17 @@ type lockOrder struct {
 }
 
 // mutexIdent resolves the receiver of a sync.Mutex/RWMutex method call
-// to a stable identity object, and a human-readable name.
-func mutexIdent(pkg *Package, recv ast.Expr) (types.Object, string) {
+// to a stable identity object, or nil.
+func mutexIdent(pkg *Package, recv ast.Expr) types.Object {
 	recv = ast.Unparen(recv)
 	// Embedded mutex: the receiver's own type is not from package sync.
 	t := pkg.Info.TypeOf(recv)
-	if t != nil {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			obj := named.Obj()
-			if obj.Pkg() != nil && obj.Pkg().Path() != "sync" {
-				return obj, obj.Name() + " (embedded mutex)"
-			}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() != "sync" {
+			return obj
 		}
 	}
 	switch r := recv.(type) {
@@ -112,20 +96,16 @@ func mutexIdent(pkg *Package, recv ast.Expr) (types.Object, string) {
 		if sel, ok := pkg.Info.Selections[r]; ok {
 			// Field var: shared by every instance of the declaring struct,
 			// giving type granularity for free.
-			return sel.Obj(), types.ExprString(recv)
+			return sel.Obj()
 		}
-		if obj := pkg.Info.Uses[r.Sel]; obj != nil {
-			return obj, types.ExprString(recv) // pkg.Var
-		}
+		return pkg.Info.Uses[r.Sel] // pkg.Var
 	case *ast.Ident:
-		if obj := pkg.Info.Uses[r]; obj != nil {
-			return obj, r.Name
-		}
+		return pkg.Info.Uses[r]
 	}
-	return nil, ""
+	return nil
 }
 
-// syncLockCall classifies call as a Lock/RLock acquisition on a
+// syncLockCall classifies call as a Lock/RLock/Unlock/RUnlock on a
 // sync.Mutex or sync.RWMutex, returning the receiver expression.
 func syncLockCall(pkg *Package, call *ast.CallExpr) (recv ast.Expr, method string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -143,51 +123,51 @@ func syncLockCall(pkg *Package, call *ast.CallExpr) (recv ast.Expr, method strin
 	return nil, "", false
 }
 
-// lockEvent is one ordered mutex action within a statement.
+// lockEvent is one ordered mutex action within a statement: a sync lock
+// call (method set), or a call whose transitive lockset counts (callee
+// set). lockorder and lockhygiene both run on these.
 type lockEvent struct {
-	obj     types.Object
-	name    string
-	pos     token.Pos
-	acquire bool // false = release
-	// callee, when set, contributes its transitive lockset instead.
-	callee *types.Func
+	// obj is the mutex's type-granular identity (lockorder), nil when
+	// unresolvable; key is its receiver as written, "s.mu" (lockhygiene).
+	obj      types.Object
+	key      string
+	pos      token.Pos
+	method   string // Lock, RLock, Unlock or RUnlock
+	deferred bool   // registered by defer: runs at function exit
+	callee   *types.Func
 }
 
-// scanLockStmts extracts ordered lock events from one statement (or a
-// condition expression), skipping function literals and goroutine
-// launches.
-func (lo *lockOrder) scanLockNode(pkg *Package, n ast.Node, deferred bool) []lockEvent {
+func (ev lockEvent) acquires() bool { return ev.method == "Lock" || ev.method == "RLock" }
+
+// lockEvents extracts the ordered lock events of one statement (or a
+// condition expression), skipping function literals and the spawned
+// call of a go statement, which do not run under the held set.
+func lockEvents(pkg *Package, n ast.Node) []lockEvent {
 	var evs []lockEvent
+	lockCall := func(call *ast.CallExpr, deferred bool) bool {
+		recv, method, ok := syncLockCall(pkg, call)
+		if ok {
+			evs = append(evs, lockEvent{obj: mutexIdent(pkg, recv), key: types.ExprString(recv),
+				pos: call.Pos(), method: method, deferred: deferred})
+		}
+		return ok
+	}
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch x := m.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.GoStmt:
-			// Arguments evaluate here; the spawned call does not inherit
-			// the held set.
 			for _, arg := range x.Call.Args {
-				evs = append(evs, lo.scanLockNode(pkg, arg, deferred)...)
+				evs = append(evs, lockEvents(pkg, arg)...)
 			}
 			return false
 		case *ast.DeferStmt:
-			// A deferred unlock keeps the lock held for edge purposes (it
-			// releases only at exit); a deferred lock or locking callee is
-			// not modeled.
+			// Only a deferred lock call itself is modeled; a deferred
+			// locking callee runs at exit, outside this function's order.
+			lockCall(x.Call, true)
 			return false
 		case *ast.CallExpr:
-			if recv, method, ok := syncLockCall(pkg, x); ok {
-				obj, name := mutexIdent(pkg, recv)
-				if obj == nil {
-					return true
-				}
-				switch method {
-				case "Lock", "RLock":
-					evs = append(evs, lockEvent{obj: obj, name: name, pos: x.Pos(), acquire: true})
-				case "Unlock", "RUnlock":
-					if !deferred {
-						evs = append(evs, lockEvent{obj: obj, name: name, pos: x.Pos()})
-					}
-				}
+			if lockCall(x, false) {
 				return true
 			}
 			if fn := staticCallee(pkg.Info, x); fn != nil {
@@ -199,101 +179,98 @@ func (lo *lockOrder) scanLockNode(pkg *Package, n ast.Node, deferred bool) []loc
 	return evs
 }
 
-// analyzeBody runs the held-set dataflow over one function body,
-// recording acquisition-order edges.
-func (lo *lockOrder) analyzeBody(pkg *Package, fnName string, body *ast.BlockStmt) {
-	g := cfg.Build(body)
-	events := make(map[*cfg.Block][]lockEvent)
-	any := false
-	for _, b := range g.Blocks {
-		var evs []lockEvent
-		for _, s := range b.Stmts {
-			_, isDefer := s.(*ast.DeferStmt)
-			evs = append(evs, lo.scanLockNode(pkg, s, isDefer)...)
+// lockBody is one function body's CFG with the lock events of each block
+// statement and each block condition.
+type lockBody struct {
+	g      *cfg.Graph
+	events map[ast.Node][]lockEvent
+}
+
+// newLockBody returns nil for a body without a sync lock call: with
+// nothing ever held, neither check has anything to find there.
+func newLockBody(pkg *Package, body *ast.BlockStmt) *lockBody {
+	locks := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && !locks {
+			_, _, locks = syncLockCall(pkg, call)
 		}
-		if b.Cond != nil {
-			evs = append(evs, lo.scanLockNode(pkg, b.Cond, false)...)
-		}
-		events[b] = evs
-		if len(evs) > 0 {
-			any = true
+		return !locks
+	})
+	if !locks {
+		return nil
+	}
+	lb := &lockBody{g: cfg.Build(body), events: make(map[ast.Node][]lockEvent)}
+	for _, b := range lb.g.Blocks {
+		for _, n := range blockNodes(b) {
+			lb.events[n] = lockEvents(pkg, n)
 		}
 	}
-	if !any {
+	return lb
+}
+
+// blockNodes returns b's statements followed by its condition, the order
+// in which their events run.
+func blockNodes(b *cfg.Block) []ast.Node {
+	nodes := make([]ast.Node, 0, len(b.Stmts)+1)
+	for _, s := range b.Stmts {
+		nodes = append(nodes, s)
+	}
+	if b.Cond != nil {
+		nodes = append(nodes, b.Cond)
+	}
+	return nodes
+}
+
+// analyzeBody runs the may-held dataflow over one function body, then
+// records acquisition-order edges from each block's fixpoint state. A
+// deferred unlock keeps its lock held here: it releases only at exit.
+func (lo *lockOrder) analyzeBody(pkg *Package, fnName string, body *ast.BlockStmt) {
+	lb := newLockBody(pkg, body)
+	if lb == nil {
 		return
 	}
-
-	n := len(g.Blocks)
-	in := make([]map[types.Object]bool, n)
-	for i := range in {
-		in[i] = make(map[types.Object]bool)
-	}
-	apply := func(b *cfg.Block, state map[types.Object]bool, record bool) map[types.Object]bool {
-		out := make(map[types.Object]bool, len(state))
-		for o := range state {
+	apply := func(b *cfg.Block, in map[types.Object]bool, record bool) map[types.Object]bool {
+		out := make(map[types.Object]bool, len(in))
+		for o := range in {
 			out[o] = true
 		}
-		for _, ev := range events[b] {
-			switch {
-			case ev.callee != nil:
-				if len(out) == 0 {
-					continue
-				}
-				for to, witness := range lo.locksetOf(ev.callee, pkg) {
-					for from := range out {
-						if from == to {
-							continue // call-edge self-loop: helper on another instance
-						}
-						if record {
-							lo.addEdge(pkg, from, to, ev.pos,
-								fmt.Sprintf("via call to %s (locks at %s)", ev.callee.Name(), pkg.Fset.Position(witness)), fnName)
+		for _, n := range blockNodes(b) {
+			for _, ev := range lb.events[n] {
+				switch {
+				case ev.deferred || (ev.callee == nil && ev.obj == nil):
+				case ev.callee != nil:
+					if !record || len(out) == 0 {
+						continue
+					}
+					for to, witness := range lo.locksetOf(ev.callee, pkg) {
+						for from := range out {
+							if from != to { // a call-edge self-loop is a helper on another instance
+								lo.addEdge(pkg, from, to, ev.pos,
+									fmt.Sprintf("via call to %s (locks at %s)", ev.callee.Name(), pkg.Fset.Position(witness)), fnName)
+							}
 						}
 					}
-				}
-			case ev.acquire:
-				if record {
-					for from := range out {
-						lo.addEdge(pkg, from, ev.obj, ev.pos, "", fnName)
+				case ev.acquires():
+					if record {
+						for from := range out {
+							lo.addEdge(pkg, from, ev.obj, ev.pos, "", fnName)
+						}
 					}
+					out[ev.obj] = true
+				default:
+					delete(out, ev.obj)
 				}
-				out[ev.obj] = true
-			default:
-				delete(out, ev.obj)
 			}
 		}
 		return out
 	}
-
-	// Fixpoint on may-held sets, then one recording pass. Every block is
-	// seeded (see the matching comment in leaseflow's solve): held sets
-	// acquired past an empty first frontier must still propagate.
-	work := make([]*cfg.Block, 0, n)
-	inWork := make([]bool, n)
-	for i := len(g.Blocks) - 1; i >= 0; i-- {
-		work = append(work, g.Blocks[i])
-		inWork[g.Blocks[i].Index] = true
-	}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[b.Index] = false
-		out := apply(b, in[b.Index], false)
-		for _, s := range b.Succs {
-			changed := false
-			for o := range out {
-				if !in[s.Index][o] {
-					in[s.Index][o] = true
-					changed = true
-				}
-			}
-			if changed && !inWork[s.Index] {
-				inWork[s.Index] = true
-				work = append(work, s)
-			}
+	in := cfg.Forward(lb.g, map[types.Object]bool{},
+		func(b *cfg.Block, _ int, in map[types.Object]bool) map[types.Object]bool { return apply(b, in, false) },
+		joinSet[types.Object])
+	for _, b := range lb.g.Blocks {
+		if in[b.Index] != nil {
+			apply(b, in[b.Index], true)
 		}
-	}
-	for _, b := range g.Blocks {
-		apply(b, in[b.Index], true)
 	}
 }
 
@@ -316,7 +293,7 @@ func (lo *lockOrder) locksetOf(fn *types.Func, ctx *Package) map[types.Object]to
 	if ls, ok := lo.locksets[fn]; ok {
 		return ls
 	}
-	if lo.inLS[fn] || lo.sum == nil {
+	if lo.inLS[fn] {
 		return nil
 	}
 	decl, declPkg := lo.sum.decl(fn, ctx)
@@ -333,7 +310,7 @@ func (lo *lockOrder) locksetOf(fn *types.Func, ctx *Package) map[types.Object]to
 		case *ast.CallExpr:
 			if recv, method, ok := syncLockCall(declPkg, x); ok {
 				if method == "Lock" || method == "RLock" {
-					if obj, _ := mutexIdent(declPkg, recv); obj != nil {
+					if obj := mutexIdent(declPkg, recv); obj != nil {
 						if _, seen := ls[obj]; !seen {
 							ls[obj] = x.Pos()
 						}

@@ -8,27 +8,27 @@ import (
 )
 
 // This file implements the lightweight interprocedural summaries behind
-// the path-sensitive checks (leaseflow, ledgerbalance): for each function
-// we record what it does with lease-typed parameters — releases them,
-// stores them somewhere that outlives the call (escape), or returns them
-// — and whether it (transitively) drains a flow ledger. Summaries are
-// existence-based, not path-sensitive: "somewhere in the body this
-// parameter is released" is enough for a caller to treat the call as an
-// ownership transfer. That is deliberately optimistic — the callee's own
-// body is separately checked path-sensitively by leaseflow, so a callee
-// that releases on only some paths is flagged at its own definition, not
-// at every call site.
+// closeflow: for each function we record what it does with its owned
+// parameters — releases them, stores them somewhere that outlives the
+// call (escape), or returns them — and whether it (transitively) drains
+// a flow ledger. Summaries are existence-based, not path-sensitive:
+// "somewhere in the body this parameter is released" is enough for a
+// caller to treat the call as an ownership transfer. That is
+// deliberately optimistic, and closeflow pays for it at the callee: a
+// parameter the summary says is consumed is an obligation from entry in
+// the callee's own body, so a function that releases on only some paths
+// is flagged at its own definition, not at every call site.
 
-// paramEffect records what a function does with one lease parameter.
+// paramEffect records what a function does with one owned parameter.
 type paramEffect uint8
 
 const (
-	// effReleased: the parameter's Release method is called (directly or
-	// via a transitively-summarized callee).
+	// effReleased: the parameter's Close, Release or Abort method is
+	// called (directly or via a transitively-summarized callee).
 	effReleased paramEffect = 1 << iota
 	// effEscaped: the parameter is stored into a field, map, slice,
-	// channel, or composite literal, captured by a function literal, or
-	// handed to a goroutine — somewhere that outlives the call.
+	// channel, or composite literal, or handed to a goroutine, a defer or
+	// an escaping closure — somewhere that outlives the call.
 	effEscaped
 	// effReturned: the parameter is returned to the caller, which then
 	// owns it under the docs/PERF.md contract.
@@ -43,12 +43,14 @@ func (e paramEffect) consumes() bool { return e != 0 }
 // funcSummary is one function's interprocedural summary.
 type funcSummary struct {
 	// recv is the effect on the receiver, params[i] on the i-th
-	// parameter. Only lease-typed positions carry effects.
+	// parameter. Only owned positions carry effects, and a receiver only
+	// through a release method itself or //jbsvet:owns: a method that
+	// aborts its receiver on an error path does not consume it.
 	recv   paramEffect
 	params []paramEffect
 	// drainsLedger reports that the function (transitively) calls
-	// (*flow.Ledger).Release — used by ledgerbalance to treat helper
-	// calls like releaseCharge as a drain.
+	// (*flow.Ledger).Release — closeflow treats helper calls like
+	// releaseCharge as a drain.
 	drainsLedger bool
 }
 
@@ -71,54 +73,94 @@ type summarizer struct {
 	sums       map[*types.Func]*funcSummary
 	inProgress map[*types.Func]bool
 
-	// annotated records //jbsvet:owns annotations: the marked function or
-	// interface method takes ownership of every lease-typed parameter.
-	annotated  map[*types.Func]bool
+	// marks records the jbsvet:owns and jbsvet:borrowed markers on
+	// functions and interface methods.
+	marks      map[*types.Func]string
 	annScanned map[*Package]bool
 }
 
-// summaries returns the loader's shared summarizer.
-func (l *Loader) summaries() *summarizer {
-	if l.sum == nil {
-		l.sum = &summarizer{
-			loader:     l,
-			sums:       make(map[*types.Func]*funcSummary),
-			inProgress: make(map[*types.Func]bool),
-			annotated:  make(map[*types.Func]bool),
-			annScanned: make(map[*Package]bool),
-		}
+// summaries returns the loader's shared summarizer, or a private one for
+// a package built without a loader.
+func (p *Package) summaries() *summarizer {
+	if p.loader != nil && p.loader.sum != nil {
+		return p.loader.sum
 	}
-	return l.sum
+	s := &summarizer{
+		loader:     p.loader,
+		sums:       make(map[*types.Func]*funcSummary),
+		inProgress: make(map[*types.Func]bool),
+		marks:      make(map[*types.Func]string),
+		annScanned: make(map[*Package]bool),
+	}
+	if p.loader != nil {
+		p.loader.sum = s
+	}
+	return s
 }
 
-// isLeaseType reports whether t is one of the manually-managed lease
-// types: *bufpool.Lease or *mof.FileHandle. Matching is by package-path
-// suffix so golden fixtures loaded from testdata directories (whose
-// import path is their absolute directory) still resolve the real types.
-func isLeaseType(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
+// releaseMethods are the methods that discharge an owned value.
+var releaseMethods = [...]string{"Close", "Release", "Abort"}
+
+// isCloser reports whether t is an owned type: a pointer, named or
+// interface type with a Close, Release or Abort method taking no
+// arguments (*bufpool.Lease, *mof.FileHandle, *dfs.FileWriter,
+// transport.Conn, merge.Source, *os.File, io.ReadCloser, ...).
+func isCloser(t types.Type) bool {
+	switch types.Unalias(t).(type) {
+	case *types.Pointer, *types.Named, *types.Interface:
+	default:
 		return false
 	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	switch obj.Name() {
-	case "Lease":
-		return strings.HasSuffix(path, "internal/bufpool")
-	case "FileHandle":
-		return strings.HasSuffix(path, "internal/mof")
+	for _, name := range releaseMethods {
+		if isReleaseMethod(lookupMethod(t, name)) {
+			return true
+		}
 	}
 	return false
 }
 
-// isLedgerType reports whether t is *flow.Ledger.
+// lookupMethod returns t's exported method name, or nil.
+func lookupMethod(t types.Type, name string) *types.Func {
+	if t == nil {
+		return nil
+	}
+	obj, _, _ := types.LookupFieldOrMethod(t, false, nil, name)
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// isReleaseMethod reports whether fn is a zero-argument Close, Release
+// or Abort method.
+func isReleaseMethod(fn *types.Func) bool {
+	if fn == nil {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil || sig.Params().Len() != 0 {
+		return false
+	}
+	for _, name := range releaseMethods {
+		if fn.Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// ownedParam reports whether a parameter of type t can carry an
+// obligation: an owned type, or a slice of one (merge.NewIterator's
+// sources).
+func ownedParam(t types.Type) bool {
+	if s, ok := t.Underlying().(*types.Slice); ok {
+		t = s.Elem()
+	}
+	return isCloser(t)
+}
+
+// isLedgerType reports whether t is *flow.Ledger. Matching is by
+// package-path suffix so golden fixtures loaded from testdata
+// directories (whose import path is their absolute directory) still
+// resolve the real type.
 func isLedgerType(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
@@ -131,6 +173,15 @@ func isLedgerType(t types.Type) bool {
 	obj := named.Obj()
 	return obj.Name() == "Ledger" && obj.Pkg() != nil &&
 		strings.HasSuffix(obj.Pkg().Path(), "internal/flow")
+}
+
+// ledgerMethod reports whether fn is (*flow.Ledger).name.
+func ledgerMethod(fn *types.Func, name string) bool {
+	if fn == nil || fn.Name() != name {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && isLedgerType(recv.Type())
 }
 
 // staticCallee resolves the *types.Func a call statically dispatches to,
@@ -166,7 +217,7 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 // whose Info produced fn; its own files are searched for the declaration
 // before falling back to the loader's package table. Functions without a
 // findable body (interface methods, stdlib, function values) summarize
-// as no-effect unless annotated with //jbsvet:owns.
+// as no-effect unless marked //jbsvet:owns.
 func (s *summarizer) summaryFor(fn *types.Func, ctx *Package) *funcSummary {
 	if fn == nil {
 		return nil
@@ -179,12 +230,27 @@ func (s *summarizer) summaryFor(fn *types.Func, ctx *Package) *funcSummary {
 		return nil // recursion: assume no effects on this path
 	}
 
-	if sum := builtinSummary(fn); sum != nil {
-		s.sums[fn] = sum
-		return sum
-	}
-	if s.isAnnotated(fn, ctx) {
-		sum := annotatedSummary(fn)
+	sig := fn.Type().(*types.Signature)
+	switch {
+	case isReleaseMethod(fn):
+		// The ownership primitives the rest of the analysis is defined in
+		// terms of.
+		s.sums[fn] = &funcSummary{recv: effReleased}
+		return s.sums[fn]
+	case ledgerMethod(fn, "Release"):
+		s.sums[fn] = &funcSummary{drainsLedger: true}
+		return s.sums[fn]
+	case s.mark(fn, ctx) == ownsMarker:
+		// Every owned parameter (and receiver) escapes into the callee.
+		sum := &funcSummary{params: make([]paramEffect, sig.Params().Len())}
+		if r := sig.Recv(); r != nil && isCloser(r.Type()) {
+			sum.recv = effEscaped
+		}
+		for i := range sum.params {
+			if ownedParam(sig.Params().At(i).Type()) {
+				sum.params[i] = effEscaped
+			}
+		}
 		s.sums[fn] = sum
 		return sum
 	}
@@ -196,103 +262,82 @@ func (s *summarizer) summaryFor(fn *types.Func, ctx *Package) *funcSummary {
 	}
 
 	s.inProgress[fn] = true
-	sum := s.computeSummary(fn, decl, declPkg)
+	sum := &funcSummary{params: make([]paramEffect, sig.Params().Len())}
+	tracked := make(map[types.Object]*paramEffect)
+	for i := range sum.params {
+		if p := sig.Params().At(i); ownedParam(p.Type()) {
+			tracked[p] = &sum.params[i]
+		}
+	}
+	sum.drainsLedger = s.effects(declPkg, decl.Body, tracked)
 	delete(s.inProgress, fn)
 	s.sums[fn] = sum
 	return sum
 }
 
-// builtinSummary hardcodes the ownership primitives the rest of the
-// analysis is defined in terms of: the Release methods themselves.
-func builtinSummary(fn *types.Func) *funcSummary {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return nil
-	}
-	switch {
-	case fn.Name() == "Release" && isLeaseType(recv.Type()):
-		return &funcSummary{recv: effReleased}
-	case fn.Name() == "Release" && isLedgerType(recv.Type()):
-		return &funcSummary{drainsLedger: true}
-	}
-	return nil
-}
+// The two markers scanAnnotations reads from doc comments.
+const (
+	// ownsMarker: the function or interface method takes ownership of
+	// every owned parameter.
+	ownsMarker = "jbsvet:owns"
+	// borrowedMarker: the function's result is lent, not handed over —
+	// the caller must not close it (ConnCache.Get, FileHandle.File).
+	borrowedMarker = "jbsvet:borrowed"
+)
 
-// annotatedSummary builds the summary implied by //jbsvet:owns: every
-// lease-typed parameter (and receiver) escapes into the callee.
-func annotatedSummary(fn *types.Func) *funcSummary {
-	sig := fn.Type().(*types.Signature)
-	sum := &funcSummary{params: make([]paramEffect, sig.Params().Len())}
-	if r := sig.Recv(); r != nil && isLeaseType(r.Type()) {
-		sum.recv = effEscaped
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isLeaseType(sig.Params().At(i).Type()) {
-			sum.params[i] = effEscaped
-		}
-	}
-	return sum
-}
-
-// isAnnotated reports whether fn carries a //jbsvet:owns annotation in
-// its declaring package (function doc comment or interface method
-// comment).
-func (s *summarizer) isAnnotated(fn *types.Func, ctx *Package) bool {
-	if s.annotated[fn] {
-		return true
-	}
+// mark returns the marker fn carries in its declaring package (function
+// doc comment or interface method comment), or "".
+func (s *summarizer) mark(fn *types.Func, ctx *Package) string {
+	fn = fn.Origin()
 	// Scan the context package and the declaring package once each.
 	s.scanAnnotations(ctx)
-	if s.annotated[fn] {
-		return true
+	if m, ok := s.marks[fn]; ok {
+		return m
 	}
 	if p := s.packageFor(fn); p != nil {
 		s.scanAnnotations(p)
 	}
-	return s.annotated[fn]
+	return s.marks[fn]
 }
 
-const ownsMarker = "jbsvet:owns"
-
-// scanAnnotations records every //jbsvet:owns-marked function and
-// interface method in pkg (memoized per package).
+// scanAnnotations records every marked function and interface method in
+// pkg (memoized per package).
 func (s *summarizer) scanAnnotations(pkg *Package) {
 	if pkg == nil || s.annScanned[pkg] {
 		return
 	}
 	s.annScanned[pkg] = true
-	hasMarker := func(groups ...*ast.CommentGroup) bool {
+	markOf := func(groups ...*ast.CommentGroup) string {
 		for _, g := range groups {
 			if g == nil {
 				continue
 			}
 			for _, c := range g.List {
-				if strings.Contains(c.Text, ownsMarker) {
-					return true
+				for _, m := range [...]string{ownsMarker, borrowedMarker} {
+					if strings.Contains(c.Text, m) {
+						return m
+					}
 				}
 			}
 		}
-		return false
+		return ""
+	}
+	record := func(id *ast.Ident, m string) {
+		if fn, ok := pkg.Info.Defs[id].(*types.Func); ok && m != "" {
+			s.marks[fn.Origin()] = m
+		}
 	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch d := n.(type) {
 			case *ast.FuncDecl:
-				if hasMarker(d.Doc) {
-					if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
-						s.annotated[fn.Origin()] = true
-					}
-				}
+				record(d.Name, markOf(d.Doc))
 				return false // function bodies hold no annotations
 			case *ast.InterfaceType:
 				for _, field := range d.Methods.List {
-					if !hasMarker(field.Doc, field.Comment) {
-						continue
-					}
+					m := markOf(field.Doc, field.Comment)
 					for _, name := range field.Names {
-						if fn, ok := pkg.Info.Defs[name].(*types.Func); ok {
-							s.annotated[fn.Origin()] = true
-						}
+						record(name, m)
 					}
 				}
 			}
@@ -356,90 +401,92 @@ func (s *summarizer) decl(fn *types.Func, ctx *Package) (*ast.FuncDecl, *Package
 	return nil, nil
 }
 
-// computeSummary walks fn's body once, recording effects on each
-// lease-typed parameter and whether a ledger is drained.
-func (s *summarizer) computeSummary(fn *types.Func, decl *ast.FuncDecl, pkg *Package) *funcSummary {
-	sig := fn.Type().(*types.Signature)
-	sum := &funcSummary{params: make([]paramEffect, sig.Params().Len())}
-
-	// tracked maps each lease-typed parameter object to a setter for its
-	// effect bits.
-	tracked := make(map[types.Object]*paramEffect)
-	if r := sig.Recv(); r != nil && isLeaseType(r.Type()) {
-		tracked[r] = &sum.recv
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		p := sig.Params().At(i)
-		if isLeaseType(p.Type()) {
-			tracked[p] = &sum.params[i]
-		}
-	}
-
+// effects walks body once, or-ing into tracked what it does with each
+// tracked variable, and reports whether it drains a ledger. It computes
+// summaries (tracked = the owned parameters) and closeflow's closure
+// rule (tracked = the owned values a literal captures). A function
+// literal's body counts as part of body; a literal that escapes — run by
+// go or defer, returned, or stored — takes every tracked value it
+// mentions with it.
+func (s *summarizer) effects(pkg *Package, body ast.Node, tracked map[types.Object]*paramEffect) (drainsLedger bool) {
 	info := pkg.Info
-	// paramOf resolves an expression to a tracked parameter, seeing
+	// trackedOf resolves an expression to a tracked variable, seeing
 	// through parens.
-	paramOf := func(e ast.Expr) *paramEffect {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		if eff, ok := tracked[info.Uses[id]]; ok {
-			return eff
+	trackedOf := func(e ast.Expr) *paramEffect {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+			return tracked[info.Uses[id]]
 		}
 		return nil
 	}
-	// mentionsParam reports whether any tracked parameter appears under e.
-	mentionsParam := func(e ast.Expr) *paramEffect {
-		var found *paramEffect
-		ast.Inspect(e, func(n ast.Node) bool {
-			if found != nil {
-				return false
-			}
+	// captures marks every tracked variable mentioned under n (an
+	// escaping literal's captures) as escaped.
+	captures := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if eff, ok := tracked[info.Uses[id]]; ok {
-					found = eff
+				if eff := tracked[info.Uses[id]]; eff != nil {
+					*eff |= effEscaped
 				}
 			}
 			return true
 		})
-		return found
 	}
-
-	var inspect func(n ast.Node) bool
-	inspect = func(n ast.Node) bool {
+	// escapes marks a stored value as escaped: a tracked variable itself,
+	// or one inside a composite literal or an escaping literal — not one
+	// a field of it was read from (calls account for their own arguments).
+	var escapes func(e ast.Expr)
+	escapes = func(e ast.Expr) {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			if eff := tracked[info.Uses[x]]; eff != nil {
+				*eff |= effEscaped
+			}
+		case *ast.UnaryExpr:
+			escapes(x.X)
+		case *ast.KeyValueExpr:
+			escapes(x.Value)
+		case *ast.CompositeLit:
+			for _, el := range x.Elts {
+				escapes(el)
+			}
+		case *ast.FuncLit:
+			captures(x)
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch nd := n.(type) {
 		case *ast.CallExpr:
 			callee := staticCallee(info, nd)
-			if callee != nil {
-				csum := s.summaryFor(callee, pkg)
-				if csum != nil && csum.drainsLedger {
-					sum.drainsLedger = true
-				}
-				// Receiver effect: v.Release() and friends.
-				if sel, ok := ast.Unparen(nd.Fun).(*ast.SelectorExpr); ok {
-					if eff := paramOf(sel.X); eff != nil && csum != nil && csum.recv.consumes() {
-						*eff |= csum.recv
+			if callee == nil {
+				if id, ok := ast.Unparen(nd.Fun).(*ast.Ident); ok && id.Name == "append" && len(nd.Args) > 1 {
+					// append(s, v): the element is stored into the slice.
+					for _, arg := range nd.Args[1:] {
+						escapes(arg)
 					}
 				}
-				for i, arg := range nd.Args {
-					if eff := paramOf(arg); eff != nil && csum.effectOn(i).consumes() {
-						*eff |= csum.effectOn(i)
-					}
-				}
-			} else if id, ok := ast.Unparen(nd.Fun).(*ast.Ident); ok && id.Name == "append" {
-				// append(s, v): the element is stored into the slice.
-				for _, arg := range nd.Args[1:] {
-					if eff := paramOf(arg); eff != nil {
-						*eff |= effEscaped
-					}
+				return true
+			}
+			csum := s.summaryFor(callee, pkg)
+			if csum == nil {
+				return true
+			}
+			drainsLedger = drainsLedger || csum.drainsLedger
+			// Receiver effect: v.Release() and friends.
+			if sel, ok := ast.Unparen(nd.Fun).(*ast.SelectorExpr); ok {
+				if eff := trackedOf(sel.X); eff != nil {
+					*eff |= csum.recv
 				}
 			}
-			// Direct ledger drain without a resolvable callee summary is
-			// covered by builtinSummary via staticCallee; nothing more here.
+			for i, arg := range nd.Args {
+				if eff := trackedOf(arg); eff != nil {
+					*eff |= csum.effectOn(i)
+				}
+			}
 		case *ast.ReturnStmt:
 			for _, res := range nd.Results {
-				if eff := paramOf(res); eff != nil {
+				if eff := trackedOf(res); eff != nil {
 					*eff |= effReturned
+				} else if _, ok := ast.Unparen(res).(*ast.FuncLit); ok {
+					captures(res)
 				}
 			}
 		case *ast.AssignStmt:
@@ -449,49 +496,37 @@ func (s *summarizer) computeSummary(fn *types.Func, decl *ast.FuncDecl, pkg *Pac
 					// Storing into a field, map, or slice element. Match
 					// positionally when possible, else any RHS mention.
 					if i < len(nd.Rhs) {
-						if eff := mentionsParam(nd.Rhs[i]); eff != nil {
-							*eff |= effEscaped
-						}
+						escapes(nd.Rhs[i])
 					} else if len(nd.Rhs) == 1 {
-						if eff := mentionsParam(nd.Rhs[0]); eff != nil {
-							*eff |= effEscaped
-						}
+						escapes(nd.Rhs[0])
 					}
+				}
+			}
+		case *ast.RangeStmt:
+			// What the loop does to each element of a tracked slice it
+			// does to the slice (closeAll(sources) releases sources).
+			if eff := trackedOf(nd.X); eff != nil {
+				if v, ok := nd.Value.(*ast.Ident); ok && info.Defs[v] != nil {
+					tracked[info.Defs[v]] = eff
 				}
 			}
 		case *ast.SendStmt:
-			if eff := mentionsParam(nd.Value); eff != nil {
-				*eff |= effEscaped
-			}
+			escapes(nd.Value)
 		case *ast.CompositeLit:
 			for _, el := range nd.Elts {
-				if eff := mentionsParam(el); eff != nil {
-					*eff |= effEscaped
-				}
+				escapes(el)
 			}
 		case *ast.GoStmt:
+			escapes(nd.Call.Fun)
 			for _, arg := range nd.Call.Args {
-				if eff := paramOf(arg); eff != nil {
-					*eff |= effEscaped
-				}
+				escapes(arg)
 			}
-			// The spawned callee and captured params are handled by the
-			// FuncLit case below when the call target is a literal.
-		case *ast.FuncLit:
-			// A parameter captured by a literal escapes: the literal may
-			// run later (defer, goroutine, stored callback).
-			ast.Inspect(nd.Body, func(inner ast.Node) bool {
-				if id, ok := inner.(*ast.Ident); ok {
-					if eff, ok := tracked[info.Uses[id]]; ok {
-						*eff |= effEscaped
-					}
-				}
-				return true
-			})
-			return false // don't double-visit the body
+		case *ast.DeferStmt:
+			if _, ok := ast.Unparen(nd.Call.Fun).(*ast.FuncLit); ok {
+				captures(nd.Call.Fun)
+			}
 		}
 		return true
-	}
-	ast.Inspect(decl.Body, inspect)
-	return sum
+	})
+	return drainsLedger
 }

@@ -164,8 +164,20 @@ func (w *fleetWatch) close() {
 	w.c.Close()
 }
 
+// elasticMerger is one tenant's merger with the registry client its
+// resolver reads through; Close closes both.
+type elasticMerger struct {
+	*core.NetMerger
+	rc *registry.Client
+}
+
+func (m elasticMerger) Close() error {
+	m.NetMerger.Close()
+	return m.rc.Close()
+}
+
 // newElasticMerger builds a registry-resolving merger for one tenant.
-func newElasticMerger(regAddr string, window int, fc *flow.Config) (*core.NetMerger, func(), error) {
+func newElasticMerger(regAddr string, window int, fc *flow.Config) (elasticMerger, error) {
 	rc := registry.NewClient(regAddr)
 	resolver := registry.NewResolver(rc, 20*time.Millisecond)
 	m, err := core.NewNetMerger(core.MergerConfig{
@@ -179,9 +191,9 @@ func newElasticMerger(regAddr string, window int, fc *flow.Config) (*core.NetMer
 	})
 	if err != nil {
 		rc.Close()
-		return nil, nil, err
+		return elasticMerger{}, err
 	}
-	return m, func() { m.Close(); rc.Close() }, nil
+	return elasticMerger{m, rc}, nil
 }
 
 // loadGridReference reads every fixture segment from disk — the
@@ -333,16 +345,16 @@ func Elastic(cfg ElasticConfig) (*Report, error) {
 		logf("elastic: floor supplier live after %v", time.Since(start).Round(time.Millisecond))
 	}
 
-	lightM, closeLight, err := newElasticMerger(regAddr, 4, &flow.Config{WindowStart: 2, WindowMax: 4})
+	lightM, err := newElasticMerger(regAddr, 4, &flow.Config{WindowStart: 2, WindowMax: 4})
 	if err != nil {
 		return nil, err
 	}
-	defer closeLight()
-	heavyM, closeHeavy, err := newElasticMerger(regAddr, cfg.HeavyWindow, &flow.Config{WindowStart: 4, WindowMax: cfg.HeavyWindow})
+	defer lightM.Close()
+	heavyM, err := newElasticMerger(regAddr, cfg.HeavyWindow, &flow.Config{WindowStart: 4, WindowMax: cfg.HeavyWindow})
 	if err != nil {
 		return nil, err
 	}
-	defer closeHeavy()
+	defer heavyM.Close()
 
 	specs := make([]core.FetchSpec, 0, cfg.Tasks*cfg.Parts)
 	for ti := 0; ti < cfg.Tasks; ti++ {

@@ -98,7 +98,7 @@ func (p *mpProc) wait() error {
 
 func startProc(logf func(string, ...any), name, bin string, args ...string) (*mpProc, error) {
 	p := &mpProc{name: name, cmd: exec.Command(bin, args...), done: make(chan struct{})}
-	stdout, err := p.cmd.StdoutPipe()
+	stdout, err := p.cmd.StdoutPipe() //jbsvet:ignore closeflow the Cmd owns its pipe: Wait closes it, and so does a failed Start
 	if err != nil {
 		return nil, err
 	}

@@ -168,11 +168,16 @@ func newOverloadRig(dir string, cfg OverloadConfig) (*overloadRig, error) {
 
 // writeSizedMOF writes one MOF whose every partition holds ~segBytes of
 // records (1 KB values, distinct keys).
-func writeSizedMOF(data, index string, parts, segBytes int) error {
+func writeSizedMOF(data, index string, parts, segBytes int) (err error) {
 	w, err := mof.NewWriter(data, index, parts)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			w.Abort()
+		}
+	}()
 	value := make([]byte, 1024)
 	for i := range value {
 		value[i] = byte('a' + i%26)

@@ -174,6 +174,13 @@ func Run(t TB, sc Scenario) {
 	lookup, specs := buildFixture(t, dir, sc)
 	suppliers := make([]*core.MOFSupplier, sc.Suppliers)
 	addrs := make([]string, sc.Suppliers)
+	defer func() {
+		for _, s := range suppliers {
+			if s != nil {
+				s.Close() // idempotent: a mid-run CloseAfter may get there first
+			}
+		}
+	}()
 	for i := range suppliers {
 		s, err := core.NewMOFSupplier(core.SupplierConfig{
 			Transport:      tcp,
@@ -185,7 +192,6 @@ func Run(t TB, sc Scenario) {
 		if err != nil {
 			t.Fatalf("chaos %s: start supplier %d: %v", sc.Name, i, err)
 		}
-		defer s.Close() // idempotent: a mid-run CloseAfter may get there first
 		suppliers[i], addrs[i] = s, s.Addr()
 	}
 	for i := range specs {
@@ -450,6 +456,8 @@ func referenceRun(t TB, sc Scenario, tcp transport.Transport, specs []core.Fetch
 // after its first error) while the merger still sees concurrent load.
 // Workers communicate only through channels — no testing calls off the
 // test goroutine (see jbsvet's testgoroutine check).
+//
+//jbsvet:ignore closeflow the workers borrow m and are joined before return; the caller closes it
 func runFetches(m *core.NetMerger, specs []core.FetchSpec, workers int) []outcome {
 	in := make(chan core.FetchSpec)
 	out := make(chan outcome, len(specs))

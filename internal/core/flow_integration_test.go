@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/flow"
+	"repro/internal/metrics"
 	"repro/internal/mof"
 	"repro/internal/transport"
 )
@@ -324,7 +325,7 @@ func TestShedFrameIgnoredForForeignFetch(t *testing.T) {
 	results := make(chan fetchResult, 1) // Close fails the live fetch into this
 	m.mu.Lock()
 	for _, addr := range []string{owner, foreign} {
-		g := &nodeGroup{addr: addr, inflightG: inflightGauge(addr)}
+		g := &nodeGroup{addr: addr, inflight: metrics.NewMirror(inflightGauge(addr))}
 		g.win = flow.NewWindow(*m.cfg.Flow, flow.WindowGauge(addr))
 		m.groups[addr] = g
 		m.ring = append(m.ring, g)
@@ -343,10 +344,10 @@ func TestShedFrameIgnoredForForeignFetch(t *testing.T) {
 	if !attemptIn(m, 7, inFlight) {
 		t.Fatal("foreign shed removed the owner's pending fetch")
 	}
-	if got := m.groups[owner].inflight; got != 1 {
+	if got := m.groups[owner].inflight.Load(); got != 1 {
 		t.Errorf("owner inflight = %d, want 1", got)
 	}
-	if got := m.groups[foreign].inflight; got != 0 {
+	if got := m.groups[foreign].inflight.Load(); got != 0 {
 		t.Errorf("foreign inflight = %d, want 0", got)
 	}
 	if m.stats.Sheds != 0 {
@@ -368,7 +369,7 @@ func TestShedFrameIgnoredForForeignFetch(t *testing.T) {
 	if !attemptIn(m, 7, parked) {
 		t.Error("owner shed did not park the fetch")
 	}
-	if got := m.groups[owner].inflight; got != 0 {
+	if got := m.groups[owner].inflight.Load(); got != 0 {
 		t.Errorf("owner inflight = %d after its shed, want 0", got)
 	}
 	if m.stats.Sheds != 1 {

@@ -336,8 +336,8 @@ func TestAttemptLifecycle(t *testing.T) {
 
 				r.m.mu.Lock()
 				for _, g := range r.m.ring {
-					if g.inflight != 0 {
-						t.Errorf("node %s holds %d slots after Close, want 0", g.addr, g.inflight)
+					if n := g.inflight.Load(); n != 0 {
+						t.Errorf("node %s holds %d slots after Close, want 0", g.addr, n)
 					}
 				}
 				if n := len(r.m.live); n != 0 {

@@ -254,9 +254,8 @@ type nodeGroup struct {
 	addr string
 	// queue may hold attempts retired while queued (a hedge pair's loser);
 	// the injector skips anything not in state queued.
-	queue     []*pendingFetch
-	inflight  int
-	inflightG *metrics.Gauge // registry mirror of inflight, labeled by node
+	queue    []*pendingFetch
+	inflight metrics.Mirror // requests in flight, mirrored into the node's gauge
 	// win is the node pair's AIMD congestion window; nil when flow
 	// control is disabled (fixed WindowPerNode).
 	win *flow.Window
@@ -275,19 +274,11 @@ type nodeGroup struct {
 	rtt *flow.RTTRing
 }
 
-// acquire charges one request to the group's in-flight window. Together
-// with release it is the only place inflight and its gauge move, so the
-// two can never drift (the audit point jbsvet's gaugepair check pins).
-func (g *nodeGroup) acquire() {
-	g.inflight++
-	g.inflightG.Add(1)
-}
+// acquire charges one request to the group's in-flight window.
+func (g *nodeGroup) acquire() { g.inflight.Add(1) }
 
 // release returns one in-flight slot to the group's window.
-func (g *nodeGroup) release() {
-	g.inflight--
-	g.inflightG.Add(-1)
-}
+func (g *nodeGroup) release() { g.inflight.Add(-1) }
 
 // limit returns the group's current in-flight limit: the AIMD window
 // when flow control is on, the fixed configured window otherwise.
@@ -412,7 +403,7 @@ func (m *NetMerger) Close() error {
 func (m *NetMerger) enqueueLocked(p *pendingFetch, head bool) {
 	g, ok := m.groups[p.spec.Addr]
 	if !ok {
-		g = &nodeGroup{addr: p.spec.Addr, inflightG: inflightGauge(p.spec.Addr)}
+		g = &nodeGroup{addr: p.spec.Addr, inflight: metrics.NewMirror(inflightGauge(p.spec.Addr))}
 		if m.cfg.Flow != nil {
 			g.win = flow.NewWindow(*m.cfg.Flow, flow.WindowGauge(g.addr))
 		}
@@ -539,7 +530,7 @@ func (m *NetMerger) injectLoop() {
 			m.next %= len(m.ring)
 			c := m.ring[m.next]
 			m.next++
-			if c.inflight >= c.limit(m.cfg.WindowPerNode) {
+			if c.inflight.Load() >= int64(c.limit(m.cfg.WindowPerNode)) {
 				continue
 			}
 			for len(c.queue) > 0 && c.queue[0].state != queued {

@@ -38,9 +38,8 @@ type drrTenant struct {
 	name    string
 	weight  int64
 	deficit int64
-	queued  int64 // bytes accepted but not yet served
-	active  bool  // member of the ring
-	queuedG *metrics.Gauge
+	queued  metrics.Mirror // bytes accepted but not yet served, mirrored per tenant
+	active  bool           // member of the ring
 }
 
 // NewDRR creates a scheduler with the given byte quantum and tenant
@@ -68,7 +67,7 @@ func (d *DRR) tenant(name string) *drrTenant {
 				w = tw
 			}
 		}
-		t = &drrTenant{name: name, weight: w, queuedG: tenantQueueGauge(name)}
+		t = &drrTenant{name: name, weight: w, queued: metrics.NewMirror(tenantQueueGauge(name))}
 		d.tenants[name] = t
 	}
 	return t
@@ -95,8 +94,7 @@ func (d *DRR) Add(tenant string, bytes int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t := d.tenant(tenant)
-	t.queued += Cost(bytes)
-	t.queuedG.Set(t.queued)
+	t.queued.Set(t.queued.Load() + Cost(bytes))
 	if !t.active {
 		t.active = true
 		d.ring = append(d.ring, t)
@@ -150,12 +148,8 @@ func (d *DRR) Serve(tenant string, bytes int64) {
 		return
 	}
 	t.deficit -= bytes
-	t.queued -= bytes
-	if t.queued < 0 {
-		t.queued = 0
-	}
-	t.queuedG.Set(t.queued)
-	if t.queued == 0 && t.active {
+	t.queued.Set(max(t.queued.Load()-bytes, 0))
+	if t.queued.Load() == 0 && t.active {
 		t.active = false
 		t.deficit = 0
 		for i, rt := range d.ring {
@@ -181,7 +175,7 @@ func (d *DRR) Occupancy() []TenantState {
 			Tenant:      t.name,
 			Weight:      t.weight,
 			Deficit:     t.deficit,
-			QueuedBytes: t.queued,
+			QueuedBytes: t.queued.Load(),
 			Active:      t.active,
 		})
 	}

@@ -14,34 +14,32 @@ import "repro/internal/metrics"
 // atomics and allocations. The optional size gauge is the only piece
 // observable without the owner's lock.
 type Window struct {
-	size int // current in-flight limit
+	// size is the current in-flight limit, mirrored into the registry's
+	// window gauge when NewWindow was given one.
+	size metrics.Mirror
 	acc  int // additive-increase accumulator, in Increase units
 	min  int
 	max  int
 	inc  int
 	dec  float64
-	// sizeG mirrors size into the metrics registry (nil = unmirrored).
-	// It moves only inside Window methods, together with size — the
-	// pairing discipline jbsvet's gaugepair check enforces.
-	sizeG *metrics.Gauge
 }
 
 // NewWindow creates a window from a defaulted Config. gauge, when
 // non-nil, mirrors the window size into the metrics registry.
 func NewWindow(cfg Config, gauge *metrics.Gauge) *Window {
 	w := &Window{
-		min:   cfg.WindowMin,
-		max:   cfg.WindowMax,
-		inc:   cfg.Increase,
-		dec:   cfg.Decrease,
-		sizeG: gauge,
+		size: metrics.NewMirror(gauge),
+		min:  cfg.WindowMin,
+		max:  cfg.WindowMax,
+		inc:  cfg.Increase,
+		dec:  cfg.Decrease,
 	}
 	w.setSize(cfg.WindowStart)
 	return w
 }
 
 // Limit returns the current in-flight limit.
-func (w *Window) Limit() int { return w.size }
+func (w *Window) Limit() int { return int(w.size.Load()) }
 
 // setSize clamps and applies a new size, mirroring it to the gauge.
 func (w *Window) setSize(n int) {
@@ -51,10 +49,7 @@ func (w *Window) setSize(n int) {
 	if n > w.max {
 		n = w.max
 	}
-	w.size = n
-	if w.sizeG != nil {
-		w.sizeG.Set(int64(n))
-	}
+	w.size.Set(int64(n))
 }
 
 // OnClean records one clean delivery (a full segment reassembled with
@@ -62,14 +57,14 @@ func (w *Window) setSize(n int) {
 // delivery banks Increase units, and a full window's worth of units
 // buys one more slot — the classic cwnd += 1/cwnd shape in integers.
 func (w *Window) OnClean() {
-	if w.size >= w.max {
+	if w.Limit() >= w.max {
 		w.acc = 0
 		return
 	}
 	w.acc += w.inc
-	for w.acc >= w.size && w.size < w.max {
-		w.acc -= w.size
-		w.setSize(w.size + 1)
+	for w.acc >= w.Limit() && w.Limit() < w.max {
+		w.acc -= w.Limit()
+		w.setSize(w.Limit() + 1)
 	}
 }
 
@@ -77,14 +72,14 @@ func (w *Window) OnClean() {
 // frame after its admission ledger recovered): one immediate slot,
 // bypassing the per-RTT accumulator.
 func (w *Window) OnCredit() {
-	w.setSize(w.size + 1)
+	w.setSize(w.Limit() + 1)
 }
 
 // OnShed records a shed response: multiplicative decrease, floor
 // clamped, accumulated growth forfeited.
 func (w *Window) OnShed() {
 	w.acc = 0
-	w.setSize(int(float64(w.size) * w.dec))
+	w.setSize(int(float64(w.Limit()) * w.dec))
 }
 
 // OnTimeout records a dead connection or request timeout — the same
@@ -97,5 +92,5 @@ func (w *Window) OnTimeout() {
 // State snapshots the window for the /debug/jbs/flow endpoint.
 // Like every other method it requires the owner's lock.
 func (w *Window) State() WindowState {
-	return WindowState{Size: w.size, Min: w.min, Max: w.max}
+	return WindowState{Size: w.Limit(), Min: w.min, Max: w.max}
 }

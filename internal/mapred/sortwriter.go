@@ -430,6 +430,8 @@ func writerOptions(compress bool) []mof.WriterOption {
 // mergeRuns merges the per-partition segments of every run into the final
 // MOF, written through w. Run files are left in place; on error nothing is
 // left at final.
+//
+//jbsvet:ignore closeflow w is the task's reusable writer, idle until Reset here; the caller's deferred Abort covers every exit
 func mergeRuns(w *mof.Writer, runs []MOFPaths, partitions int, final MOFPaths, compress bool) (err error) {
 	indexes := make([]*mof.Index, len(runs))
 	for i, r := range runs {

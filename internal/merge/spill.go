@@ -133,6 +133,7 @@ func rawSources(segs [][]byte) []Source {
 func (m *SpillMerger) writeRun(path string, sources []Source) (int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
+		closeAll(sources)
 		return 0, fmt.Errorf("merge: create run: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 256<<10)

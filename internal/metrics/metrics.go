@@ -77,6 +77,38 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
+// Mirror is an int64 its owner reads under its own lock, copied into an
+// optional registry Gauge on every change. Add and Set move both halves,
+// so no code can move one without the other. A Mirror is not safe for
+// concurrent use — the owner's lock guards it — and only the gauge is read
+// from outside.
+type Mirror struct {
+	v int64
+	g *Gauge
+}
+
+// NewMirror returns a zero value mirrored into g (nil: unmirrored).
+func NewMirror(g *Gauge) Mirror { return Mirror{g: g} }
+
+// Add moves the value by n, and the gauge by n.
+func (m *Mirror) Add(n int64) {
+	m.v += n
+	if m.g != nil {
+		m.g.Add(n)
+	}
+}
+
+// Set replaces the value, and sets the gauge to it.
+func (m *Mirror) Set(n int64) {
+	m.v = n
+	if m.g != nil {
+		m.g.Set(n)
+	}
+}
+
+// Load returns the value.
+func (m *Mirror) Load() int64 { return m.v }
+
 // HistBuckets is the fixed bucket count of every histogram: bucket i
 // counts observations in (2^(i-1), 2^i], bucket 0 counts v <= 1, and the
 // last bucket absorbs everything larger than 2^(HistBuckets-2) (it prints

@@ -252,3 +252,27 @@ func TestDefaultRegistryShared(t *testing.T) {
 		t.Errorf("default registry counter = %d, want 1", got)
 	}
 }
+
+// TestMirrorMovesItsGauge: every change to a Mirror reaches its gauge —
+// Add as a delta, so mirrors sharing one gauge sum into it, Set as a
+// value — and a Mirror without a gauge keeps its value all the same.
+func TestMirrorMovesItsGauge(t *testing.T) {
+	var g Gauge
+	a, b := NewMirror(&g), NewMirror(&g)
+	a.Add(3)
+	b.Add(2)
+	a.Add(-1)
+	if a.Load() != 2 || b.Load() != 2 || g.Load() != 4 {
+		t.Fatalf("after Adds: a=%d b=%d gauge=%d, want 2 2 4", a.Load(), b.Load(), g.Load())
+	}
+	a.Set(7)
+	if a.Load() != 7 || g.Load() != 7 {
+		t.Fatalf("after Set: a=%d gauge=%d, want 7 7", a.Load(), g.Load())
+	}
+	var bare Mirror
+	bare.Add(5)
+	bare.Set(bare.Load() - 1)
+	if bare.Load() != 4 {
+		t.Fatalf("unmirrored value = %d, want 4", bare.Load())
+	}
+}

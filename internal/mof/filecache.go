@@ -46,6 +46,8 @@ type FileHandle struct {
 
 // File exposes the open descriptor for offset reads. Callers must not
 // Close it — Release returns it to the cache.
+//
+//jbsvet:borrowed
 func (h *FileHandle) File() *os.File { return h.f }
 
 // NewFileCache creates a cache keeping at most max files open. Files held

@@ -448,6 +448,7 @@ func CompressSegment(raw []byte) ([]byte, error) {
 		return nil, fmt.Errorf("mof: compressor: %w", err)
 	}
 	if _, err := fw.Write(raw); err != nil {
+		_ = fw.Close() // already failing; report the write error
 		return nil, fmt.Errorf("mof: compress: %w", err)
 	}
 	if err := fw.Close(); err != nil {

@@ -49,7 +49,10 @@ func NewConnCache(tr Transport, max int) *ConnCache {
 
 // Get returns a cached connection to addr, dialing on first use. Concurrent
 // Gets for the same address share one dial. After Close it returns
-// ErrConnClosed, and a dial that Close overtook is closed, not cached.
+// ErrConnClosed, and a dial that Close overtook is closed, not cached. The
+// cache keeps the connection; callers must not Close it.
+//
+//jbsvet:borrowed
 func (c *ConnCache) Get(addr string) (Conn, error) {
 	for {
 		c.mu.Lock()
@@ -151,6 +154,8 @@ func (c *ConnCache) InvalidateOnError(addr string, err error) bool {
 // freshly dialed connection, and tearing that one down would turn one
 // failure into two. Transient errors never invalidate (see
 // InvalidateOnError). Reports whether the connection was removed.
+//
+//jbsvet:ignore closeflow conn is the cache's, lent by Get; it is closed only while it is still the cached entry
 func (c *ConnCache) InvalidateConn(addr string, conn Conn, err error) bool {
 	if Transient(err) {
 		return false
@@ -173,7 +178,10 @@ func (c *ConnCache) InvalidateConn(addr string, conn Conn, err error) bool {
 }
 
 // Peek returns the cached connection to addr without dialing or touching
-// the LRU order. ok is false when no connection is cached.
+// the LRU order. ok is false when no connection is cached. Like Get's, the
+// connection stays the cache's.
+//
+//jbsvet:borrowed
 func (c *ConnCache) Peek(addr string) (Conn, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -64,6 +64,7 @@ func writeLines(fs *dfs.Cluster, path, node string, n int, gen func(i int) (stri
 	if err != nil {
 		return err
 	}
+	defer w.Abort() // an error exit leaves no blocks; a no-op after Close
 	bw := bufio.NewWriterSize(w, 256<<10)
 	for i := 0; i < n; i++ {
 		content, err := gen(i)
@@ -95,6 +96,7 @@ func Teragen(fs *dfs.Cluster, path, node string, n int, seed int64) error {
 	if err != nil {
 		return err
 	}
+	defer w.Abort() // an error exit leaves no blocks; a no-op after Close
 	bw := bufio.NewWriterSize(w, 256<<10)
 	rng := rand.New(rand.NewSource(seed))
 	rec := make([]byte, TeraRecordLen)

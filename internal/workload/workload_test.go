@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -525,5 +527,38 @@ func TestWordSplittingMatchesStringsFields(t *testing.T) {
 		if want := strings.Fields(line); strings.Join(got, "|") != strings.Join(want, "|") {
 			t.Errorf("fields of %q = %q, want %q", line, got, want)
 		}
+	}
+}
+
+// TestWriteLinesFailureLeavesNoBlocks: a generator that fails after more
+// than one block has reached the datanodes leaves nothing behind — no
+// block replica and no reserved name — so the path can be written again.
+func TestWriteLinesFailureLeavesNoBlocks(t *testing.T) {
+	root := t.TempDir()
+	fs, err := dfs.NewCluster(dfs.Config{BlockSize: 8 * LineWidth, Replication: 1}, []string{"n0", "n1"}, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Past the writer's 256 KiB buffer, so whole blocks are flushed first.
+	const failAt = 5000
+	errGen := errors.New("generator failed")
+	err = writeLines(fs, "/text", "n0", failAt+10, func(i int) (string, error) {
+		if i == failAt {
+			return "", errGen
+		}
+		return fmt.Sprintf("line %d", i), nil
+	})
+	if !errors.Is(err, errGen) {
+		t.Fatalf("writeLines = %v, want the generator's error", err)
+	}
+	blocks, err := filepath.Glob(filepath.Join(root, "*", "blk_*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) != 0 {
+		t.Errorf("%d block replicas left behind by the failed write", len(blocks))
+	}
+	if err := TextCorpus(fs, "/text", "n0", 5, 100, 1); err != nil {
+		t.Errorf("path not writable again after the failed write: %v", err)
 	}
 }
