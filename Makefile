@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet vet-fast race bench fuzz-smoke chaos-hedge overload benchmark-test bench-pair stress multiproc-smoke elastic-smoke loc
+.PHONY: all build test vet vet-fast race bench fuzz-smoke chaos-hedge overload hedge-smoke benchmark-test bench-pair stress multiproc-smoke elastic-smoke loc
 
 all: build vet test
 
@@ -124,3 +124,11 @@ elastic-smoke:
 # including shed injection. Prints the light job's p50/p99 per scenario.
 overload:
 	$(GO) run ./cmd/jbsbench overload
+
+# hedge-smoke: the hedged-fetching experiment at CI size — a replicated
+# two-supplier topology, the primary under seeded stalls and then a
+# blackout, each with hedging off and on. Fails if a fetch errors, if the
+# hedged stall run launches no hedge, or if a run's hedge ledger never
+# settles (every hedge a win, loss, shed, failure or error).
+hedge-smoke:
+	$(GO) run ./cmd/jbsbench -short hedge

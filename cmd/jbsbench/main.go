@@ -28,7 +28,7 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
-	short := flag.Bool("short", false, "multiproc: small smoke configuration (CI)")
+	short := flag.Bool("short", false, "hedge, multiproc, elastic: small smoke configuration (CI)")
 	lines := flag.Int("lines", 2000, "input records for the functional run")
 	fixtureDir := flag.String("dir", "", "mof-fixture: directory to write the MOF grid into")
 	fixtureTasks := flag.Int("fixture-tasks", 4, "mof-fixture: map-task count")
@@ -95,7 +95,11 @@ func main() {
 			}
 			emit(rep)
 		case "hedge":
-			rep, err := bench.HedgeTail(bench.DefaultHedgeTailConfig())
+			cfg := bench.DefaultHedgeTailConfig()
+			if *short {
+				cfg = bench.ShortHedgeTailConfig()
+			}
+			rep, err := bench.HedgeTail(cfg)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "jbsbench:", err)
 				os.Exit(1)

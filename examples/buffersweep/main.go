@@ -11,7 +11,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/shuffle"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -19,11 +18,8 @@ func main() {
 	fmt.Printf("%-12s %s\n", "buffer", "wall time")
 	for _, kb := range []int{2, 8, 32, 128} {
 		prov, err := shuffle.NewJBSProvider(shuffle.JBSConfig{
-			Transport: "tcp",
-			Net: transport.Config{
-				BufferSize:     kb << 10,
-				MaxConnections: transport.DefaultMaxConnections,
-			},
+			Transport:  "tcp",
+			BufferSize: kb << 10,
 		})
 		if err != nil {
 			log.Fatal(err)

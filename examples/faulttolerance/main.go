@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/shuffle"
@@ -103,28 +104,16 @@ func main() {
 	fmt.Printf("  output records        %d\n", c.OutputRecords)
 
 	// Verify the totals: every word of every line was counted once.
+	out, err := bench.ReadOutput(fs, res.OutputFiles)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var total int
-	for _, p := range res.OutputFiles {
-		r, err := fs.Open(p, "")
-		if err != nil {
-			log.Fatal(err)
-		}
-		buf := new(strings.Builder)
-		tmp := make([]byte, 32<<10)
-		for {
-			n, rerr := r.Read(tmp)
-			buf.Write(tmp[:n])
-			if rerr != nil {
-				break
-			}
-		}
-		r.Close()
-		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-			parts := strings.SplitN(line, "\t", 2)
-			if len(parts) == 2 {
-				n, _ := strconv.Atoi(parts[1])
-				total += n
-			}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		parts := strings.SplitN(line, "\t", 2)
+		if len(parts) == 2 {
+			n, _ := strconv.Atoi(parts[1])
+			total += n
 		}
 	}
 	want := 96 * 7 // 7 tokens per generated line

@@ -58,9 +58,6 @@ type Config struct {
 	LaunchGrace time.Duration
 	// Clock supplies the Run loop's notion of now. Nil means time.Now.
 	Clock func() time.Time
-	// Name labels the /debug/jbs/autoscale snapshot. Empty means
-	// "autoscaler".
-	Name string
 	// Log, when set, receives one line per scale event and failure.
 	Log func(format string, args ...any)
 }
@@ -101,9 +98,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
-	}
-	if c.Name == "" {
-		c.Name = "autoscaler"
 	}
 	return nil
 }
@@ -455,7 +449,7 @@ func (a *Autoscaler) AutoscaleState() State {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := State{
-		Name:        a.cfg.Name,
+		Name:        "autoscaler",
 		Min:         a.cfg.Min,
 		Max:         a.cfg.Max,
 		Live:        a.lastSig.Live,

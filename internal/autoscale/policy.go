@@ -62,10 +62,6 @@ type TargetTrackingConfig struct {
 	// TargetShedRate is the per-supplier shed rate (sheds/sec) the
 	// fleet should be sized to stay at. Must be positive.
 	TargetShedRate float64
-	// DownFraction scales the shrink threshold: the fleet is eligible
-	// to lose a supplier once its per-supplier shed rate stays under
-	// TargetShedRate*DownFraction for QuietFor. Zero means 0.1.
-	DownFraction float64
 	// QuietFor is how long the shed rate must stay under the shrink
 	// threshold before a scale-down (hysteresis). Zero means 2s.
 	QuietFor time.Duration
@@ -74,15 +70,14 @@ type TargetTrackingConfig struct {
 	UpCooldown, DownCooldown time.Duration
 }
 
+// downFraction scales the shrink threshold: the fleet is eligible to
+// lose a supplier once its per-supplier shed rate stays at or under a
+// tenth of TargetShedRate for QuietFor.
+const downFraction = 0.1
+
 func (c *TargetTrackingConfig) applyDefaults() error {
 	if c.TargetShedRate <= 0 {
 		return fmt.Errorf("autoscale: TargetShedRate %v must be positive", c.TargetShedRate)
-	}
-	if c.DownFraction < 0 || c.DownFraction >= 1 {
-		return fmt.Errorf("autoscale: DownFraction %v must be in [0, 1)", c.DownFraction)
-	}
-	if c.DownFraction == 0 {
-		c.DownFraction = 0.1
 	}
 	if c.QuietFor <= 0 {
 		c.QuietFor = 2 * time.Second
@@ -144,7 +139,7 @@ func (p *TargetTracking) Evaluate(now time.Time, sig Signals) Decision {
 		p.cd.lastUp = now
 		return Decision{Desired: want,
 			Reason: fmt.Sprintf("shed rate %.1f/s = %.1f/supplier, target %.1f", sig.ShedRate, perSupplier, p.cfg.TargetShedRate)}
-	case perSupplier <= p.cfg.TargetShedRate*p.cfg.DownFraction:
+	case perSupplier <= p.cfg.TargetShedRate*downFraction:
 		if p.quietSince.IsZero() {
 			p.quietSince = now
 		}

@@ -75,7 +75,7 @@ func TestTargetTrackingQuietWindowThenStepDown(t *testing.T) {
 
 func TestTargetTrackingBandResetsQuiet(t *testing.T) {
 	p := newShedPolicy(t, TargetTrackingConfig{
-		TargetShedRate: 10, DownFraction: 0.1, QuietFor: 2 * time.Second,
+		TargetShedRate: 10, QuietFor: 2 * time.Second,
 	})
 	if d := p.Evaluate(at(0), Signals{Live: 2, ShedRate: 0}); d.Desired != 2 {
 		t.Fatalf("t=0: %+v", d)
@@ -125,8 +125,5 @@ func TestTargetTrackingDeterministic(t *testing.T) {
 func TestTargetTrackingConfigValidation(t *testing.T) {
 	if _, err := NewTargetTracking(TargetTrackingConfig{}); err == nil {
 		t.Fatal("zero TargetShedRate accepted")
-	}
-	if _, err := NewTargetTracking(TargetTrackingConfig{TargetShedRate: 1, DownFraction: 1.5}); err == nil {
-		t.Fatal("DownFraction >= 1 accepted")
 	}
 }

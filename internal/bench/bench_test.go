@@ -1,9 +1,15 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/dfs"
 )
 
 func TestAllExperimentsRegistered(t *testing.T) {
@@ -201,6 +207,50 @@ func TestRunFunctionalUnknownBenchmark(t *testing.T) {
 		providers["jbs-tcp"])
 	if err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestReadOutputFailsOnLostBlock reads a part file whose middle block has
+// lost its only replica: the read must fail naming the part, where a loop
+// that stops at the first Read error returned the bytes before the hole.
+func TestReadOutputFailsOnLostBlock(t *testing.T) {
+	root := t.TempDir()
+	fs, err := dfs.NewCluster(dfs.Config{BlockSize: 64, Replication: 1}, []string{"n0"}, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("0123456789abcdef"), 12) // three 64-byte blocks
+	for _, part := range []string{"/out/part-0", "/out/part-1"} {
+		w, err := fs.Create(part, "n0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := ReadOutput(fs, []string{"/out/part-0"})
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("intact part: %d bytes, err %v; want %d bytes", len(got), err, len(want))
+	}
+
+	fi, err := fs.Stat("/out/part-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := fi.Blocks[1]
+	if err := os.Remove(filepath.Join(root, lost.Hosts[0], fmt.Sprintf("blk_%d", lost.ID))); err != nil {
+		t.Fatal(err)
+	}
+	got, err = ReadOutput(fs, []string{"/out/part-0", "/out/part-1"})
+	if err == nil {
+		t.Fatalf("lost block read as %d bytes with no error", len(got))
+	}
+	if !strings.Contains(err.Error(), "/out/part-1") {
+		t.Errorf("error %q does not name the part", err)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/flow"
-	"repro/internal/mof"
 	"repro/internal/registry"
 	"repro/internal/transport"
 )
@@ -196,32 +195,6 @@ func newElasticMerger(regAddr string, window int, fc *flow.Config) (elasticMerge
 	return elasticMerger{m, rc}, nil
 }
 
-// loadGridReference reads every fixture segment from disk — the
-// byte-identity reference for the light tenant.
-func loadGridReference(dir string, tasks, parts int) (map[string][]byte, error) {
-	ref := make(map[string][]byte, tasks*parts)
-	for ti := 0; ti < tasks; ti++ {
-		task := fmt.Sprintf("m-%05d", ti)
-		dataPath := filepath.Join(dir, task+".data")
-		ix, err := mof.ReadIndex(filepath.Join(dir, task+".index"))
-		if err != nil {
-			return nil, err
-		}
-		for p := 0; p < parts; p++ {
-			e, err := ix.Entry(p)
-			if err != nil {
-				return nil, err
-			}
-			seg, err := mof.ReadSegmentBytes(dataPath, e)
-			if err != nil {
-				return nil, err
-			}
-			ref[fmt.Sprintf("%s/%d", task, p)] = seg
-		}
-	}
-	return ref, nil
-}
-
 // fetchAutoscaleCounters scrapes the named counters from an autoscaler
 // debug endpoint's Prometheus text exposition.
 func fetchAutoscaleCounters(debugAddr string, names ...string) (map[string]int64, error) {
@@ -292,7 +265,7 @@ func Elastic(cfg ElasticConfig) (*Report, error) {
 			return nil, fmt.Errorf("write heavy fixture: %w", err)
 		}
 	}
-	reference, err := loadGridReference(fixture, cfg.Tasks, cfg.Parts)
+	reference, err := daemon.LoadReference(fixture, cfg.Tasks, cfg.Parts)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +342,7 @@ func Elastic(cfg ElasticConfig) (*Report, error) {
 		}
 	}
 	verify := func(spec core.FetchSpec, data []byte) error {
-		want := reference[fmt.Sprintf("%s/%d", spec.MapTask, spec.Partition)]
+		want := reference[core.FetchSpec{MapTask: spec.MapTask, Partition: spec.Partition}]
 		if !bytes.Equal(data, want) {
 			return fmt.Errorf("segment %s/%d: got %d bytes, want %d (corrupt)",
 				spec.MapTask, spec.Partition, len(data), len(want))
@@ -492,11 +465,9 @@ func Elastic(cfg ElasticConfig) (*Report, error) {
 	}
 	// One more verified pass proves the surviving supplier serves the
 	// full grid — nothing was lost across two graceful drains.
-	finalFrom := len(samples)
 	if err := lightPass(); err != nil {
 		return nil, fmt.Errorf("post-drain verification: %w", err)
 	}
-	_ = samples[finalFrom:]
 
 	if st := lightM.Stats(); st.Errors != 0 {
 		return nil, fmt.Errorf("light merger surfaced %d errors", st.Errors)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -93,23 +94,9 @@ func RunFunctional(cfg FunctionalConfig, provider mapred.ShuffleProvider) (*Func
 	elapsed := time.Since(start)
 	phases := PhasesFromDiff(metrics.Diff(before, metrics.Default().Snapshot()))
 
-	var output []byte
-	for _, p := range res.OutputFiles {
-		r, err := fs.Open(p, "")
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, 0, 1<<16)
-		tmp := make([]byte, 32<<10)
-		for {
-			n, rerr := r.Read(tmp)
-			buf = append(buf, tmp[:n]...)
-			if rerr != nil {
-				break
-			}
-		}
-		r.Close()
-		output = append(output, buf...)
+	output, err := ReadOutput(fs, res.OutputFiles)
+	if err != nil {
+		return nil, err
 	}
 	return &FunctionalResult{
 		Provider: provider.Name(),
@@ -118,6 +105,28 @@ func RunFunctional(cfg FunctionalConfig, provider mapred.ShuffleProvider) (*Func
 		Output:   string(output),
 		Phases:   phases,
 	}, nil
+}
+
+// ReadOutput concatenates a job's part files. A part that cannot be read
+// whole — a block whose every replica is lost, say — is an error naming
+// the part, never a short result.
+func ReadOutput(fs *dfs.Cluster, parts []string) ([]byte, error) {
+	var out []byte
+	for _, p := range parts {
+		r, err := fs.Open(p, "")
+		if err != nil {
+			return nil, err
+		}
+		b, err := io.ReadAll(r)
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bench: read %s: %w", p, err)
+		}
+		out = append(out, b...)
+	}
+	return out, nil
 }
 
 // FunctionalProviders returns the two shuffle implementations under

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -63,6 +62,15 @@ func DefaultHedgeTailConfig() HedgeTailConfig {
 	}
 }
 
+// ShortHedgeTailConfig is the CI smoke configuration: a smaller grid and
+// fewer rounds, still enough frames for the stall profile to hold some.
+func ShortHedgeTailConfig() HedgeTailConfig {
+	cfg := DefaultHedgeTailConfig()
+	cfg.Tasks = 4
+	cfg.Rounds = 10
+	return cfg
+}
+
 // HedgeTail measures fetch latency quantiles across four runs — the
 // stall and blackout fault profiles, each with hedging off (the plain
 // single-path merger) and on (replica set + hedging controller). The
@@ -108,6 +116,9 @@ func HedgeTail(cfg HedgeTailConfig) (*Report, error) {
 			}
 			if pr.name == "stall" {
 				if hedged {
+					if res.hedges == 0 {
+						return nil, fmt.Errorf("hedge stall (hedging on): no hedge launched, so the run measured nothing")
+					}
 					headline[1] = res
 				} else {
 					headline[0] = res
@@ -188,7 +199,7 @@ func runHedgeTail(cfg HedgeTailConfig, lookup core.LookupFunc, specs []core.Fetc
 	if hedged {
 		replicaSet := append([]string(nil), addrs...)
 		mc.Replicas = func(core.FetchSpec) []string { return replicaSet }
-		mc.Hedge = &flow.HedgeConfig{Baseline: cfg.Threshold, ScanInterval: time.Millisecond}
+		mc.Hedge = &flow.HedgeConfig{Baseline: cfg.Threshold}
 	}
 	m, err := core.NewNetMerger(mc)
 	if err != nil {
@@ -237,23 +248,27 @@ func runHedgeTail(cfg HedgeTailConfig, lookup core.LookupFunc, specs []core.Fetc
 	}
 
 	// Let decided races finish their loser bookkeeping before reading the
-	// hedge counters (results outrun the cancel by a scheduler beat).
+	// hedge counters (results outrun the cancel by a scheduler beat). A
+	// ledger that never balances is a lost or doubled hedge outcome.
 	deadline := time.Now().Add(2 * time.Second)
 	var st core.MergerStats
 	for {
 		st = m.Stats()
-		if st.Hedges == st.HedgeWins+st.HedgeLosses+st.HedgeSheds+st.HedgeFails+st.HedgeErrors ||
-			time.Now().After(deadline) {
+		settled := st.HedgeWins + st.HedgeLosses + st.HedgeSheds + st.HedgeFails + st.HedgeErrors
+		if st.Hedges == settled {
 			break
+		}
+		if time.Now().After(deadline) {
+			return hedgeRunResult{}, fmt.Errorf("hedge ledger unsettled after 2s: %d hedges, %d wins + losses + sheds + fails + errors",
+				st.Hedges, settled)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	return hedgeRunResult{
-		p50:       quantileDur(samples, 0.50),
-		p99:       quantileDur(samples, 0.99),
-		p999:      quantileDur(samples, 0.999),
+		p50:       percentile(samples, 0.50),
+		p99:       percentile(samples, 0.99),
+		p999:      percentile(samples, 0.999),
 		hedges:    st.Hedges,
 		wins:      st.HedgeWins,
 		dupBytes:  st.HedgeDupBytes,
@@ -286,21 +301,6 @@ func buildHedgeFixture(dir string, cfg HedgeTailConfig) (core.LookupFunc, []core
 		return p[0], p[1], nil
 	}
 	return lookup, specs, nil
-}
-
-// quantileDur returns the q-quantile of sorted samples (nearest-rank).
-func quantileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 func fmtDur(d time.Duration) string {

@@ -129,7 +129,6 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 			MOFDir:       dir,
 			Flow: &flow.Config{
 				AdmitBytes: 32 << 10,
-				QueueBytes: 16 << 10,
 				RetryAfter: 2 * time.Millisecond,
 			},
 			HeartbeatInterval: 50 * time.Millisecond,
@@ -174,7 +173,6 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 		RetryBackoff:  2 * time.Millisecond,
 		Flow: &flow.Config{
 			AdmitBytes: 32 << 10,
-			QueueBytes: 16 << 10,
 			RetryAfter: 2 * time.Millisecond,
 		},
 		Resolver: func(spec core.FetchSpec) (string, error) {

@@ -151,7 +151,6 @@ func scenarios() []Scenario {
 			},
 			Flow: &flow.Config{
 				AdmitBytes: 16 << 10,
-				QueueBytes: 8 << 10,
 				RetryAfter: 3 * time.Millisecond,
 			},
 			MaxRetries: 8,

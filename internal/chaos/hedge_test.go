@@ -16,11 +16,11 @@ import (
 // exactly once), and zero goroutine leaks. Same seed-replay contract as
 // the main suite.
 func hedgeScenarios() []Scenario {
-	// One scan tick and a sub-watchdog threshold: scenarios decide races
-	// by making one side slow, not by tuning quantiles — the controller's
-	// quantile math has its own unit tests (internal/flow).
+	// A sub-watchdog threshold: scenarios decide races by making one side
+	// slow, not by tuning quantiles — the controller's quantile math has
+	// its own unit tests (internal/flow).
 	armed := func(threshold time.Duration) *flow.HedgeConfig {
-		return &flow.HedgeConfig{Baseline: threshold, ScanInterval: time.Millisecond}
+		return &flow.HedgeConfig{Baseline: threshold}
 	}
 	return []Scenario{
 		{

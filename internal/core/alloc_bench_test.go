@@ -54,10 +54,10 @@ func buildBenchMOF(b *testing.B, dir, task string, parts, segBytes int) (string,
 // "hot" variant serves from a warm DataCache; "cold" sizes the cache below
 // the working set so every fetch takes the disk path.
 // The "hot-hedged" variant runs with the hedging controller armed but
-// never tripped (the threshold floor is pinned far above any real fetch):
-// the scanner walks the pending set every tick and every completion feeds
-// the RTT ring, so this is the steady-state cost of carrying the
-// controller — it must stay inside the same allocs/op budget as the
+// never racing (the one replica is the primary itself, so a fetch past
+// its threshold finds no one to race): the scanner walks the pending set
+// every tick and every completion feeds the RTT ring, so this is the
+// steady-state cost of carrying the controller — it must stay inside the same allocs/op budget as the
 // plain hot path (TestSegmentFetchPathAllocationPins holds the numbers).
 func BenchmarkSegmentFetchPath(b *testing.B) {
 	b.Run("hot", func(b *testing.B) { benchSegmentFetchPath(b, 64<<20, false) })
@@ -125,10 +125,12 @@ func benchSegmentFetchPath(b *testing.B, cacheBytes int64, hedged bool) {
 	defer s.Close()
 	mc := MergerConfig{Transport: tr}
 	if hedged {
-		mc.Replicas = func(FetchSpec) []string { return []string{s.Addr()} }
-		// Armed, never tripped: MinDelay floors the threshold at 10s, so
-		// the scanner runs but no fetch on a healthy loopback ever hedges.
-		mc.Hedge = &flow.HedgeConfig{MinDelay: 10 * time.Second, Baseline: 10 * time.Second}
+		// Armed, never racing: the replica set is the primary alone, so a
+		// fetch past its threshold is marked hedged without a duplicate.
+		// The set is built once, so a trip allocates nothing either.
+		replicas := []string{s.Addr()}
+		mc.Replicas = func(FetchSpec) []string { return replicas }
+		mc.Hedge = &flow.HedgeConfig{Baseline: 10 * time.Second}
 	}
 	m, err := NewNetMerger(mc)
 	if err != nil {

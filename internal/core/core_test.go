@@ -596,8 +596,6 @@ func TestSupplierConfigRejectsNegativesByName(t *testing.T) {
 		{"DataCacheBytes", func(c *SupplierConfig) { c.DataCacheBytes = -1 }},
 		{"PrefetchBatch", func(c *SupplierConfig) { c.PrefetchBatch = -1 }},
 		{"XmitWorkers", func(c *SupplierConfig) { c.XmitWorkers = -1 }},
-		{"IndexCacheEntries", func(c *SupplierConfig) { c.IndexCacheEntries = -1 }},
-		{"FileCacheEntries", func(c *SupplierConfig) { c.FileCacheEntries = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := base()
@@ -616,21 +614,37 @@ func TestSupplierConfigRejectsNegativesByName(t *testing.T) {
 	if err := cfg.applyDefaults(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BufferSize != transport.DefaultBufferSize || cfg.FileCacheEntries != 128 {
+	if cfg.BufferSize != transport.DefaultBufferSize || transport.DefaultBufferSize != 128<<10 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
+}
+
+// TestSupplierBufferSizeFitsOneFrame pins the frame-limit check: every
+// chunk is one transport frame, so a BufferSize chunk plus its header must
+// fit in MaxFrameSize, or every segment that large fails mid-send.
+func TestSupplierBufferSizeFitsOneFrame(t *testing.T) {
+	lookup := func(string) (string, string, error) { return "", "", nil }
+	_, err := NewMOFSupplier(SupplierConfig{
+		Transport: transport.NewTCP(), Addr: "127.0.0.1:0", BufferSize: transport.MaxFrameSize,
+	}, lookup)
+	if err == nil || !strings.Contains(err.Error(), "BufferSize") {
+		t.Fatalf("BufferSize = MaxFrameSize: error %v does not name BufferSize", err)
+	}
+	s, err := NewMOFSupplier(SupplierConfig{
+		Transport: transport.NewTCP(), Addr: "127.0.0.1:0", BufferSize: transport.MaxFrameSize - sizedChunkHeaderLen,
+	}, lookup)
+	if err != nil {
+		t.Fatalf("the largest chunk that fits a frame was rejected: %v", err)
+	}
+	s.Close()
 }
 
 func TestMergerConfigValidation(t *testing.T) {
 	if _, err := NewNetMerger(MergerConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	cfg := MergerConfig{Transport: transport.NewTCP()}
-	if err := cfg.applyDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.MaxConnections != 512 {
-		t.Fatalf("default max connections = %d, want 512 (paper)", cfg.MaxConnections)
+	if maxConnections != 512 {
+		t.Fatalf("connection cache max = %d, want 512 (paper)", maxConnections)
 	}
 }
 
@@ -641,7 +655,6 @@ func TestMergerConfigRejectsNegativesByName(t *testing.T) {
 		field string
 		mut   func(*MergerConfig)
 	}{
-		{"MaxConnections", func(c *MergerConfig) { c.MaxConnections = -1 }},
 		{"WindowPerNode", func(c *MergerConfig) { c.WindowPerNode = -1 }},
 		{"MaxRetries", func(c *MergerConfig) { c.MaxRetries = -1 }},
 	}

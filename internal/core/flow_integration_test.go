@@ -391,19 +391,15 @@ func TestFlowConfigRejectedByName(t *testing.T) {
 	}
 	_, err = NewNetMerger(MergerConfig{
 		Transport: tr,
-		Flow:      &flow.Config{Decrease: 1.5},
+		Flow:      &flow.Config{WindowMax: -1},
 	})
-	if err == nil || !strings.Contains(err.Error(), "Decrease") {
-		t.Errorf("merger error %v does not name Decrease", err)
+	if err == nil || !strings.Contains(err.Error(), "WindowMax") {
+		t.Errorf("merger error %v does not name WindowMax", err)
 	}
 	// The named-field rule also covers the merger's own knobs.
 	_, err = NewNetMerger(MergerConfig{Transport: tr, WindowPerNode: -1})
 	if err == nil || !strings.Contains(err.Error(), "WindowPerNode") {
 		t.Errorf("merger error %v does not name WindowPerNode", err)
-	}
-	_, err = NewNetMerger(MergerConfig{Transport: tr, MaxConnections: -1})
-	if err == nil || !strings.Contains(err.Error(), "MaxConnections") {
-		t.Errorf("merger error %v does not name MaxConnections", err)
 	}
 }
 

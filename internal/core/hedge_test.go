@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,10 +146,7 @@ func hedgeMerger(t *testing.T, primary, replica string, mutate func(*MergerConfi
 		Replicas: func(FetchSpec) []string {
 			return []string{primary, replica}
 		},
-		Hedge: &flow.HedgeConfig{
-			Baseline:     15 * time.Millisecond,
-			ScanInterval: time.Millisecond,
-		},
+		Hedge: &flow.HedgeConfig{Baseline: 15 * time.Millisecond},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -293,37 +291,38 @@ func TestHedgeBudgetExhaustionDenies(t *testing.T) {
 	payload := bytes.Repeat([]byte("budget-denied-segment-"), 64)
 	primary := newHedgeTestSupplier(t, payload, false, 0)
 	replica := newHedgeTestSupplier(t, payload, false, 0)
+	// Two fetches more than the budget, all in flight at once.
+	const denied = 2
 	m := hedgeMerger(t, primary.Addr(), replica.Addr(), func(cfg *MergerConfig) {
-		cfg.Hedge.MaxOutstanding = 1
+		cfg.WindowPerNode = maxHedgesOutstanding + denied
 		cfg.MaxRetries = 0
 	})
 
-	specs := []FetchSpec{
-		{Addr: primary.Addr(), MapTask: "m-00000", Partition: 0},
-		{Addr: primary.Addr(), MapTask: "m-00001", Partition: 0},
-		{Addr: primary.Addr(), MapTask: "m-00002", Partition: 0},
+	var specs []FetchSpec
+	for i := 0; i < maxHedgesOutstanding+denied; i++ {
+		specs = append(specs, FetchSpec{Addr: primary.Addr(), MapTask: fmt.Sprintf("m-%05d", i)})
 	}
 	fetchErr := make(chan error, 1)
 	go func() {
 		fetchErr <- m.Fetch(specs, func(FetchSpec, []byte) error { return nil })
 	}()
-	// Every fetch stalls past its threshold; with one budget slot exactly
-	// one hedge races (to the equally stalled replica, so the slot stays
-	// held) and the others are denied — once each, not once per scan.
-	waitFor(t, 2*time.Second, "one hedge and at least one denial", func() bool {
+	// Every fetch stalls past its threshold; the budget's worth of hedges
+	// race (to the equally stalled replica, so the slots stay held) and
+	// the others are denied — once each, not once per scan.
+	waitFor(t, 2*time.Second, "a full budget of hedges and at least one denial", func() bool {
 		st := m.Stats()
-		return st.Hedges == 1 && st.HedgeDenials >= 1
+		return st.Hedges == maxHedgesOutstanding && st.HedgeDenials >= 1
 	})
 	time.Sleep(20 * time.Millisecond) // a dozen more scans must not re-count
 	st := m.Stats()
-	if st.Hedges != 1 {
-		t.Fatalf("Hedges = %d, want 1 (budget cap breached)", st.Hedges)
+	if st.Hedges != maxHedgesOutstanding {
+		t.Fatalf("Hedges = %d, want %d (budget cap breached)", st.Hedges, maxHedgesOutstanding)
 	}
-	if st.HedgeDenials > 2 {
-		t.Fatalf("HedgeDenials = %d for 2 denied fetches: denial must count once per fetch, not per scan", st.HedgeDenials)
+	if st.HedgeDenials > denied {
+		t.Fatalf("HedgeDenials = %d for %d denied fetches: denial must count once per fetch, not per scan", st.HedgeDenials, denied)
 	}
-	if out := m.FlowState().HedgeOutstanding; out != 1 {
-		t.Fatalf("HedgeOutstanding = %d, want the single budgeted duplicate", out)
+	if out := m.FlowState().HedgeOutstanding; out != maxHedgesOutstanding {
+		t.Fatalf("HedgeOutstanding = %d, want the %d budgeted duplicates", out, maxHedgesOutstanding)
 	}
 	m.Close()
 	if err := <-fetchErr; err == nil {

@@ -393,7 +393,7 @@ func TestCloseRacesReadersAndHedges(t *testing.T) {
 			MaxRetries:   2,
 			RetryBackoff: time.Millisecond,
 			Replicas:     func(FetchSpec) []string { return []string{primary.Addr(), replica.Addr()} },
-			Hedge:        &flow.HedgeConfig{Baseline: 200 * time.Microsecond, MinDelay: 100 * time.Microsecond, ScanInterval: 100 * time.Microsecond},
+			Hedge:        &flow.HedgeConfig{Baseline: 200 * time.Microsecond},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -127,7 +127,7 @@ func newLifecycleRig(t *testing.T) *lifecycleRig {
 		FetchTimeout:  time.Hour,
 		RetryBackoff:  time.Hour, // capped at maxRetryBackoff
 		Replicas:      func(FetchSpec) []string { return []string{nodeA, nodeB} },
-		Hedge:         &flow.HedgeConfig{Baseline: time.Hour, ScanInterval: time.Hour},
+		Hedge:         &flow.HedgeConfig{Baseline: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)

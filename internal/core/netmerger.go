@@ -18,8 +18,6 @@ import (
 type MergerConfig struct {
 	// Transport is the network backend.
 	Transport transport.Transport
-	// MaxConnections caps the connection cache (512 in the paper).
-	MaxConnections int
 	// WindowPerNode bounds in-flight requests per remote node; across
 	// nodes the injector is round-robin, so no node monopolizes the wire.
 	// With Flow set it is only the AIMD starting point (flow.Config
@@ -67,15 +65,27 @@ type MergerConfig struct {
 	Hedge *flow.HedgeConfig
 }
 
+// The merger's constants.
+const (
+	// maxConnections caps the connection cache (512 in the paper,
+	// Section IV-A).
+	maxConnections = 512
+	// hedgeScanInterval is the scan tick while hedging is on. One
+	// millisecond bounds the firing slack without measurable CPU cost
+	// (the scan is one walk of the live attempts under the merger lock).
+	hedgeScanInterval = time.Millisecond
+	// maxHedgesOutstanding caps concurrently racing duplicates. Past the
+	// cap hedging degrades to the plain retry/deadline path instead of
+	// amplifying an overload.
+	maxHedgesOutstanding = 4
+)
+
 func (c *MergerConfig) applyDefaults() error {
 	if c.Transport == nil {
 		return errors.New("core: merger needs a transport")
 	}
 	// Every numeric knob follows one rule: zero means default, negative is
 	// rejected by name.
-	if c.MaxConnections < 0 {
-		return fmt.Errorf("core: merger MaxConnections %d must not be negative", c.MaxConnections)
-	}
 	if c.WindowPerNode < 0 {
 		return fmt.Errorf("core: merger WindowPerNode %d must not be negative", c.WindowPerNode)
 	}
@@ -94,20 +104,8 @@ func (c *MergerConfig) applyDefaults() error {
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = 2 * time.Millisecond
 	}
-	if c.MaxConnections == 0 {
-		c.MaxConnections = transport.DefaultMaxConnections
-	}
 	if c.WindowPerNode == 0 {
 		c.WindowPerNode = 4
-	}
-	// Post-default guards: a non-positive effective value would wedge the
-	// injector (no window slot, no connection, ever), so reject by name
-	// rather than spin silently — even if a future default regresses.
-	if c.MaxConnections <= 0 {
-		return fmt.Errorf("core: merger MaxConnections %d must be positive", c.MaxConnections)
-	}
-	if c.WindowPerNode <= 0 {
-		return fmt.Errorf("core: merger WindowPerNode %d must be positive", c.WindowPerNode)
 	}
 	if c.Flow != nil {
 		// Copy before defaulting so a shared Config literal isn't mutated.
@@ -327,7 +325,7 @@ func NewNetMerger(cfg MergerConfig) (*NetMerger, error) {
 	}
 	m := &NetMerger{
 		cfg:    cfg,
-		cache:  transport.NewConnCache(cfg.Transport, cfg.MaxConnections),
+		cache:  transport.NewConnCache(cfg.Transport, maxConnections),
 		groups: make(map[string]*nodeGroup),
 		live:   make(map[uint64]*pendingFetch),
 		stop:   make(chan struct{}),
@@ -1051,7 +1049,7 @@ func (m *NetMerger) scanLoop() {
 	defer m.wg.Done()
 	period := max(m.cfg.FetchTimeout/4, time.Millisecond)
 	if m.cfg.Hedge != nil {
-		period = min(period, m.cfg.Hedge.ScanInterval)
+		period = min(period, hedgeScanInterval)
 	}
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
@@ -1076,7 +1074,7 @@ func (m *NetMerger) scan(stalls []stall, hedges []hedgeCandidate) ([]stall, []he
 	h := m.cfg.Hedge
 	free := 0
 	if h != nil {
-		free = h.MaxOutstanding - m.hedgeOutstanding
+		free = maxHedgesOutstanding - m.hedgeOutstanding
 	}
 	for _, p := range m.live {
 		if p.state != inFlight {
@@ -1144,7 +1142,7 @@ func (m *NetMerger) launchHedge(p *pendingFetch, spec FetchSpec, target string) 
 		mrgHedgeNoReplica.Inc()
 		return
 	}
-	if m.hedgeOutstanding >= m.cfg.Hedge.MaxOutstanding {
+	if m.hedgeOutstanding >= maxHedgesOutstanding {
 		m.denyHedgeLocked(p)
 		return
 	}

@@ -25,7 +25,9 @@ type SupplierConfig struct {
 	Transport transport.Transport
 	// Addr is the listen address.
 	Addr string
-	// BufferSize is the transport buffer size for response chunks.
+	// BufferSize is the transport buffer size for response chunks: the
+	// largest payload one chunk frame carries. A chunk and its header
+	// must fit in one transport frame.
 	BufferSize int
 	// DataCacheBytes sizes the DataCache.
 	DataCacheBytes int64
@@ -34,10 +36,6 @@ type SupplierConfig struct {
 	PrefetchBatch int
 	// XmitWorkers is the number of asynchronous transmission workers.
 	XmitWorkers int
-	// IndexCacheEntries sizes the IndexCache.
-	IndexCacheEntries int
-	// FileCacheEntries caps the open-file-handle cache over MOF data files.
-	FileCacheEntries int
 	// Flow enables admission control and weighted fair scheduling: fetch
 	// requests are charged to a byte-budgeted ledger (over budget they
 	// queue, over the hard limit they are shed with a retry-after hint)
@@ -48,6 +46,13 @@ type SupplierConfig struct {
 	// nil places all traffic in one tenant. Ignored when Flow is nil.
 	Tenant flow.TenantFunc
 }
+
+// The supplier's cache sizes: MOF indexes kept parsed, and MOF data files
+// kept open.
+const (
+	indexCacheEntries = 256
+	fileCacheEntries  = 128
+)
 
 func (c *SupplierConfig) applyDefaults() error {
 	if c.Transport == nil {
@@ -61,10 +66,12 @@ func (c *SupplierConfig) applyDefaults() error {
 		knob("DataCacheBytes", &c.DataCacheBytes, 64<<20),
 		knob("PrefetchBatch", &c.PrefetchBatch, 4),
 		knob("XmitWorkers", &c.XmitWorkers, 2),
-		knob("IndexCacheEntries", &c.IndexCacheEntries, 256),
-		knob("FileCacheEntries", &c.FileCacheEntries, 128),
 	); err != nil {
 		return err
+	}
+	if c.BufferSize > transport.MaxFrameSize-sizedChunkHeaderLen {
+		return fmt.Errorf("core: supplier BufferSize %d leaves no room for a chunk header in a %d-byte frame",
+			c.BufferSize, transport.MaxFrameSize)
 	}
 	if c.Flow != nil {
 		// Copy before defaulting so a shared Config literal isn't mutated.
@@ -366,9 +373,9 @@ func NewMOFSupplier(cfg SupplierConfig, lookup LookupFunc) (*MOFSupplier, error)
 		cfg:    cfg,
 		lookup: lookup,
 		lis:    lis,
-		icache: mof.NewIndexCache(cfg.IndexCacheEntries),
+		icache: mof.NewIndexCache(indexCacheEntries),
 		dcache: NewDataCache(cfg.DataCacheBytes),
-		fcache: mof.NewFileCache(cfg.FileCacheEntries),
+		fcache: mof.NewFileCache(fileCacheEntries),
 		pool:   bufpool.Default(),
 		reqCh:  make(chan *supplierReq, 1024),
 		xmitCh: make(chan *supplierReq, 256),
@@ -377,7 +384,7 @@ func NewMOFSupplier(cfg SupplierConfig, lookup LookupFunc) (*MOFSupplier, error)
 	}
 	if cfg.Flow != nil {
 		s.ledger = flow.NewLedger(*cfg.Flow)
-		s.drr = flow.NewDRR(cfg.Flow.Quantum, cfg.Flow.Weights)
+		s.drr = flow.NewDRR(cfg.Flow.Weights)
 		s.unregister = flow.Register(s)
 	}
 	s.wg.Add(2 + cfg.XmitWorkers)

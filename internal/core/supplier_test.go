@@ -200,8 +200,9 @@ func newSupplierRig(t *testing.T) *supplierRig {
 		BufferSize:     4 << 10,
 		DataCacheBytes: 2 * seg.Length,
 		XmitWorkers:    1,
-		// Room for a–d exactly: a fifth request is past the hard limit.
-		Flow: &flow.Config{AdmitBytes: 2 * seg.Length, QueueBytes: 2 * seg.Length, RetryAfter: time.Millisecond},
+		// Room for a–d: the hard limit is 4.5 segments, so a fifth
+		// request is past it.
+		Flow: &flow.Config{AdmitBytes: 3 * seg.Length, RetryAfter: time.Millisecond},
 	}, func(task string) (string, string, error) {
 		if r.paths[task] == "" {
 			return "", "", fmt.Errorf("no MOF %s", task)

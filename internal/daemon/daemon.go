@@ -56,8 +56,6 @@ type SupplierConfig struct {
 	RegistryAddr string
 	// MOFDir is the directory of MOFs this supplier serves.
 	MOFDir string
-	// Shards restricts the advertised shards; empty advertises all.
-	Shards []int
 	// BufferSize, DataCacheBytes, Flow pass through to core.SupplierConfig.
 	BufferSize     int
 	DataCacheBytes int64
@@ -149,7 +147,6 @@ func (d *Supplier) registration() registry.SupplierInfo {
 	return registry.SupplierInfo{
 		ID:        d.id,
 		Addr:      d.sup.Addr(),
-		Shards:    d.cfg.Shards,
 		DebugAddr: d.cfg.DebugAddr,
 	}
 }

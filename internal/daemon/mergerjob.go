@@ -30,10 +30,9 @@ type MergerJobConfig struct {
 	VerifyDir string
 	// OutDir, when set, receives one file per segment.
 	OutDir string
-	// MaxRetries, ResolverTTL, Flow pass through to the merger.
+	// MaxRetries and ResolverTTL pass through to the merger.
 	MaxRetries  int
 	ResolverTTL time.Duration
-	Flow        *flow.Config
 	// Hedge, when set, arms the merger's speculative-fetch controller.
 	// Replica sets come from the registry (ResolveReplicas), so it only
 	// pays off when the registry runs with a replica count above 1 —
@@ -80,7 +79,6 @@ func RunMergerJob(cfg MergerJobConfig) (JobStats, error) {
 	mc := core.MergerConfig{
 		Transport:  transport.NewTCP(),
 		MaxRetries: cfg.MaxRetries,
-		Flow:       cfg.Flow,
 		Hedge:      cfg.Hedge,
 		Resolver: func(spec core.FetchSpec) (string, error) {
 			return resolver.Resolve(spec.MapTask)
@@ -101,9 +99,9 @@ func RunMergerJob(cfg MergerJobConfig) (JobStats, error) {
 	}
 	defer m.Close()
 
-	var reference map[string][]byte
+	var reference map[core.FetchSpec][]byte
 	if cfg.VerifyDir != "" {
-		if reference, err = loadReference(cfg.VerifyDir, cfg.Tasks, cfg.Parts); err != nil {
+		if reference, err = LoadReference(cfg.VerifyDir, cfg.Tasks, cfg.Parts); err != nil {
 			return st, err
 		}
 	}
@@ -124,7 +122,7 @@ func RunMergerJob(cfg MergerJobConfig) (JobStats, error) {
 		// compared and written out here, never kept.
 		err := m.Fetch(specs, func(spec core.FetchSpec, data []byte) error {
 			if reference != nil {
-				want := reference[segKey(spec.MapTask, spec.Partition)]
+				want := reference[core.FetchSpec{MapTask: spec.MapTask, Partition: spec.Partition}]
 				if !bytes.Equal(data, want) {
 					return fmt.Errorf("daemon: segment %s/%d: got %d bytes, want %d (corrupt)",
 						spec.MapTask, spec.Partition, len(data), len(want))
@@ -156,9 +154,11 @@ func RunMergerJob(cfg MergerJobConfig) (JobStats, error) {
 
 func segKey(task string, part int) string { return fmt.Sprintf("%s.p%05d", task, part) }
 
-// loadReference reads every segment of the fixture grid from disk.
-func loadReference(dir string, tasks, parts int) (map[string][]byte, error) {
-	ref := make(map[string][]byte, tasks*parts)
+// LoadReference reads every segment of the fixture grid in dir from
+// disk, keyed by its address-free fetch spec: the byte-identity
+// reference a verifying job compares fetched segments against.
+func LoadReference(dir string, tasks, parts int) (map[core.FetchSpec][]byte, error) {
+	ref := make(map[core.FetchSpec][]byte, tasks*parts)
 	for ti := 0; ti < tasks; ti++ {
 		task := fmt.Sprintf("m-%05d", ti)
 		dataPath := filepath.Join(dir, task+".data")
@@ -175,7 +175,7 @@ func loadReference(dir string, tasks, parts int) (map[string][]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			ref[segKey(task, p)] = seg
+			ref[core.FetchSpec{MapTask: task, Partition: p}] = seg
 		}
 	}
 	return ref, nil

@@ -38,7 +38,7 @@ func (d Decision) String() string {
 // hot path is a compare-and-swap, with no allocation.
 type Ledger struct {
 	budget int64 // accept below this
-	limit  int64 // shed at or above this (budget + queue allowance)
+	limit  int64 // shed above this (budget + half a budget of queue allowance)
 
 	used     atomic.Int64
 	shedding atomic.Bool // latched on first shed, cleared by recovery
@@ -59,7 +59,7 @@ type Ledger struct {
 
 // NewLedger creates a ledger from a defaulted Config.
 func NewLedger(cfg Config) *Ledger {
-	return &Ledger{budget: cfg.AdmitBytes, limit: cfg.AdmitBytes + cfg.QueueBytes}
+	return &Ledger{budget: cfg.AdmitBytes, limit: cfg.AdmitBytes + cfg.AdmitBytes/2}
 }
 
 // Admit charges n bytes and returns the decision. A Shed charges

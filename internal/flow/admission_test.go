@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// ledgerCfg builds a defaulted config with the given budget split.
-func ledgerCfg(t *testing.T, admit, queue int64) Config {
+// ledgerCfg builds a defaulted config with the given accept budget; the
+// queue allowance is half of it.
+func ledgerCfg(t *testing.T, admit int64) Config {
 	t.Helper()
-	cfg := Config{AdmitBytes: admit, QueueBytes: queue}
+	cfg := Config{AdmitBytes: admit}
 	if err := cfg.ApplyDefaults(); err != nil {
 		t.Fatalf("config: %v", err)
 	}
@@ -16,7 +17,7 @@ func ledgerCfg(t *testing.T, admit, queue int64) Config {
 }
 
 func TestLedgerDecisions(t *testing.T) {
-	l := NewLedger(ledgerCfg(t, 100, 50)) // accept < 100, shed > 150
+	l := NewLedger(ledgerCfg(t, 100)) // accept < 100, shed > 150
 
 	if d := l.Admit(60); d != Accept {
 		t.Fatalf("first 60 = %v, want accept", d)
@@ -37,7 +38,7 @@ func TestLedgerDecisions(t *testing.T) {
 }
 
 func TestLedgerOversizedAdmittedAlone(t *testing.T) {
-	l := NewLedger(ledgerCfg(t, 100, 50))
+	l := NewLedger(ledgerCfg(t, 100))
 	// A request larger than the whole limit must still be served when the
 	// ledger is empty — shedding it forever would deadlock that segment.
 	if d := l.Admit(1000); d == Shed {
@@ -54,7 +55,7 @@ func TestLedgerOversizedAdmittedAlone(t *testing.T) {
 }
 
 func TestLedgerRecoveryGrantsCreditsOnce(t *testing.T) {
-	l := NewLedger(ledgerCfg(t, 100, 50))
+	l := NewLedger(ledgerCfg(t, 100))
 	if d := l.Admit(120); d != Queue {
 		t.Fatalf("120 = %v, want queue", d)
 	}
@@ -86,7 +87,7 @@ func TestLedgerRecoveryGrantsCreditsOnce(t *testing.T) {
 // and checks the balance nets to zero — the CAS loop loses no updates.
 // The race detector makes this a memory-model check too.
 func TestLedgerConcurrentBalance(t *testing.T) {
-	l := NewLedger(ledgerCfg(t, 1<<20, 1<<19))
+	l := NewLedger(ledgerCfg(t, 1<<20))
 	const (
 		workers = 8
 		rounds  = 2000

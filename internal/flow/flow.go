@@ -15,9 +15,9 @@
 //     depth together. Over budget it queues; over the hard limit it
 //     sheds, and shed responses carry a retry-after hint.
 //   - Window — a per-node-pair AIMD congestion window replacing the
-//     merger's fixed WindowPerNode: additive growth on clean
+//     merger's fixed per-node window: additive growth on clean
 //     deliveries and explicit credits, multiplicative collapse on
-//     shed and timeout signals, clamped to [WindowMin, WindowMax].
+//     shed and timeout signals, clamped to [1, WindowMax].
 //   - DRR — a weighted deficit round-robin scheduler generalizing the
 //     supplier's round-robin over MOF groups to per-tenant fairness,
 //     so a multi-job run cannot be starved by one heavy tenant.
@@ -52,19 +52,27 @@ const (
 	// responses; the merger adds jitter before re-sending.
 	DefaultRetryAfter = 2 * time.Millisecond
 	// DefaultWindowStart is the initial AIMD window, matching the
-	// paper's fixed WindowPerNode of 4.
+	// paper's fixed per-node window of 4.
 	DefaultWindowStart = 4
-	// DefaultWindowMin is the AIMD window floor: one request stays in
-	// flight so progress (and fresh congestion signals) never stop.
-	DefaultWindowMin = 1
 	// DefaultWindowMax is the AIMD window ceiling.
 	DefaultWindowMax = 64
-	// DefaultIncrease is the additive-increase unit per clean delivery.
-	DefaultIncrease = 1
-	// DefaultQuantum is the deficit round-robin byte quantum granted
-	// per tenant turn — two default transport buffers, so one turn
-	// covers a couple of chunked segments.
-	DefaultQuantum = 256 << 10
+)
+
+// The flow constants no deployment tunes.
+const (
+	// windowMin is the AIMD window floor: one request stays in flight
+	// so progress (and fresh congestion signals) never stop.
+	windowMin = 1
+	// windowIncrease is the additive-increase unit banked per clean
+	// delivery; the window grows by about one slot per RTT round.
+	windowIncrease = 1
+	// windowDecrease is the multiplicative-decrease factor applied on a
+	// shed or timeout.
+	windowDecrease = 0.5
+	// quantum is the deficit round-robin byte quantum granted per
+	// tenant turn — two default transport buffers, so one turn covers a
+	// couple of chunked segments.
+	quantum = 256 << 10
 )
 
 // Config tunes the flow subsystem. The zero value of every field means
@@ -72,29 +80,15 @@ const (
 // the config conventions of internal/core.
 type Config struct {
 	// AdmitBytes is the admission ledger's accept budget in resident
-	// bytes; requests admitted beyond it are counted as queued.
+	// bytes; requests admitted beyond it are counted as queued. The
+	// supplier sheds at one and a half times AdmitBytes.
 	AdmitBytes int64
-	// QueueBytes is the additional allowance beyond AdmitBytes before
-	// the supplier sheds (0 = half of AdmitBytes). The hard limit is
-	// AdmitBytes + QueueBytes.
-	QueueBytes int64
 	// RetryAfter is the base retry-after hint on shed responses.
 	RetryAfter time.Duration
 	// WindowStart is the initial per-node AIMD window.
 	WindowStart int
-	// WindowMin is the window floor (never below 1).
-	WindowMin int
 	// WindowMax is the window ceiling.
 	WindowMax int
-	// Increase is the additive-increase unit credited per clean
-	// delivery; the window grows by roughly Increase per RTT round.
-	Increase int
-	// Decrease is the multiplicative-decrease factor applied on shed
-	// or timeout, in (0, 1); 0 means the default 0.5.
-	Decrease float64
-	// Quantum is the weighted-deficit-round-robin byte quantum granted
-	// per tenant turn on the supplier's prefetch scheduler.
-	Quantum int64
 	// Weights maps tenant names to relative scheduling weights; absent
 	// tenants weigh 1. Zero or negative weights are rejected by name.
 	Weights map[string]int64
@@ -107,29 +101,14 @@ func (c *Config) ApplyDefaults() error {
 	if c.AdmitBytes < 0 {
 		return fmt.Errorf("flow: AdmitBytes %d must not be negative", c.AdmitBytes)
 	}
-	if c.QueueBytes < 0 {
-		return fmt.Errorf("flow: QueueBytes %d must not be negative", c.QueueBytes)
-	}
 	if c.RetryAfter < 0 {
 		return fmt.Errorf("flow: RetryAfter %v must not be negative", c.RetryAfter)
 	}
 	if c.WindowStart < 0 {
 		return fmt.Errorf("flow: WindowStart %d must not be negative", c.WindowStart)
 	}
-	if c.WindowMin < 0 {
-		return fmt.Errorf("flow: WindowMin %d must not be negative", c.WindowMin)
-	}
 	if c.WindowMax < 0 {
 		return fmt.Errorf("flow: WindowMax %d must not be negative", c.WindowMax)
-	}
-	if c.Increase < 0 {
-		return fmt.Errorf("flow: Increase %d must not be negative", c.Increase)
-	}
-	if c.Decrease < 0 || c.Decrease >= 1 {
-		return fmt.Errorf("flow: Decrease %g must be in [0, 1)", c.Decrease)
-	}
-	if c.Quantum < 0 {
-		return fmt.Errorf("flow: Quantum %d must not be negative", c.Quantum)
 	}
 	for tenant, w := range c.Weights {
 		if w <= 0 {
@@ -139,39 +118,19 @@ func (c *Config) ApplyDefaults() error {
 	if c.AdmitBytes == 0 {
 		c.AdmitBytes = DefaultAdmitBytes
 	}
-	if c.QueueBytes == 0 {
-		c.QueueBytes = c.AdmitBytes / 2
-	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = DefaultRetryAfter
 	}
 	if c.WindowStart == 0 {
 		c.WindowStart = DefaultWindowStart
 	}
-	if c.WindowMin == 0 {
-		c.WindowMin = DefaultWindowMin
-	}
 	if c.WindowMax == 0 {
 		c.WindowMax = DefaultWindowMax
 	}
-	if c.Increase == 0 {
-		c.Increase = DefaultIncrease
-	}
-	if c.Decrease == 0 {
-		c.Decrease = 0.5
-	}
-	if c.Quantum == 0 {
-		c.Quantum = DefaultQuantum
-	}
-	// Belt and braces on the derived values: a zero-or-negative
-	// effective window or quantum would wedge the scheduler, so reject
-	// inconsistent combinations by name rather than clamp silently.
-	if c.WindowMin > c.WindowMax {
-		return fmt.Errorf("flow: WindowMin %d exceeds WindowMax %d", c.WindowMin, c.WindowMax)
-	}
-	if c.WindowStart < c.WindowMin || c.WindowStart > c.WindowMax {
-		return fmt.Errorf("flow: WindowStart %d outside [WindowMin %d, WindowMax %d]",
-			c.WindowStart, c.WindowMin, c.WindowMax)
+	// A start past the ceiling would be clamped silently; reject it by
+	// name instead.
+	if c.WindowStart > c.WindowMax {
+		return fmt.Errorf("flow: WindowStart %d exceeds WindowMax %d", c.WindowStart, c.WindowMax)
 	}
 	return nil
 }

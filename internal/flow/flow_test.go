@@ -14,22 +14,15 @@ func TestApplyDefaultsFillsZeroes(t *testing.T) {
 	if cfg.AdmitBytes != DefaultAdmitBytes {
 		t.Errorf("AdmitBytes = %d, want %d", cfg.AdmitBytes, DefaultAdmitBytes)
 	}
-	if cfg.QueueBytes != DefaultAdmitBytes/2 {
-		t.Errorf("QueueBytes = %d, want %d", cfg.QueueBytes, DefaultAdmitBytes/2)
-	}
 	if cfg.RetryAfter != DefaultRetryAfter {
 		t.Errorf("RetryAfter = %v, want %v", cfg.RetryAfter, DefaultRetryAfter)
 	}
-	if cfg.WindowStart != DefaultWindowStart || cfg.WindowMin != DefaultWindowMin ||
-		cfg.WindowMax != DefaultWindowMax || cfg.Increase != DefaultIncrease {
-		t.Errorf("window defaults = start %d min %d max %d inc %d",
-			cfg.WindowStart, cfg.WindowMin, cfg.WindowMax, cfg.Increase)
+	if cfg.WindowStart != DefaultWindowStart || cfg.WindowMax != DefaultWindowMax {
+		t.Errorf("window defaults = start %d max %d", cfg.WindowStart, cfg.WindowMax)
 	}
-	if cfg.Decrease != 0.5 {
-		t.Errorf("Decrease = %g, want 0.5", cfg.Decrease)
-	}
-	if cfg.Quantum != DefaultQuantum {
-		t.Errorf("Quantum = %d, want %d", cfg.Quantum, DefaultQuantum)
+	if l := NewLedger(cfg).State(); l.Budget != DefaultAdmitBytes || l.Limit != DefaultAdmitBytes*3/2 {
+		t.Errorf("ledger budget %d limit %d, want %d and half as much again",
+			l.Budget, l.Limit, DefaultAdmitBytes)
 	}
 }
 
@@ -43,19 +36,11 @@ func TestApplyDefaultsRejectsByName(t *testing.T) {
 		want string // substring the error must contain
 	}{
 		{"negative AdmitBytes", Config{AdmitBytes: -1}, "AdmitBytes"},
-		{"negative QueueBytes", Config{QueueBytes: -1}, "QueueBytes"},
 		{"negative RetryAfter", Config{RetryAfter: -time.Millisecond}, "RetryAfter"},
 		{"negative WindowStart", Config{WindowStart: -1}, "WindowStart"},
-		{"negative WindowMin", Config{WindowMin: -2}, "WindowMin"},
 		{"negative WindowMax", Config{WindowMax: -3}, "WindowMax"},
-		{"negative Increase", Config{Increase: -1}, "Increase"},
-		{"negative Decrease", Config{Decrease: -0.5}, "Decrease"},
-		{"Decrease of 1 never shrinks", Config{Decrease: 1}, "Decrease"},
-		{"negative Quantum", Config{Quantum: -1}, "Quantum"},
 		{"zero tenant weight", Config{Weights: map[string]int64{"j": 0}}, `tenant "j"`},
 		{"negative tenant weight", Config{Weights: map[string]int64{"k": -2}}, `tenant "k"`},
-		{"min above max", Config{WindowMin: 8, WindowMax: 4}, "WindowMin"},
-		{"start below min", Config{WindowStart: 1, WindowMin: 2}, "WindowStart"},
 		{"start above max", Config{WindowStart: 9, WindowMax: 8}, "WindowStart"},
 	}
 	for _, c := range cases {

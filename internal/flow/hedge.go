@@ -6,31 +6,22 @@ import (
 	"time"
 )
 
-// Defaults for the zero-valued HedgeConfig fields.
+// The hedge threshold's constants.
 const (
-	// DefaultHedgeQuantile is the RTT quantile the hedge threshold is
-	// derived from: a fetch outliving the node's p95 is presumed to be
-	// a straggler worth racing.
-	DefaultHedgeQuantile = 0.95
-	// DefaultHedgeMultiplier scales the quantile into the threshold.
-	// 2× p95 keeps the duplicate rate well under 5% on a stable node
-	// while still firing orders of magnitude before FetchTimeout.
-	DefaultHedgeMultiplier = 2.0
-	// DefaultHedgeMinDelay floors the threshold so sub-millisecond RTTs
-	// on a loopback fixture cannot arm hedges for ordinary jitter.
-	DefaultHedgeMinDelay = time.Millisecond
-	// DefaultHedgeMinSamples is how many RTT observations a node needs
-	// before its quantile is trusted; below it the Baseline (if any)
-	// applies.
-	DefaultHedgeMinSamples = 16
-	// DefaultHedgeMaxOutstanding caps concurrently racing duplicates.
-	// Past the cap hedging degrades to the plain retry/watchdog path
-	// instead of amplifying an overload.
-	DefaultHedgeMaxOutstanding = 4
-	// DefaultHedgeScanInterval is the hedge scanner's tick. One
-	// millisecond bounds the firing slack without measurable CPU cost
-	// (the scan is one map walk under the merger lock).
-	DefaultHedgeScanInterval = time.Millisecond
+	// hedgeQuantile is the RTT quantile the hedge threshold is derived
+	// from: a fetch outliving the node's p95 is presumed to be a
+	// straggler worth racing.
+	hedgeQuantile = 0.95
+	// hedgeMultiplier scales the quantile into the threshold. 2× p95
+	// keeps the duplicate rate well under 5% on a stable node while
+	// still firing orders of magnitude before the fetch deadline.
+	hedgeMultiplier = 2.0
+	// hedgeMinDelay floors the threshold so sub-millisecond RTTs on a
+	// loopback fixture cannot arm hedges for ordinary jitter.
+	hedgeMinDelay = time.Millisecond
+	// hedgeMinSamples is how many RTT observations a node needs before
+	// its quantile is trusted; below it the Baseline applies.
+	hedgeMinSamples = 16
 )
 
 // rttRingSize is the fixed capacity of an RTTRing. 64 samples give a
@@ -89,106 +80,34 @@ func (r *RTTRing) Quantile(q float64) int64 {
 	return s[rank-1]
 }
 
-// HedgeConfig tunes the merger's speculative-fetch controller. The zero
-// value of every field means "use the default"; negative values are
-// rejected by name, matching Config's conventions. The zero value of
-// Baseline is meaningful (hedging stays disarmed on a node until
-// MinSamples RTTs are observed), so cold-start hedging is opt-in.
+// HedgeConfig tunes the merger's speculative-fetch controller. A node's
+// hedge threshold is 2 × the p95 of its last 64 RTTs, floored at 1ms
+// and uncapped (the fetch deadline is the backstop), once the node has
+// 16 samples; before that it is Baseline.
 type HedgeConfig struct {
-	// Quantile is the RTT quantile the threshold derives from (0 =
-	// 0.95). Must be in (0, 1] when set.
-	Quantile float64
-	// Multiplier scales the quantile RTT into the hedge threshold
-	// (0 = 2.0).
-	Multiplier float64
-	// MinDelay floors the threshold: a hedge never fires earlier than
-	// this after the original send (0 = 1ms).
-	MinDelay time.Duration
-	// MaxDelay caps the threshold when set; zero means no cap (the
-	// fetch deadline watchdog is the backstop either way).
-	MaxDelay time.Duration
-	// Baseline is the threshold used while a node has fewer than
-	// MinSamples RTT observations. Zero keeps hedging disarmed until
-	// the quantile is trustworthy; chaos scenarios and latency-critical
-	// jobs set it so a node that stalls on its very first fetches is
-	// still rescued.
+	// Baseline is the threshold used while a node has fewer than 16 RTT
+	// observations. Zero keeps hedging disarmed until the quantile is
+	// trustworthy, so cold-start hedging is opt-in; chaos scenarios and
+	// latency-critical jobs set it so a node that stalls on its very
+	// first fetches is still rescued.
 	Baseline time.Duration
-	// MinSamples is how many RTT samples a node needs before its
-	// quantile-derived threshold applies (0 = 16).
-	MinSamples int
-	// MaxOutstanding caps concurrently outstanding hedge duplicates
-	// across all nodes; at the cap new hedges are denied and the fetch
-	// falls back to the plain retry/watchdog path (0 = 4).
-	MaxOutstanding int
-	// ScanInterval is the hedge scanner's tick (0 = 1ms).
-	ScanInterval time.Duration
 }
 
-// ApplyDefaults validates cfg and fills zero fields with defaults.
+// ApplyDefaults validates cfg.
 func (c *HedgeConfig) ApplyDefaults() error {
-	if c.Quantile < 0 || c.Quantile > 1 {
-		return fmt.Errorf("flow: hedge Quantile %g must be in (0, 1]", c.Quantile)
-	}
-	if c.Multiplier < 0 {
-		return fmt.Errorf("flow: hedge Multiplier %g must not be negative", c.Multiplier)
-	}
-	if c.MinDelay < 0 {
-		return fmt.Errorf("flow: hedge MinDelay %v must not be negative", c.MinDelay)
-	}
-	if c.MaxDelay < 0 {
-		return fmt.Errorf("flow: hedge MaxDelay %v must not be negative", c.MaxDelay)
-	}
 	if c.Baseline < 0 {
 		return fmt.Errorf("flow: hedge Baseline %v must not be negative", c.Baseline)
-	}
-	if c.MinSamples < 0 {
-		return fmt.Errorf("flow: hedge MinSamples %d must not be negative", c.MinSamples)
-	}
-	if c.MaxOutstanding < 0 {
-		return fmt.Errorf("flow: hedge MaxOutstanding %d must not be negative", c.MaxOutstanding)
-	}
-	if c.ScanInterval < 0 {
-		return fmt.Errorf("flow: hedge ScanInterval %v must not be negative", c.ScanInterval)
-	}
-	if c.Quantile == 0 {
-		c.Quantile = DefaultHedgeQuantile
-	}
-	if c.Multiplier == 0 {
-		c.Multiplier = DefaultHedgeMultiplier
-	}
-	if c.MinDelay == 0 {
-		c.MinDelay = DefaultHedgeMinDelay
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = DefaultHedgeMinSamples
-	}
-	if c.MaxOutstanding == 0 {
-		c.MaxOutstanding = DefaultHedgeMaxOutstanding
-	}
-	if c.ScanInterval == 0 {
-		c.ScanInterval = DefaultHedgeScanInterval
-	}
-	if c.MaxDelay > 0 && c.MaxDelay < c.MinDelay {
-		return fmt.Errorf("flow: hedge MaxDelay %v below MinDelay %v", c.MaxDelay, c.MinDelay)
 	}
 	return nil
 }
 
 // Threshold computes the hedge-arm delay for a node from its rolling
-// RTT window: Multiplier × Quantile(RTT), clamped to [MinDelay,
-// MaxDelay]. With fewer than MinSamples observations it returns
-// Baseline — zero meaning "do not hedge this node yet". Callers hold
-// the lock guarding ring.
+// RTT window: 2 × p95, floored at 1ms. With fewer than 16 observations
+// it returns Baseline — zero meaning "do not hedge this node yet".
+// Callers hold the lock guarding ring.
 func (c *HedgeConfig) Threshold(ring *RTTRing) time.Duration {
-	if ring == nil || ring.Len() < c.MinSamples {
+	if ring == nil || ring.Len() < hedgeMinSamples {
 		return c.Baseline
 	}
-	thr := time.Duration(c.Multiplier * float64(ring.Quantile(c.Quantile)))
-	if thr < c.MinDelay {
-		thr = c.MinDelay
-	}
-	if c.MaxDelay > 0 && thr > c.MaxDelay {
-		thr = c.MaxDelay
-	}
-	return thr
+	return max(time.Duration(hedgeMultiplier*float64(ring.Quantile(hedgeQuantile))), hedgeMinDelay)
 }

@@ -51,84 +51,65 @@ func TestHedgeConfigDefaults(t *testing.T) {
 	if err := c.ApplyDefaults(); err != nil {
 		t.Fatalf("zero config rejected: %v", err)
 	}
-	if c.Quantile != DefaultHedgeQuantile || c.Multiplier != DefaultHedgeMultiplier ||
-		c.MinDelay != DefaultHedgeMinDelay || c.MinSamples != DefaultHedgeMinSamples ||
-		c.MaxOutstanding != DefaultHedgeMaxOutstanding || c.ScanInterval != DefaultHedgeScanInterval {
-		t.Fatalf("defaults not applied: %+v", c)
-	}
-	if c.Baseline != 0 || c.MaxDelay != 0 {
-		t.Fatalf("Baseline/MaxDelay should stay zero (meaningful zeros): %+v", c)
+	if c.Baseline != 0 {
+		t.Fatalf("Baseline should stay zero (a meaningful zero): %+v", c)
 	}
 }
 
 func TestHedgeConfigRejectsByName(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  HedgeConfig
-		want string
-	}{
-		{"quantile", HedgeConfig{Quantile: 1.5}, "Quantile"},
-		{"multiplier", HedgeConfig{Multiplier: -1}, "Multiplier"},
-		{"mindelay", HedgeConfig{MinDelay: -time.Millisecond}, "MinDelay"},
-		{"maxdelay", HedgeConfig{MaxDelay: -time.Millisecond}, "MaxDelay"},
-		{"baseline", HedgeConfig{Baseline: -time.Millisecond}, "Baseline"},
-		{"minsamples", HedgeConfig{MinSamples: -1}, "MinSamples"},
-		{"maxoutstanding", HedgeConfig{MaxOutstanding: -1}, "MaxOutstanding"},
-		{"scaninterval", HedgeConfig{ScanInterval: -time.Second}, "ScanInterval"},
-		{"inverted-clamp", HedgeConfig{MinDelay: 10 * time.Millisecond, MaxDelay: time.Millisecond}, "MaxDelay"},
-	}
-	for _, tc := range cases {
-		err := tc.cfg.ApplyDefaults()
-		if err == nil {
-			t.Errorf("%s: invalid config accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
-		}
+	c := HedgeConfig{Baseline: -time.Millisecond}
+	if err := c.ApplyDefaults(); err == nil || !strings.Contains(err.Error(), "Baseline") {
+		t.Fatalf("negative Baseline: error %v does not name Baseline", err)
 	}
 }
 
+// TestHedgeThreshold pins the policy: Baseline below 16 samples, 2 × p95
+// at or above 16, a 1ms floor, and no cap.
 func TestHedgeThreshold(t *testing.T) {
-	cfg := HedgeConfig{
-		Quantile:   1.0,
-		Multiplier: 2.0,
-		MinDelay:   time.Millisecond,
-		MaxDelay:   100 * time.Millisecond,
-		MinSamples: 4,
-		Baseline:   7 * time.Millisecond,
-	}
+	cfg := HedgeConfig{Baseline: 7 * time.Millisecond}
 	if err := cfg.ApplyDefaults(); err != nil {
 		t.Fatal(err)
 	}
+	ms := func(n int64) int64 { return n * int64(time.Millisecond) }
+	// Below 16 samples: the Baseline applies, whatever the RTTs.
 	var ring RTTRing
-	// Below MinSamples: the Baseline applies.
-	ring.Add(int64(time.Millisecond))
+	for i := int64(1); i <= 15; i++ {
+		ring.Add(ms(100 * i))
+	}
 	if got := cfg.Threshold(&ring); got != 7*time.Millisecond {
-		t.Fatalf("cold threshold = %v, want Baseline 7ms", got)
+		t.Fatalf("threshold at 15 samples = %v, want Baseline 7ms", got)
 	}
-	// Exact: 4 samples with max 10ms → 2 × 10ms = 20ms.
-	for _, ms := range []int64{2, 5, 10} {
-		ring.Add(ms * int64(time.Millisecond))
+	// 20 samples 1..20ms: p95 is rank 19, so the threshold is 2 × 19ms.
+	ring = RTTRing{}
+	for i := int64(1); i <= 20; i++ {
+		ring.Add(ms(i))
 	}
-	if got := cfg.Threshold(&ring); got != 20*time.Millisecond {
-		t.Fatalf("threshold = %v, want 20ms (2 × max RTT)", got)
+	if got := cfg.Threshold(&ring); got != 38*time.Millisecond {
+		t.Fatalf("threshold = %v, want 38ms (2 × p95)", got)
 	}
-	// Floor: microsecond RTTs clamp up to MinDelay.
+	// At exactly 16 samples the quantile takes over: p95 of 16 is rank 16.
+	ring = RTTRing{}
+	for i := int64(1); i <= 16; i++ {
+		ring.Add(ms(i))
+	}
+	if got := cfg.Threshold(&ring); got != 32*time.Millisecond {
+		t.Fatalf("threshold at 16 samples = %v, want 32ms (2 × p95)", got)
+	}
+	// Floor: microsecond RTTs clamp up to 1ms.
 	var fast RTTRing
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 16; i++ {
 		fast.Add(int64(10 * time.Microsecond))
 	}
 	if got := cfg.Threshold(&fast); got != time.Millisecond {
-		t.Fatalf("floored threshold = %v, want MinDelay 1ms", got)
+		t.Fatalf("floored threshold = %v, want 1ms", got)
 	}
-	// Ceiling: second-long RTTs clamp down to MaxDelay.
+	// No cap: minute-long RTTs give a two-minute threshold.
 	var slow RTTRing
-	for i := 0; i < 8; i++ {
-		slow.Add(int64(time.Second))
+	for i := 0; i < 16; i++ {
+		slow.Add(int64(time.Minute))
 	}
-	if got := cfg.Threshold(&slow); got != 100*time.Millisecond {
-		t.Fatalf("capped threshold = %v, want MaxDelay 100ms", got)
+	if got := cfg.Threshold(&slow); got != 2*time.Minute {
+		t.Fatalf("threshold = %v, want 2m (uncapped)", got)
 	}
 	// Zero Baseline with too few samples: disarmed.
 	cfg.Baseline = 0

@@ -27,7 +27,6 @@ func TestOverloadConvergesSim(t *testing.T) {
 		// Room for ~4 resident segments, ~2 more queued: with two
 		// clients opening 4-wide windows the supplier must shed.
 		AdmitBytes:  4 * segSize,
-		QueueBytes:  2 * segSize,
 		WindowStart: 4,
 		WindowMax:   16,
 	}

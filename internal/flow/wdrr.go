@@ -42,13 +42,10 @@ type drrTenant struct {
 	active  bool           // member of the ring
 }
 
-// NewDRR creates a scheduler with the given byte quantum and tenant
-// weights (absent tenants weigh 1). The quantum must be positive;
-// weights must be positive (enforced by Config.ApplyDefaults).
-func NewDRR(quantum int64, weights map[string]int64) *DRR {
-	if quantum <= 0 {
-		panic("flow: DRR quantum must be positive")
-	}
+// NewDRR creates a scheduler with the given tenant weights (absent
+// tenants weigh 1); weights must be positive (enforced by
+// Config.ApplyDefaults).
+func NewDRR(weights map[string]int64) *DRR {
 	return &DRR{
 		quantum: quantum,
 		weights: weights,

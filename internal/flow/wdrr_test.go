@@ -34,7 +34,7 @@ func drain(t *testing.T, d *DRR, queued map[string]int64, batch int64, horizon i
 }
 
 func TestDRRWeightedShares(t *testing.T) {
-	d := NewDRR(1000, map[string]int64{"heavy": 3, "light": 1})
+	d := newDRR(map[string]int64{"heavy": 3, "light": 1})
 	queued := map[string]int64{"heavy": 300000, "light": 300000}
 	d.Add("heavy", queued["heavy"])
 	d.Add("light", queued["light"])
@@ -52,7 +52,7 @@ func TestDRRWeightedShares(t *testing.T) {
 }
 
 func TestDRRNoStarvation(t *testing.T) {
-	d := NewDRR(1000, map[string]int64{"hog": 100})
+	d := newDRR(map[string]int64{"hog": 100})
 	// The hog outweighs the default-weight tenant 100:1, and its batches
 	// overdraw the deficit every turn — yet the light tenant must still
 	// be served within a bounded number of turns.
@@ -75,7 +75,7 @@ func TestDRRNoStarvation(t *testing.T) {
 }
 
 func TestDRRHugeBatchDoesNotStall(t *testing.T) {
-	d := NewDRR(1000, nil)
+	d := newDRR(nil)
 	// One batch 50x the quantum: served in one turn (the caller always
 	// serves at least one batch), leaving a debt repaid by later top-ups.
 	d.Add("big", 50000)
@@ -101,7 +101,7 @@ func TestDRRHugeBatchDoesNotStall(t *testing.T) {
 }
 
 func TestDRRDrainForfeitsDeficit(t *testing.T) {
-	d := NewDRR(1000, nil)
+	d := newDRR(nil)
 	d.Add("a", 500)
 	tn, ok := d.Next()
 	if !ok || tn != "a" {
@@ -121,7 +121,7 @@ func TestDRRDrainForfeitsDeficit(t *testing.T) {
 }
 
 func TestDRRZeroLengthRequestsKeepTenantActive(t *testing.T) {
-	d := NewDRR(1000, nil)
+	d := newDRR(nil)
 	// One real segment plus two empty MOF partitions. Cost floors the
 	// empty ones at one unit each; if they charged zero, serving the
 	// real segment alone would drain the tenant's byte account and
@@ -155,7 +155,7 @@ func TestCostFloorsAtOne(t *testing.T) {
 }
 
 func TestDRROccupancySorted(t *testing.T) {
-	d := NewDRR(1000, map[string]int64{"b": 2})
+	d := newDRR(map[string]int64{"b": 2})
 	d.Add("c", 10)
 	d.Add("a", 20)
 	d.Add("b", 30)
@@ -173,11 +173,10 @@ func TestDRROccupancySorted(t *testing.T) {
 	}
 }
 
-func TestDRRPanicsOnBadQuantum(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewDRR(0, nil) did not panic")
-		}
-	}()
-	NewDRR(0, nil)
+// newDRR builds a scheduler with a 1000-byte quantum, so the tests'
+// arithmetic stays in small round numbers.
+func newDRR(weights map[string]int64) *DRR {
+	d := NewDRR(weights)
+	d.quantum = 1000
+	return d
 }

@@ -3,10 +3,9 @@ package flow
 import "repro/internal/metrics"
 
 // Window is one node-pair's AIMD congestion window, replacing the
-// NetMerger's fixed WindowPerNode. The window grows additively on
-// clean round trips and explicit credit grants, and shrinks
-// multiplicatively on shed and timeout signals, clamped to
-// [min, max].
+// NetMerger's fixed per-node window. The window grows additively on
+// clean round trips and explicit credit grants, and shrinks by half on
+// shed and timeout signals, clamped to [1, max].
 //
 // Window is NOT safe for concurrent use: the NetMerger mutates its
 // per-node groups (and their windows) under one mutex, and the window
@@ -17,11 +16,8 @@ type Window struct {
 	// size is the current in-flight limit, mirrored into the registry's
 	// window gauge when NewWindow was given one.
 	size metrics.Mirror
-	acc  int // additive-increase accumulator, in Increase units
-	min  int
+	acc  int // additive-increase accumulator, in windowIncrease units
 	max  int
-	inc  int
-	dec  float64
 }
 
 // NewWindow creates a window from a defaulted Config. gauge, when
@@ -29,10 +25,7 @@ type Window struct {
 func NewWindow(cfg Config, gauge *metrics.Gauge) *Window {
 	w := &Window{
 		size: metrics.NewMirror(gauge),
-		min:  cfg.WindowMin,
 		max:  cfg.WindowMax,
-		inc:  cfg.Increase,
-		dec:  cfg.Decrease,
 	}
 	w.setSize(cfg.WindowStart)
 	return w
@@ -43,25 +36,19 @@ func (w *Window) Limit() int { return int(w.size.Load()) }
 
 // setSize clamps and applies a new size, mirroring it to the gauge.
 func (w *Window) setSize(n int) {
-	if n < w.min {
-		n = w.min
-	}
-	if n > w.max {
-		n = w.max
-	}
-	w.size.Set(int64(n))
+	w.size.Set(int64(min(max(n, windowMin), w.max)))
 }
 
 // OnClean records one clean delivery (a full segment reassembled with
 // no shed or failure). Growth is additive per round trip: each
-// delivery banks Increase units, and a full window's worth of units
+// delivery banks windowIncrease units, and a full window's worth of units
 // buys one more slot — the classic cwnd += 1/cwnd shape in integers.
 func (w *Window) OnClean() {
 	if w.Limit() >= w.max {
 		w.acc = 0
 		return
 	}
-	w.acc += w.inc
+	w.acc += windowIncrease
 	for w.acc >= w.Limit() && w.Limit() < w.max {
 		w.acc -= w.Limit()
 		w.setSize(w.Limit() + 1)
@@ -79,7 +66,7 @@ func (w *Window) OnCredit() {
 // clamped, accumulated growth forfeited.
 func (w *Window) OnShed() {
 	w.acc = 0
-	w.setSize(int(float64(w.Limit()) * w.dec))
+	w.setSize(int(float64(w.Limit()) * windowDecrease))
 }
 
 // OnTimeout records a dead connection or request timeout — the same
@@ -92,5 +79,5 @@ func (w *Window) OnTimeout() {
 // State snapshots the window for the /debug/jbs/flow endpoint.
 // Like every other method it requires the owner's lock.
 func (w *Window) State() WindowState {
-	return WindowState{Size: w.Limit(), Min: w.min, Max: w.max}
+	return WindowState{Size: w.Limit(), Min: windowMin, Max: w.max}
 }

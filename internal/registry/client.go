@@ -126,16 +126,20 @@ func (c *Client) observeEpoch(e uint64) {
 func (c *Client) LastEpoch() uint64 { return c.lastEpoch.Load() }
 
 // Register announces a supplier: id is its stable identity, addr its
-// fetch address, shards what it can serve (empty: everything).
+// fetch address. Every supplier serves every shard; the third argument
+// is kept for the repository benchmark's one call, which passes nil,
+// and a non-empty shard list is rejected.
 func (c *Client) Register(id, addr string, shards []int) error {
-	return c.RegisterSupplier(SupplierInfo{ID: id, Addr: addr, Shards: shards})
+	if len(shards) > 0 {
+		return errors.New("registry: suppliers serve every shard; a shard list is not supported")
+	}
+	return c.RegisterSupplier(SupplierInfo{ID: id, Addr: addr})
 }
 
 // RegisterSupplier announces a supplier from a full SupplierInfo,
 // including the optional debug address the autoscaler's collector polls.
 func (c *Client) RegisterSupplier(info SupplierInfo) error {
-	_, err := c.do(request{Op: "register", ID: info.ID, Addr: info.Addr,
-		Shards: info.Shards, Debug: info.DebugAddr})
+	_, err := c.do(request{Op: "register", ID: info.ID, Addr: info.Addr, Debug: info.DebugAddr})
 	return err
 }
 

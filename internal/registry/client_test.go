@@ -227,14 +227,17 @@ func TestClientTracksEpoch(t *testing.T) {
 func TestResolverRetriesUnownedShard(t *testing.T) {
 	s := newTestServer(t, ServerConfig{Shards: 4})
 	c := newTestClient(t, s)
-	// Register a supplier owning nothing useful so the map is non-empty.
-	if err := c.Register("sup-a", "a:1", []int{ShardOf("m-00000", 4)}); err != nil {
+	// A draining supplier keeps the map non-empty but owns nothing.
+	if err := c.Register("sup-a", "a:1", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drain("sup-a"); err != nil {
 		t.Fatal(err)
 	}
 	rc := NewClient(s.Addr())
 	defer rc.Close()
 	r := NewResolver(rc, time.Hour)
-	other := taskInShard(t, (ShardOf("m-00000", 4)+1)%4, 4)
+	other := taskInShard(t, 1, 4)
 	if _, err := r.Resolve(other); err == nil {
 		t.Fatal("resolve of an unowned shard succeeded")
 	}

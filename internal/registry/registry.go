@@ -1,8 +1,8 @@
 // Package registry is the discovery and shard-ownership layer for
 // multi-process JBS deployments. Standalone suppliers register over a
 // small TCP/JSON protocol, keep their registration alive with
-// heartbeats against a lease, and advertise which MOF shards they can
-// serve; the registry maintains a balanced shard→supplier ownership
+// heartbeats against a lease; every supplier can serve every MOF
+// shard, and the registry maintains a balanced shard→supplier ownership
 // map, bumping its epoch whenever ownership moves. Mergers resolve a
 // map task to the supplier currently owning its shard (via Client and
 // the caching Resolver), so supplier churn — graceful drain, crash,
@@ -32,8 +32,6 @@ type SupplierInfo struct {
 	ID string `json:"id"`
 	// Addr is the supplier's fetch listen address.
 	Addr string `json:"addr"`
-	// Shards lists the shards this supplier can serve; empty means all.
-	Shards []int `json:"shards,omitempty"`
 	// DebugAddr, when set, is the supplier's /debug/jbs HTTP address.
 	// Control-plane consumers (the autoscaler's collector) poll flow
 	// signals from it; the fetch data path never touches it.
@@ -49,7 +47,7 @@ type Map struct {
 	// comparable by epoch.
 	Epoch uint64 `json:"epoch"`
 	// Shards maps shard index to the owning supplier's fetch address
-	// (empty string: unowned, no eligible supplier advertises it).
+	// (empty string: unowned, no supplier is eligible).
 	Shards []string `json:"shards"`
 	// Replicas maps shard index to its replica set — the primary's
 	// address first, then up to Replicas-1 backup suppliers holding the
@@ -63,14 +61,13 @@ type Map struct {
 // Wire protocol: one JSON object per line in each direction, one
 // response per request, over a persistent TCP connection.
 //
-// Ops: "register" (ID, Addr, Shards), "heartbeat" (ID), "drain" (ID),
+// Ops: "register" (ID, Addr), "heartbeat" (ID), "drain" (ID),
 // "deregister" (ID), "lookup" (Task), "map".
 type request struct {
-	Op     string `json:"op"`
-	ID     string `json:"id,omitempty"`
-	Addr   string `json:"addr,omitempty"`
-	Shards []int  `json:"shards,omitempty"`
-	Task   string `json:"task,omitempty"`
+	Op   string `json:"op"`
+	ID   string `json:"id,omitempty"`
+	Addr string `json:"addr,omitempty"`
+	Task string `json:"task,omitempty"`
 	// Debug carries the supplier's /debug/jbs address on register.
 	Debug string `json:"debug,omitempty"`
 }

@@ -153,33 +153,6 @@ func TestReplicaSameIDRestartRejoins(t *testing.T) {
 	}
 }
 
-func TestReplicaBackupsRespectAdvertisement(t *testing.T) {
-	// A supplier advertising only shard 0 must never back up other shards.
-	s := newTestServer(t, ServerConfig{Shards: 4, Replicas: 2})
-	c := newTestClient(t, s)
-	if err := c.Register("sup-wide", "wide:1", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register("sup-narrow", "narrow:1", []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := c.FetchMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReplicaSets(t, m, 2)
-	for i, set := range m.Replicas {
-		for _, addr := range set {
-			if addr == "narrow:1" && i != 0 {
-				t.Fatalf("shard %d placed on narrow:1, which only advertises shard 0 (%v)", i, set)
-			}
-		}
-	}
-	if len(m.Replicas[0]) != 2 {
-		t.Fatalf("shard 0 replica set %v, want both suppliers", m.Replicas[0])
-	}
-}
-
 func TestReplicasOffByDefault(t *testing.T) {
 	s := newTestServer(t, ServerConfig{Shards: 4})
 	c := newTestClient(t, s)

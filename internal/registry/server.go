@@ -70,20 +70,6 @@ type lease struct {
 	expires time.Time
 }
 
-// advertises reports whether the lease's supplier can serve shard i
-// (an empty advertisement means every shard).
-func (l *lease) advertises(i int) bool {
-	if len(l.info.Shards) == 0 {
-		return true
-	}
-	for _, s := range l.info.Shards {
-		if s == i {
-			return true
-		}
-	}
-	return false
-}
-
 // Server is the discovery/ownership authority. All state is in memory;
 // see the package comment for the restart story.
 type Server struct {
@@ -219,14 +205,13 @@ func (s *Server) handle(req request, now time.Time) response {
 		}
 		if _, ok := s.leases[req.ID]; ok {
 			// Same-ID re-registration: a restarted daemon reclaims its
-			// identity; the fresh Addr/Shards replace the stale ones.
+			// identity; the fresh Addr replaces the stale one.
 			s.logf("registry: %s re-registered at %s", req.ID, req.Addr)
 		} else {
 			s.logf("registry: %s registered at %s", req.ID, req.Addr)
 		}
 		s.leases[req.ID] = &lease{
-			info: SupplierInfo{ID: req.ID, Addr: req.Addr,
-				Shards: append([]int(nil), req.Shards...), DebugAddr: req.Debug},
+			info:    SupplierInfo{ID: req.ID, Addr: req.Addr, DebugAddr: req.Debug},
 			expires: now.Add(s.cfg.LeaseTTL),
 		}
 		regRegistrations.Inc()
@@ -322,7 +307,7 @@ func (s *Server) sortedIDsLocked() []string {
 // Deterministic and sticky: an eligible owner keeps its shards up to
 // the balanced target (ceil(shards/eligible)), so joins and drains move
 // the minimum number of shards; the rest go to the least-loaded
-// eligible supplier advertising them. Draining suppliers are excluded —
+// eligible supplier. Draining suppliers are excluded —
 // that exclusion IS the handoff: the moment a drain is recorded, the
 // next map/lookup directs fetches at the peers. Must be called with mu
 // held.
@@ -348,34 +333,29 @@ func (s *Server) rebalanceLocked() {
 		for _, id := range eligible {
 			isEligible[id] = true
 		}
-		// Pass 1: sticky — keep eligible advertising owners under target.
+		// Pass 1: sticky — keep eligible owners under target.
 		for i, owner := range s.owners {
-			if owner != "" && isEligible[owner] && s.leases[owner].advertises(i) && load[owner] < target {
+			if owner != "" && isEligible[owner] && load[owner] < target {
 				load[owner]++
 			} else if owner != "" {
 				s.owners[i] = ""
 				changed = true
 			}
 		}
-		// Pass 2: place unowned shards on the least-loaded advertiser.
+		// Pass 2: place unowned shards on the least-loaded supplier.
 		for i, owner := range s.owners {
 			if owner != "" {
 				continue
 			}
-			best := ""
-			for _, id := range eligible {
-				if !s.leases[id].advertises(i) {
-					continue
-				}
-				if best == "" || load[id] < load[best] {
+			best := eligible[0]
+			for _, id := range eligible[1:] {
+				if load[id] < load[best] {
 					best = id
 				}
 			}
-			if best != "" {
-				s.owners[i] = best
-				load[best]++
-				changed = true
-			}
+			s.owners[i] = best
+			load[best]++
+			changed = true
 		}
 	}
 	if s.cfg.Replicas > 1 {
@@ -394,11 +374,10 @@ func (s *Server) rebalanceLocked() {
 
 // rebalanceBackupsLocked re-places each shard's backup replicas after
 // primary ownership settles: up to Replicas-1 suppliers per shard,
-// distinct from the primary and each other, every one eligible and
-// advertising the shard. Sticky like primary placement — surviving
-// backups keep their slots so churn moves the minimum number of replica
-// assignments — with open slots going to the least-loaded eligible
-// advertiser. Returns whether any replica set changed (an epoch bump:
+// distinct from the primary and each other, every one eligible. Sticky
+// like primary placement — surviving backups keep their slots so churn
+// moves the minimum number of replica assignments — with open slots
+// going to the least-loaded eligible supplier. Returns whether any replica set changed (an epoch bump:
 // cached maps carry the replica sets too). Must be called with mu held.
 func (s *Server) rebalanceBackupsLocked(eligible []string) bool {
 	changed := false
@@ -409,7 +388,7 @@ func (s *Server) rebalanceBackupsLocked(eligible []string) bool {
 	}
 	load := make(map[string]int, len(eligible))
 	// Pass 1: sticky — keep surviving backups (shard still owned, backup
-	// still eligible, still advertising, still distinct from the owner).
+	// still eligible, still distinct from the owner).
 	// A filtered slice either equals the original or is shorter, so a
 	// length comparison detects every drop.
 	for i := range s.backups {
@@ -420,7 +399,7 @@ func (s *Server) rebalanceBackupsLocked(eligible []string) bool {
 				if len(kept) >= want {
 					break
 				}
-				if id != owner && isEligible[id] && s.leases[id].advertises(i) && !slices.Contains(kept, id) {
+				if id != owner && isEligible[id] && !slices.Contains(kept, id) {
 					kept = append(kept, id)
 					load[id]++
 				}
@@ -431,9 +410,9 @@ func (s *Server) rebalanceBackupsLocked(eligible []string) bool {
 		}
 		s.backups[i] = kept
 	}
-	// Pass 2: fill open slots with the least-loaded eligible advertiser
-	// not already serving the shard. Fewer advertisers than slots just
-	// means a thinner replica set — never a duplicate placement.
+	// Pass 2: fill open slots with the least-loaded eligible supplier not
+	// already serving the shard. Fewer suppliers than slots just means a
+	// thinner replica set — never a duplicate placement.
 	for i := range s.backups {
 		owner := s.owners[i]
 		if owner == "" {
@@ -442,7 +421,7 @@ func (s *Server) rebalanceBackupsLocked(eligible []string) bool {
 		for len(s.backups[i]) < want {
 			best := ""
 			for _, id := range eligible {
-				if id == owner || !s.leases[id].advertises(i) || slices.Contains(s.backups[i], id) {
+				if id == owner || slices.Contains(s.backups[i], id) {
 					continue
 				}
 				if best == "" || load[id] < load[best] {

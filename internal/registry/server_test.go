@@ -29,6 +29,13 @@ func newTestClient(t *testing.T, s *Server) *Client {
 func TestRegisterAssignsAllShards(t *testing.T) {
 	s := newTestServer(t, ServerConfig{Shards: 8})
 	c := newTestClient(t, s)
+	// Before any supplier registers, every shard is unowned.
+	if _, err := c.Lookup("m-00042"); err == nil {
+		t.Fatal("lookup of an unowned shard succeeded")
+	}
+	if err := c.Register("sup-a", "127.0.0.1:9000", []int{0}); err == nil {
+		t.Fatal("a shard list was accepted: every supplier serves every shard")
+	}
 	if err := c.Register("sup-a", "127.0.0.1:9000", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -124,30 +131,6 @@ func TestDrainHandsShardsToPeer(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("draining supplier vanished from the map before deregister")
-	}
-}
-
-func TestShardAdvertisementRestrictsOwnership(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
-	c := newTestClient(t, s)
-	if err := c.Register("sup-a", "a:1", []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register("sup-b", "b:1", []int{2}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := c.FetchMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a:1", "a:1", "b:1", ""}
-	for i, addr := range m.Shards {
-		if addr != want[i] {
-			t.Fatalf("shards = %v, want %v", m.Shards, want)
-		}
-	}
-	if _, err := c.Lookup(taskInShard(t, 3, 4)); err == nil {
-		t.Fatal("lookup of an unowned shard succeeded")
 	}
 }
 

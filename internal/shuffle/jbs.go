@@ -18,14 +18,10 @@ type JBSConfig struct {
 	// benchmark sets it, and is removed by ROADMAP item 3(b)'s benchmark
 	// change.
 	Transport string
-	// Net carries the buffer size and connection-cache tunables.
-	Net transport.Config
-	// Supplier tunables (DataCache size, prefetch batch, xmit workers);
-	// Transport and Addr are filled per node.
-	Supplier core.SupplierConfig
-	// WindowPerNode bounds in-flight requests per remote node in the
-	// NetMerger.
-	WindowPerNode int
+	// BufferSize is the transport buffer size in bytes, the Fig. 11 knob
+	// (0 = transport.DefaultBufferSize). The supplier rejects a size
+	// that does not fit in one frame.
+	BufferSize int
 	// FetchRetries re-sends failed fetches on fresh connections before
 	// surfacing an error.
 	FetchRetries int
@@ -39,13 +35,10 @@ func (c *JBSConfig) applyDefaults() error {
 	if c.Transport != "" && c.Transport != "tcp" {
 		return fmt.Errorf("shuffle: JBSConfig.Transport %q: only \"tcp\" is supported", c.Transport)
 	}
-	if c.Net.BufferSize == 0 {
-		c.Net = transport.DefaultConfig()
-	}
 	if c.HierarchicalFanIn < 0 || c.HierarchicalFanIn == 1 {
 		return fmt.Errorf("shuffle: hierarchical fan-in %d invalid", c.HierarchicalFanIn)
 	}
-	return c.Net.Validate()
+	return nil
 }
 
 // JBSProvider plugs JVM-Bypass Shuffling into the engine: one MOFSupplier
@@ -83,11 +76,11 @@ func (p *JBSProvider) StartNode(node string, reg *mapred.MOFRegistry) (string, f
 		}
 		return paths.Data, paths.Index, nil
 	}
-	cfg := p.cfg.Supplier
-	cfg.Transport = transport.NewTCP()
-	cfg.Addr = "127.0.0.1:0"
-	cfg.BufferSize = p.cfg.Net.BufferSize
-	s, err := core.NewMOFSupplier(cfg, lookup)
+	s, err := core.NewMOFSupplier(core.SupplierConfig{
+		Transport:  transport.NewTCP(),
+		Addr:       "127.0.0.1:0",
+		BufferSize: p.cfg.BufferSize,
+	}, lookup)
 	if err != nil {
 		return "", nil, err
 	}
@@ -100,10 +93,8 @@ func (p *JBSProvider) StartNode(node string, reg *mapred.MOFRegistry) (string, f
 // NewFetcher launches the node's NetMerger.
 func (p *JBSProvider) NewFetcher(node string, addrOf func(string) (string, error)) (mapred.Fetcher, error) {
 	m, err := core.NewNetMerger(core.MergerConfig{
-		Transport:      transport.NewTCP(),
-		MaxConnections: p.cfg.Net.MaxConnections,
-		WindowPerNode:  p.cfg.WindowPerNode,
-		MaxRetries:     p.cfg.FetchRetries,
+		Transport:  transport.NewTCP(),
+		MaxRetries: p.cfg.FetchRetries,
 	})
 	if err != nil {
 		return nil, err

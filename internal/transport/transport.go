@@ -9,7 +9,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/bufpool"
 )
@@ -40,9 +39,6 @@ const MaxFrameSize = 64 << 20
 // chunk a supplier puts in one frame. The paper selects 128 KB after the
 // Fig. 11 sweep.
 const DefaultBufferSize = 128 << 10
-
-// DefaultMaxConnections is the connection-cache limit (Section IV-A).
-const DefaultMaxConnections = 512
 
 // Conn is a framed, message-oriented connection. Send and Recv are safe for
 // one concurrent sender and one concurrent receiver; multiple senders must
@@ -129,34 +125,4 @@ type Transport interface {
 	Listen(addr string) (Listener, error)
 	// Dial connects to addr.
 	Dial(addr string) (Conn, error)
-}
-
-// Config carries the network tunables.
-type Config struct {
-	// BufferSize is the transport buffer size in bytes (Fig. 11 knob).
-	BufferSize int
-	// MaxConnections caps cached connections (512 in the paper).
-	MaxConnections int
-}
-
-// DefaultConfig returns the paper's defaults.
-func DefaultConfig() Config {
-	return Config{
-		BufferSize:     DefaultBufferSize,
-		MaxConnections: DefaultMaxConnections,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.BufferSize <= 0 {
-		return fmt.Errorf("transport: buffer size %d must be positive", c.BufferSize)
-	}
-	if c.BufferSize > MaxFrameSize {
-		return fmt.Errorf("transport: buffer size %d exceeds frame limit %d", c.BufferSize, MaxFrameSize)
-	}
-	if c.MaxConnections <= 0 {
-		return fmt.Errorf("transport: max connections %d must be positive", c.MaxConnections)
-	}
-	return nil
 }

@@ -312,28 +312,6 @@ func TestTransportNames(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	bad := []Config{
-		{BufferSize: 0, MaxConnections: 1},
-		{BufferSize: 1, MaxConnections: 0},
-		{BufferSize: MaxFrameSize + 1, MaxConnections: 1},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %d validated but is invalid", i)
-		}
-	}
-	if DefaultConfig().BufferSize != 128<<10 {
-		t.Error("default buffer size should be 128 KB per the paper")
-	}
-	if DefaultConfig().MaxConnections != 512 {
-		t.Error("default max connections should be 512 per the paper")
-	}
-}
-
 func TestDialNoListener(t *testing.T) {
 	if _, err := NewTCP().Dial("127.0.0.1:1"); err == nil {
 		t.Fatal("tcp dial to closed port succeeded")
