@@ -43,13 +43,16 @@ race:
 	$(GO) test -race -shuffle=on -timeout 10m ./...
 
 # fuzz-smoke: 30 seconds of coverage-guided fuzzing per wire-format
-# decoder. Not exhaustive — a CI tripwire for decode panics, unbounded
-# allocations, and encode/decode round-trip drift. Targets must be
-# fuzzed one at a time (a Go toolchain restriction).
+# decoder and for the merge's key-order check over fetched segments.
+# Not exhaustive — a CI tripwire for decode panics, unbounded
+# allocations, encode/decode round-trip drift and out-of-order records
+# merged silently. Targets must be fuzzed one at a time (a Go toolchain
+# restriction).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameUnmarshal$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzShedCreditFrame$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHedgeProtocolFrames$$' -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeOrder$$' -fuzztime 30s ./internal/merge
 
 # chaos-hedge: the speculative-fetch chaos suite under the race detector —
 # replicated-MOF topologies where a stalled or dead primary must be

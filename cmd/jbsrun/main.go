@@ -36,7 +36,6 @@ func main() {
 	showOutput := flag.Int("show", 5, "output lines to print")
 	compress := flag.Bool("compress", false, "compress map outputs (mapred.compress.map.output)")
 	sortMem := flag.Int64("sortmem", 0, "map-side sort buffer bytes; 0 = unbounded (io.sort.mb)")
-	hierarchical := flag.Int("hierarchical", 0, "hierarchical merge fan-in for JBS; 0 = flat network-levitated merge")
 	retries := flag.Int("retries", 0, "JBS fetch retries on connection failure")
 	debugAddr := flag.String("debug", "", "serve /debug/jbs endpoints on this address and stay up after the run (e.g. localhost:6060)")
 	traceN := flag.Int("trace", 0, "record per-segment fetch traces and print the N slowest")
@@ -46,7 +45,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "jbsrun:", err)
 		os.Exit(2)
 	}
-	provider, err := newProvider(*shuffleName, *retries, *hierarchical)
+	provider, err := newProvider(*shuffleName, *retries)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jbsrun:", err)
 		os.Exit(2)
@@ -117,12 +116,12 @@ func main() {
 }
 
 // newProvider builds the shuffle provider -shuffle names.
-func newProvider(name string, retries, hierarchical int) (mapred.ShuffleProvider, error) {
+func newProvider(name string, retries int) (mapred.ShuffleProvider, error) {
 	switch name {
 	case "hadoop-http":
 		return shuffle.NewHTTPProvider(shuffle.HTTPConfig{ShuffleMemory: 4 << 10}), nil
 	case "jbs-tcp":
-		return shuffle.NewJBSProvider(shuffle.JBSConfig{FetchRetries: retries, HierarchicalFanIn: hierarchical})
+		return shuffle.NewJBSProvider(shuffle.JBSConfig{FetchRetries: retries})
 	}
 	return nil, fmt.Errorf("unknown shuffle %q (want hadoop-http or jbs-tcp)", name)
 }

@@ -7,7 +7,7 @@ import (
 
 func TestNewProvider(t *testing.T) {
 	for _, name := range []string{"hadoop-http", "jbs-tcp"} {
-		p, err := newProvider(name, 0, 0)
+		p, err := newProvider(name, 0)
 		if err != nil {
 			t.Fatalf("-shuffle %s: %v", name, err)
 		}
@@ -19,7 +19,7 @@ func TestNewProvider(t *testing.T) {
 	// provider is refused with an error naming the value.
 	for _, backend := range []string{"rdma", "roce"} {
 		name := "jbs-" + backend
-		if _, err := newProvider(name, 0, 0); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+		if _, err := newProvider(name, 0); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
 			t.Errorf("-shuffle %s: err = %v, want an error naming the value", name, err)
 		}
 	}

@@ -28,10 +28,9 @@ type SupplierSample struct {
 	AdmittedBytes, BudgetBytes int64
 	// QueuedBytes sums the supplier's DRR tenant queues.
 	QueuedBytes int64
-	// Sheds and DrainSheds are the ledger's cumulative capacity- and
-	// drain-shed counters; the autoscaler differences Sheds across
-	// ticks for the shed rate.
-	Sheds, DrainSheds int64
+	// Sheds is the ledger's cumulative capacity-shed counter; the
+	// autoscaler differences it across ticks for the shed rate.
+	Sheds int64
 }
 
 // Sample is one collection cycle's view of the fleet.
@@ -108,7 +107,6 @@ func (c *FleetCollector) Collect() (Sample, error) {
 					sup.AdmittedBytes = st.Ledger.Used
 					sup.BudgetBytes = st.Ledger.Budget
 					sup.Sheds = st.Ledger.Sheds
-					sup.DrainSheds = st.Ledger.DrainSheds
 				}
 				for _, t := range st.Tenants {
 					sup.QueuedBytes += t.QueuedBytes

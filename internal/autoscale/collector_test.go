@@ -45,7 +45,7 @@ func TestFleetCollectorSamplesFleet(t *testing.T) {
 	fullDebug := serveFlow(t, []flow.State{
 		{Name: "merger 127.0.0.1:9"},
 		{Name: "supplier 127.0.0.1:7001", Ledger: &flow.LedgerState{
-			Budget: 1000, Used: 400, Sheds: 7, DrainSheds: 2,
+			Budget: 1000, Used: 400, Sheds: 7,
 		}, Tenants: []flow.TenantState{
 			{Tenant: "light", QueuedBytes: 30},
 			{Tenant: "heavy", QueuedBytes: 12},
@@ -89,7 +89,7 @@ func TestFleetCollectorSamplesFleet(t *testing.T) {
 	if !full.Reachable {
 		t.Fatalf("sup-full unreachable: %+v", full)
 	}
-	if full.AdmittedBytes != 400 || full.BudgetBytes != 1000 || full.Sheds != 7 || full.DrainSheds != 2 {
+	if full.AdmittedBytes != 400 || full.BudgetBytes != 1000 || full.Sheds != 7 {
 		t.Fatalf("sup-full ledger signals = %+v", full)
 	}
 	if full.QueuedBytes != 42 {

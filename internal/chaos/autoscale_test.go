@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/flow"
 	"repro/internal/leakcheck"
-	"repro/internal/mof"
 	"repro/internal/registry"
 	"repro/internal/transport"
 )
@@ -43,47 +41,18 @@ func (p *scriptedPolicy) set(n int) {
 	p.mu.Unlock()
 }
 
-// loadDaemonGrid reads every fixture segment from disk — the byte
-// identity reference for the fetches that race the drain.
-func loadDaemonGrid(t *testing.T, dir string, tasks, parts int) map[string][]byte {
-	t.Helper()
-	ref := make(map[string][]byte, tasks*parts)
-	for ti := 0; ti < tasks; ti++ {
-		task := fmt.Sprintf("m-%05d", ti)
-		dataPath := filepath.Join(dir, task+".data")
-		ix, err := mof.ReadIndex(filepath.Join(dir, task+".index"))
-		if err != nil {
-			t.Fatalf("read index %s: %v", task, err)
-		}
-		for p := 0; p < parts; p++ {
-			e, err := ix.Entry(p)
-			if err != nil {
-				t.Fatalf("index entry %s/%d: %v", task, p, err)
-			}
-			seg, err := mof.ReadSegmentBytes(dataPath, e)
-			if err != nil {
-				t.Fatalf("read segment %s/%d: %v", task, p, err)
-			}
-			ref[refKey(core.FetchSpec{MapTask: task, Partition: p})] = seg
-		}
-	}
-	return ref
-}
-
-// liveSuppliers counts the non-draining suppliers in the registry map.
-func liveSuppliers(t *testing.T, c *registry.Client) int {
-	t.Helper()
+// liveSuppliers counts the registry's non-draining registrations by the
+// autoscaler's own rule, Sample.Live.
+func liveSuppliers(c *registry.Client) (int, error) {
 	m, err := c.FetchMap()
 	if err != nil {
-		t.Fatalf("fetch map: %v", err)
+		return 0, err
 	}
-	n := 0
-	for _, s := range m.Suppliers {
-		if !s.Draining {
-			n++
-		}
+	var s autoscale.Sample
+	for _, info := range m.Suppliers {
+		s.Suppliers = append(s.Suppliers, autoscale.SupplierSample{Draining: info.Draining})
 	}
-	return n
+	return s.Live(), nil
 }
 
 // TestChaosAutoscaleDrain drives the autoscaler's scale-down path
@@ -117,7 +86,10 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 	if err := daemon.WriteFixture(dir, tasks, parts, segBytes, 4242); err != nil {
 		t.Fatalf("write fixture: %v", err)
 	}
-	reference := loadDaemonGrid(t, dir, tasks, parts)
+	reference, err := daemon.LoadReference(dir, tasks, parts)
+	if err != nil {
+		t.Fatalf("load reference: %v", err)
+	}
 
 	// A tight admission budget (under two segments plus queue headroom)
 	// so the racing workers shed: the drain must interleave with parked
@@ -157,8 +129,8 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 	if err := as.Tick(base); err != nil {
 		t.Fatalf("scale-up tick: %v", err)
 	}
-	if got := liveSuppliers(t, rc); got != 2 {
-		t.Fatalf("fleet after scale-up: %d live suppliers, want 2", got)
+	if got, err := liveSuppliers(rc); got != 2 {
+		t.Fatalf("fleet after scale-up: %d live suppliers (%v), want 2", got, err)
 	}
 
 	// The tenant resolves through the registry with a short cache TTL so
@@ -229,8 +201,8 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 	if got := as.Managed(); len(got) != 1 || got[0] != "chaos-1" {
 		t.Fatalf("managed fleet after drain: %v, want [chaos-1]", got)
 	}
-	if got := liveSuppliers(t, rc); got != 1 {
-		t.Fatalf("fleet after drain: %d live suppliers, want 1", got)
+	if got, err := liveSuppliers(rc); got != 1 {
+		t.Fatalf("fleet after drain: %d live suppliers (%v), want 1", got, err)
 	}
 
 	wg.Wait()
@@ -246,7 +218,7 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 			continue
 		}
 		delivered++
-		if want := reference[refKey(o.spec)]; !bytes.Equal(o.data, want) {
+		if want := reference[o.spec]; !bytes.Equal(o.data, want) {
 			t.Errorf("fetch %s/%d delivered %d bytes not identical to fixture (%d bytes)",
 				o.spec.MapTask, o.spec.Partition, len(o.data), len(want))
 		}

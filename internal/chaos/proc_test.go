@@ -123,17 +123,8 @@ func waitMembers(t *testing.T, regAddr string, want int) {
 	defer c.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		m, err := c.FetchMap()
-		if err == nil {
-			live := 0
-			for _, s := range m.Suppliers {
-				if !s.Draining {
-					live++
-				}
-			}
-			if live == want {
-				return
-			}
+		if live, err := liveSuppliers(c); err == nil && live == want {
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("registry never reached %d live suppliers", want)

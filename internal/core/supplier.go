@@ -429,6 +429,7 @@ func (s *MOFSupplier) FlowState() flow.State {
 	st := flow.State{Name: "supplier " + s.Addr()}
 	if s.ledger != nil {
 		ls := s.ledger.State()
+		ls.Draining, ls.DrainSheds = s.draining.Load(), s.counts[nDrainSheds].Load()
 		st.Ledger = &ls
 	}
 	if s.drr != nil {
@@ -535,9 +536,6 @@ func (s *MOFSupplier) Drain(ctx context.Context) error {
 		s.drainCh = make(chan struct{})
 		s.drainStart = time.Now()
 		s.draining.Store(true)
-		if s.ledger != nil {
-			s.ledger.SetDraining(true)
-		}
 		supDrains.Inc()
 		supDrainState.Add(1)
 		if s.inflight.Load() == 0 {

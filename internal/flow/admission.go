@@ -42,19 +42,11 @@ type Ledger struct {
 
 	used     atomic.Int64
 	shedding atomic.Bool // latched on first shed, cleared by recovery
-	// draining is the graceful-shutdown latch: while set, Admit sheds
-	// every request unconditionally so the pipeline takes on no new
-	// work while the already-admitted balance drains to zero. Unlike a
-	// capacity shed it does not latch the shedding episode — a draining
-	// supplier must never grant recovery credits, since capacity is
-	// leaving, not returning.
-	draining atomic.Bool
 
-	sheds      atomic.Int64
-	shedBytes  atomic.Int64
-	queued     atomic.Int64
-	credits    atomic.Int64
-	drainSheds atomic.Int64
+	sheds     atomic.Int64
+	shedBytes atomic.Int64
+	queued    atomic.Int64
+	credits   atomic.Int64
 }
 
 // NewLedger creates a ledger from a defaulted Config.
@@ -67,11 +59,6 @@ func NewLedger(cfg Config) *Ledger {
 // request larger than the whole limit is admitted alone (like an
 // oversized DataCache segment) rather than shed forever.
 func (l *Ledger) Admit(n int64) Decision {
-	if l.draining.Load() {
-		l.drainSheds.Add(1)
-		ledDrainSheds.Inc()
-		return Shed
-	}
 	for {
 		cur := l.used.Load()
 		next := cur + n
@@ -113,26 +100,16 @@ func (l *Ledger) Release(n int64) (recovered bool) {
 // Used returns the currently admitted byte balance.
 func (l *Ledger) Used() int64 { return l.used.Load() }
 
-// SetDraining flips the ledger's drain latch. While draining every
-// Admit sheds, so the admitted balance can only fall; the owner watches
-// Used() reach zero to know the pipeline is empty. Setting it again (in
-// either direction) is idempotent.
-func (l *Ledger) SetDraining(v bool) { l.draining.Store(v) }
-
-// Draining reports whether the drain latch is set.
-func (l *Ledger) Draining() bool { return l.draining.Load() }
-
-// State snapshots the ledger for the /debug/jbs/flow endpoint.
+// State snapshots the ledger for the /debug/jbs/flow endpoint. The drain
+// fields are the owner's to fill: the drain latch is the supplier's.
 func (l *Ledger) State() LedgerState {
 	return LedgerState{
-		Budget:     l.budget,
-		Limit:      l.limit,
-		Used:       l.used.Load(),
-		Queued:     l.queued.Load(),
-		Sheds:      l.sheds.Load(),
-		Credits:    l.credits.Load(),
-		Shedding:   l.shedding.Load(),
-		Draining:   l.draining.Load(),
-		DrainSheds: l.drainSheds.Load(),
+		Budget:   l.budget,
+		Limit:    l.limit,
+		Used:     l.used.Load(),
+		Queued:   l.queued.Load(),
+		Sheds:    l.sheds.Load(),
+		Credits:  l.credits.Load(),
+		Shedding: l.shedding.Load(),
 	}
 }

@@ -20,8 +20,6 @@ var (
 		"credit grants broadcast after ledger recovery")
 	ledUsed = metrics.Default().Gauge("jbs_flow_admitted_bytes", "bytes",
 		"bytes currently admitted by the ledger (queued + staged + transmitting)")
-	ledDrainSheds = metrics.Default().Counter("jbs_flow_drain_sheds_total", "reqs",
-		"fetch requests shed by a draining ledger (graceful shutdown, not capacity)")
 )
 
 // tenantQueueGauge resolves the per-tenant queue-occupancy gauge. Called

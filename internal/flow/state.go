@@ -11,12 +11,12 @@ type LedgerState struct {
 	Sheds    int64 `json:"sheds_total"`
 	Credits  int64 `json:"credits_total"`
 	Shedding bool  `json:"shedding"`
-	// Draining reports the graceful-shutdown latch: every new request
-	// is shed while the admitted balance runs down to zero.
+	// Draining reports the supplier's graceful-shutdown latch: every new
+	// request is shed while the admitted balance runs down to zero.
 	Draining bool `json:"draining,omitempty"`
-	// DrainSheds counts requests shed by the drain latch (distinct from
-	// capacity sheds: these never latch a shedding episode or grant
-	// recovery credits).
+	// DrainSheds counts requests the supplier shed because it was
+	// draining (distinct from capacity sheds: these never latch a
+	// shedding episode or grant recovery credits).
 	DrainSheds int64 `json:"drain_sheds_total,omitempty"`
 }
 

@@ -556,6 +556,9 @@ func (c *Cluster) runReduceTask(jobID string, job *Job, rID int, node string, nu
 	reduceID := fmt.Sprintf("%s-r-%05d", jobID, rID)
 
 	spillDir := filepath.Join(c.cfg.WorkDir, node, "spill", reduceID)
+	// Every exit removes the attempt's spill runs. The success path below
+	// removes them itself first, so that it can report a failure to.
+	defer os.RemoveAll(spillDir)
 	merger, err := c.provider.NewMerger(spillDir)
 	if err != nil {
 		return "", err

@@ -3,6 +3,7 @@ package mapred
 import (
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -796,6 +797,54 @@ func TestFailedReduceAttemptLeavesNoBlocks(t *testing.T) {
 	}
 	if len(orphans) != 0 {
 		t.Fatalf("blocks no file owns after the failed attempt: %v", orphans)
+	}
+}
+
+// spillProvider is localProvider with the stock spill merger, at a
+// budget small enough that every reduce spills and merges in passes.
+type spillProvider struct{ *localProvider }
+
+func (spillProvider) NewMerger(spillDir string) (merge.Merger, error) {
+	return merge.NewSpillMerger(spillDir, 64, 2)
+}
+
+// TestFailedReduceLeavesNoSpillRuns: a reduce that spills and then fails
+// on every attempt takes its spill and merge-pass runs with it.
+func TestFailedReduceLeavesNoSpillRuns(t *testing.T) {
+	nodes := []string{"node00", "node01"}
+	fs, err := dfs.NewCluster(dfs.Config{BlockSize: 256, Replication: 1}, nodes, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	workDir := t.TempDir()
+	c, err := NewCluster(Config{Nodes: nodes, WorkDir: workDir, MaxTaskAttempts: 2}, fs, spillProvider{newLocalProvider()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	var input strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&input, "w%06d\n", i)
+	}
+	putFile(t, fs, "/in", input.String())
+
+	job := wordCountJob("/in", "/out", 1)
+	job.Reduce = func([]byte, [][]byte, Emit) error { return fmt.Errorf("reduce always fails") }
+	if _, err := c.Run(job); err == nil {
+		t.Fatal("job whose reduce always fails succeeded")
+	}
+	var runs []string
+	err = filepath.WalkDir(workDir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && filepath.Ext(path) == ".run" {
+			runs = append(runs, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 0 {
+		t.Fatalf("failed reduce left %d runs, e.g. %s", len(runs), runs[0])
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/mof"
 )
@@ -49,12 +48,17 @@ func (s *sliceSource) Next() (mof.Record, error) {
 
 func (s *sliceSource) Close() error { return nil }
 
-// rawSource decodes records from an encoded segment in memory.
+// rawSource decodes records from an encoded segment in memory and checks
+// their key order as it goes. prev aliases the segment, so the check is
+// one compare per record and no copy.
 type rawSource struct {
 	data []byte
+	prev []byte
 }
 
-// NewRawSource wraps raw encoded segment bytes as a Source.
+// NewRawSource wraps raw encoded segment bytes as a Source. A record whose
+// key is lower than its predecessor's is an error wrapping
+// mof.ErrCorruptRecord; equal keys and empty keys are legal.
 func NewRawSource(data []byte) Source {
 	return &rawSource{data: data}
 }
@@ -67,11 +71,32 @@ func (s *rawSource) Next() (mof.Record, error) {
 	if err != nil {
 		return mof.Record{}, err
 	}
+	if bytes.Compare(s.prev, r.Key) > 0 {
+		return mof.Record{}, fmt.Errorf("%w: key out of order", mof.ErrCorruptRecord)
+	}
+	s.prev = r.Key
 	s.data = s.data[n:]
 	return r, nil
 }
 
 func (s *rawSource) Close() error { return nil }
+
+// NormalizeSegment checks that one raw segment decodes and is in key
+// order, and returns it unchanged; the bool is always false. The mergers
+// make the same check as they merge, so nothing in the shuffle service
+// calls this: it stays for the benchmark module's merge rung and goes
+// when that rung stops calling it (ROADMAP.md item 3(b)).
+func NormalizeSegment(data []byte) ([]byte, bool, error) {
+	src := NewRawSource(data)
+	defer src.Close()
+	for {
+		if _, err := src.Next(); err == io.EOF {
+			return data, false, nil
+		} else if err != nil {
+			return nil, false, err
+		}
+	}
+}
 
 // heapItem is one source's head record.
 type heapItem struct {
@@ -211,11 +236,4 @@ func GroupByKey(it *Iterator, fn func(key []byte, values [][]byte) error) error 
 		}
 		curVals = append(curVals, append([]byte(nil), rec.Value...))
 	}
-}
-
-// SortRecords sorts records by key in place (stable for equal keys).
-func SortRecords(recs []mof.Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		return bytes.Compare(recs[i].Key, recs[j].Key) < 0
-	})
 }

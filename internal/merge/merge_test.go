@@ -294,14 +294,11 @@ func TestFailedPrimeClosesEverySource(t *testing.T) {
 	}
 }
 
-func TestSortRecords(t *testing.T) {
-	recs := []mof.Record{rec("c", "3"), rec("a", "1"), rec("b", "2"), rec("a", "0")}
-	SortRecords(recs)
-	sortedCheck(t, recs)
-	// Stability: the two "a" records keep input order.
-	if string(recs[0].Value) != "1" || string(recs[1].Value) != "0" {
-		t.Fatalf("sort not stable: %q %q", recs[0].Value, recs[1].Value)
-	}
+// sortRecs sorts records by key, keeping equal keys in input order.
+func sortRecs(recs []mof.Record) {
+	sort.SliceStable(recs, func(i, j int) bool {
+		return bytes.Compare(recs[i].Key, recs[j].Key) < 0
+	})
 }
 
 func makeSortedSegments(rng *rand.Rand, nSegs, perSeg int) ([][]byte, []string) {
@@ -314,7 +311,7 @@ func makeSortedSegments(rng *rand.Rand, nSegs, perSeg int) ([][]byte, []string) 
 			allKeys = append(allKeys, k)
 			recs = append(recs, rec(k, fmt.Sprintf("s%d-%d", s, i)))
 		}
-		SortRecords(recs)
+		sortRecs(recs)
 		segs = append(segs, encodeSegment(recs))
 	}
 	sort.Strings(allKeys)
@@ -504,5 +501,35 @@ func TestMergersEquivalentProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkNetLevitatedMerge merges 512 sorted segments of 20 records —
+// one segment per MapTask at the paper's 128GB scale — through the flat
+// network-levitated merge, key-order check included.
+func BenchmarkNetLevitatedMerge(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	segs, _ := makeSortedSegments(rng, 512, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewNetLevitatedMerger()
+		for _, s := range segs {
+			if err := m.AddSegment(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		it, err := m.Finish()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, err := it.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+		it.Close()
 	}
 }

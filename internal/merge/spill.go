@@ -24,17 +24,14 @@ type Stats struct {
 	SpilledBytes int64
 	// MergePasses counts intermediate disk-to-disk merge passes.
 	MergePasses int
-	// UnsortedSegments counts ingested segments that arrived without
-	// key order (the bypass hash writer's output) and were sorted on
-	// ingest by NormalizeSegment.
-	UnsortedSegments int
 }
 
 // Merger accumulates shuffle segments and produces one globally sorted
-// iterator. Segments normally arrive key-sorted (the map-side sort
-// writers emit them that way); an unsorted segment is normalized on
-// ingest, so the iterator contract holds regardless of which map-side
-// writer produced the MOF.
+// iterator. Segments arrive key-sorted (the map-side sort writer emits
+// them that way); the merge checks each record's key against its
+// predecessor as it decodes it, and an out-of-order segment fails the
+// merge — a spill, Finish or Next — with an error wrapping
+// mof.ErrCorruptRecord.
 type Merger interface {
 	// AddSegment ingests one raw segment (mof encoding). The merger keeps
 	// data and reads it in place: it is borrowed until the iterator Finish
@@ -85,13 +82,6 @@ func NewSpillMerger(dir string, memLimit int64, fanIn int) (*SpillMerger, error)
 func (m *SpillMerger) AddSegment(data []byte) error {
 	if m.finished {
 		return fmt.Errorf("merge: AddSegment after Finish")
-	}
-	data, resorted, err := NormalizeSegment(data)
-	if err != nil {
-		return err
-	}
-	if resorted {
-		m.stats.UnsortedSegments++
 	}
 	m.stats.Segments++
 	m.stats.SegmentBytes += int64(len(data))
@@ -290,17 +280,10 @@ func NewNetLevitatedMerger() *NetLevitatedMerger {
 	return &NetLevitatedMerger{}
 }
 
-// AddSegment ingests one raw segment, normalizing unsorted arrivals.
+// AddSegment ingests one raw segment.
 func (m *NetLevitatedMerger) AddSegment(data []byte) error {
 	if m.finished {
 		return fmt.Errorf("merge: AddSegment after Finish")
-	}
-	data, resorted, err := NormalizeSegment(data)
-	if err != nil {
-		return err
-	}
-	if resorted {
-		m.stats.UnsortedSegments++
 	}
 	m.segments = append(m.segments, data)
 	m.stats.Segments++

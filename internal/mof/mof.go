@@ -73,10 +73,13 @@ func DecodeRecord(data []byte) (Record, int, error) {
 		return Record{}, 0, ErrCorruptRecord
 	}
 	start := n1 + n2
-	end := start + int(klen) + int(vlen)
-	if int(klen) < 0 || int(vlen) < 0 || end > len(data) {
+	// Bound each length by what is left before adding them: two lengths
+	// near 2^62 would overflow a sum checked afterwards.
+	rest := uint64(len(data) - start)
+	if klen > rest || vlen > rest-klen {
 		return Record{}, 0, ErrCorruptRecord
 	}
+	end := start + int(klen) + int(vlen)
 	return Record{
 		Key:   data[start : start+int(klen)],
 		Value: data[start+int(klen) : end],
@@ -596,10 +599,10 @@ func (sr *SegmentReader) Next() (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
 	}
-	need := int(klen) + int(vlen)
-	if need < 0 || int64(need) > sr.rem {
-		return Record{}, fmt.Errorf("%w: record of %d bytes exceeds segment", ErrCorruptRecord, need)
+	if klen > uint64(sr.rem) || vlen > uint64(sr.rem)-klen {
+		return Record{}, fmt.Errorf("%w: record of %d+%d bytes exceeds segment", ErrCorruptRecord, klen, vlen)
 	}
+	need := int(klen + vlen)
 	buf := sr.scratch[sr.flip]
 	if cap(buf) < need {
 		buf = make([]byte, need)

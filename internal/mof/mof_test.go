@@ -76,6 +76,8 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 		{0xff},            // truncated varint
 		{0x05, 0x01, 'a'}, // key shorter than declared
 		{0x01, 0x05, 'a'}, // value shorter than declared
+		// two lengths of 2^62 whose sum overflows int
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 'a'},
 	}
 	for i, data := range cases {
 		if _, _, err := DecodeRecord(data); !errors.Is(err, ErrCorruptRecord) {
@@ -326,6 +328,28 @@ func TestSegmentReaderEmptySegment(t *testing.T) {
 	defer sr.Close()
 	if _, err := sr.Next(); err != io.EOF {
 		t.Fatalf("err = %v, want io.EOF", err)
+	}
+}
+
+// TestSegmentReaderRejectsOverflowingLengths: two record lengths whose
+// int sum wraps to a small positive number are corrupt, not a slice
+// bound to panic on.
+func TestSegmentReaderRejectsOverflowingLengths(t *testing.T) {
+	data := binary.AppendUvarint(nil, 1<<63+5)
+	data = binary.AppendUvarint(data, 1<<63)
+	data = append(data, "12345"...)
+	path := filepath.Join(t.TempDir(), "seg.data")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(data))
+	sr, err := OpenSegment(path, IndexEntry{Length: n, RawLength: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	if _, err := sr.Next(); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("err = %v, want ErrCorruptRecord", err)
 	}
 }
 

@@ -25,18 +25,11 @@ type JBSConfig struct {
 	// FetchRetries re-sends failed fetches on fresh connections before
 	// surfacing an error.
 	FetchRetries int
-	// HierarchicalFanIn, when positive, merges fetched segments with the
-	// hierarchical merge algorithm (Que et al., MBDS'12) at that fan-in
-	// instead of one flat network-levitated heap.
-	HierarchicalFanIn int
 }
 
 func (c *JBSConfig) applyDefaults() error {
 	if c.Transport != "" && c.Transport != "tcp" {
 		return fmt.Errorf("shuffle: JBSConfig.Transport %q: only \"tcp\" is supported", c.Transport)
-	}
-	if c.HierarchicalFanIn < 0 || c.HierarchicalFanIn == 1 {
-		return fmt.Errorf("shuffle: hierarchical fan-in %d invalid", c.HierarchicalFanIn)
 	}
 	return nil
 }
@@ -105,12 +98,9 @@ func (p *JBSProvider) NewFetcher(node string, addrOf func(string) (string, error
 	return &jbsFetcher{m: m, addrOf: addrOf, lent: make(map[string][]*bufpool.Lease)}, nil
 }
 
-// NewMerger pairs JBS with the network-levitated merger (or its
-// hierarchical variant): shuffle data never spills to disk.
+// NewMerger pairs JBS with the network-levitated merger: shuffle data
+// never spills to disk.
 func (p *JBSProvider) NewMerger(spillDir string) (merge.Merger, error) {
-	if p.cfg.HierarchicalFanIn > 0 {
-		return merge.NewHierarchicalMerger(p.cfg.HierarchicalFanIn)
-	}
 	return merge.NewNetLevitatedMerger(), nil
 }
 

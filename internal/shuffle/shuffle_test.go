@@ -364,42 +364,6 @@ func TestTerasortStyleJobOnJBS(t *testing.T) {
 	}
 }
 
-func TestJBSHierarchicalMergeOption(t *testing.T) {
-	prov, err := NewJBSProvider(JBSConfig{Transport: "tcp", HierarchicalFanIn: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, c := fixture(t, prov, 3, 256)
-	putFile(t, fs, "/in", corpus(120))
-	res, err := c.Run(wordCountJob("/in", "/out", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters.SpillEvents != 0 {
-		t.Fatal("hierarchical merge spilled")
-	}
-	// Same answer as the flat merger.
-	flat, _ := NewJBSProvider(JBSConfig{Transport: "tcp"})
-	fs2, c2 := fixture(t, flat, 3, 256)
-	putFile(t, fs2, "/in", corpus(120))
-	res2, err := c2.Run(wordCountJob("/in", "/out", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if catOutputs(t, fs, res) != catOutputs(t, fs2, res2) {
-		t.Fatal("hierarchical merge changed job output")
-	}
-}
-
-func TestJBSConfigRejectsBadFanIn(t *testing.T) {
-	if _, err := NewJBSProvider(JBSConfig{HierarchicalFanIn: 1}); err == nil {
-		t.Fatal("fan-in 1 accepted")
-	}
-	if _, err := NewJBSProvider(JBSConfig{HierarchicalFanIn: -2}); err == nil {
-		t.Fatal("negative fan-in accepted")
-	}
-}
-
 func TestJBSFetchRetriesConfig(t *testing.T) {
 	prov, err := NewJBSProvider(JBSConfig{Transport: "tcp", FetchRetries: 2})
 	if err != nil {
