@@ -12,7 +12,7 @@
 // Usage:
 //
 //	jbsautoscalerd -registry 127.0.0.1:7400 -supplier-bin ./jbssupplierd \
-//	    -mof-dir /data/mofs -min 1 -max 4 -target-shed-rate 50
+//	    -mof-dir /data/mofs -max 4 -target-shed-rate 50
 package main
 
 import (
@@ -26,7 +26,9 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
+	"repro/internal/daemon"
 	"repro/internal/debug"
+	"repro/internal/flow"
 	"repro/internal/registry"
 )
 
@@ -34,17 +36,14 @@ func main() {
 	registryAddr := flag.String("registry", "127.0.0.1:7400", "registry address to watch and register launched suppliers with")
 	supplierBin := flag.String("supplier-bin", "", "path to the jbssupplierd binary to launch (required)")
 	mofDir := flag.String("mof-dir", "", "MOF directory handed to every launched supplier (required)")
-	minFleet := flag.Int("min", 1, "minimum fleet size the controller steers toward")
 	maxFleet := flag.Int("max", 4, "maximum fleet size the controller will launch up to")
 	interval := flag.Duration("interval", 500*time.Millisecond, "collect/decide tick interval")
-	idPrefix := flag.String("id-prefix", "auto", "registry identity prefix for launched suppliers (<prefix>-<n>)")
-	admitBytes := flag.Int64("admit-bytes", 0, "admission-ledger budget for launched suppliers; 0 = flow off (no shed signal!)")
+	admitBytes := flag.Int64("admit-bytes", flow.DefaultAdmitBytes, "admission-ledger budget for launched suppliers; must be positive (the shed signal needs flow control)")
 	heartbeat := flag.Duration("heartbeat", 0, "heartbeat interval for launched suppliers; 0 = daemon default")
 	targetShed := flag.Float64("target-shed-rate", 50, "per-supplier capacity-shed rate (sheds/sec) the fleet is sized to hold")
 	quietFor := flag.Duration("quiet-for", 2*time.Second, "how long signals must stay quiet before a scale-down")
 	upCooldown := flag.Duration("up-cooldown", time.Second, "minimum gap between scale-ups")
 	downCooldown := flag.Duration("down-cooldown", 2*time.Second, "minimum gap between scale-downs")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on one graceful supplier retirement")
 	launchGrace := flag.Duration("launch-grace", 5*time.Second, "how long a launched supplier may take to register before it is given up on")
 	debugAddr := flag.String("debug", "", "serve /debug/jbs endpoints (incl. /debug/jbs/autoscale) on this address")
 	quiet := flag.Bool("quiet", false, "suppress scale-event logging")
@@ -56,6 +55,10 @@ func main() {
 	}
 	if *mofDir == "" {
 		fmt.Fprintln(os.Stderr, "jbsautoscalerd: -mof-dir is required")
+		os.Exit(2)
+	}
+	if *admitBytes <= 0 {
+		fmt.Fprintln(os.Stderr, "jbsautoscalerd: -admit-bytes must be positive")
 		os.Exit(2)
 	}
 	logf := log.New(os.Stderr, "", log.LstdFlags).Printf
@@ -82,7 +85,7 @@ func main() {
 	defer reg.Close()
 	a, err := autoscale.New(autoscale.Config{
 		Collector: &autoscale.FleetCollector{Registry: reg},
-		Policies:  []autoscale.Policy{shedPolicy},
+		Policy:    shedPolicy,
 		Launcher: &autoscale.ExecLauncher{
 			Binary:       *supplierBin,
 			RegistryAddr: *registryAddr,
@@ -91,12 +94,10 @@ func main() {
 			Heartbeat:    *heartbeat,
 			Log:          logf,
 		},
-		Min: *minFleet, Max: *maxFleet,
-		IDPrefix:     *idPrefix,
-		Interval:     *interval,
-		DrainTimeout: *drainTimeout,
-		LaunchGrace:  *launchGrace,
-		Log:          logf,
+		Max:         *maxFleet,
+		Interval:    *interval,
+		LaunchGrace: *launchGrace,
+		Log:         logf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jbsautoscalerd:", err)
@@ -112,7 +113,7 @@ func main() {
 		fmt.Printf("jbsautoscalerd: debug at http://%s/debug/jbs\n", lis.Addr())
 	}
 	a.Run()
-	fmt.Printf("jbsautoscalerd: steering fleet [%d,%d] via %s\n", *minFleet, *maxFleet, *registryAddr)
+	fmt.Printf("jbsautoscalerd: steering fleet [%d,%d] via %s\n", a.AutoscaleState().Min, *maxFleet, *registryAddr)
 
 	sig := <-sigs
 	fmt.Printf("jbsautoscalerd: %v, retiring managed fleet\n", sig)
@@ -125,7 +126,7 @@ func main() {
 	}
 	// Bound the whole shutdown, not one retirement: a wedged drain must
 	// not leave the rest of the fleet running.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), daemon.DrainTimeout)
 	defer cancel()
 	if err := a.RetireAll(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "jbsautoscalerd: retire:", err)

@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"repro/internal/daemon"
-	"repro/internal/flow"
 )
 
 func main() {
@@ -27,11 +26,9 @@ func main() {
 	parts := flag.Int("parts", 4, "partitions per map task")
 	rounds := flag.Int("rounds", 1, "times to fetch the full grid (multi-round jobs give supplier churn a window)")
 	verify := flag.String("verify", "", "MOF directory to verify every fetched segment against, byte for byte")
-	out := flag.String("out", "", "directory to write fetched segments to (first round only)")
 	retries := flag.Int("retries", 8, "fetch retries on connection failure before the job fails")
 	resolverTTL := flag.Duration("resolver-ttl", 0, "ownership-map cache TTL; 0 = 200ms default")
 	hedge := flag.Bool("hedge", false, "speculatively re-fetch slow segments from replica suppliers (needs a registry running -replicas > 1)")
-	hedgeBaseline := flag.Duration("hedge-baseline", 0, "hedge threshold before enough RTT samples exist; 0 = wait for samples")
 	flag.Parse()
 
 	cfg := daemon.MergerJobConfig{
@@ -40,15 +37,12 @@ func main() {
 		Parts:        *parts,
 		Rounds:       *rounds,
 		VerifyDir:    *verify,
-		OutDir:       *out,
 		MaxRetries:   *retries,
 		ResolverTTL:  *resolverTTL,
+		Hedge:        *hedge,
 		Progress: func(format string, args ...any) {
 			fmt.Printf("jbsmergerd: "+format+"\n", args...)
 		},
-	}
-	if *hedge {
-		cfg.Hedge = &flow.HedgeConfig{Baseline: *hedgeBaseline}
 	}
 	st, err := daemon.RunMergerJob(cfg)
 	if err != nil {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	jbsregistryd -addr :7400 -shards 16 -lease-ttl 3s
+//	jbsregistryd -addr :7400 -lease-ttl 3s
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7400", "registry listen address")
-	shards := flag.Int("shards", 16, "MOF shard count (a deployment constant; suppliers and mergers must agree)")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "supplier lease TTL; a supplier missing heartbeats this long is expired")
 	sweep := flag.Duration("sweep", 0, "expired-lease sweep interval; 0 = lease-ttl/4")
 	replicas := flag.Int("replicas", 1, "suppliers per shard (1 primary + N-1 backups); above 1 enables hedged fetching against replicas")
@@ -38,7 +37,6 @@ func main() {
 	}
 	s, err := registry.NewServer(registry.ServerConfig{
 		Addr:          *addr,
-		Shards:        *shards,
 		LeaseTTL:      *leaseTTL,
 		SweepInterval: *sweep,
 		Replicas:      *replicas,
@@ -57,7 +55,7 @@ func main() {
 		defer lis.Close()
 		fmt.Printf("jbsregistryd: debug at http://%s/debug/jbs\n", lis.Addr())
 	}
-	fmt.Printf("jbsregistryd: serving %d shards at %s (lease TTL %v)\n", *shards, s.Addr(), *leaseTTL)
+	fmt.Printf("jbsregistryd: serving %d shards at %s (lease TTL %v)\n", s.RegistryState().Shards, s.Addr(), *leaseTTL)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)

@@ -31,11 +31,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "fetch listen address (:0 for ephemeral)")
 	id := flag.String("id", "", "stable registry identity; reuse it across restarts (default sup-<addr>)")
 	mofDir := flag.String("mof-dir", "", "directory of MOFs to serve (<task>.data/<task>.index)")
-	bufferSize := flag.Int("buffer", 0, "transport buffer bytes per response chunk; 0 = transport default")
-	cacheBytes := flag.Int64("cache-bytes", 0, "DataCache capacity; 0 = 64MiB default")
 	admitBytes := flag.Int64("admit-bytes", 0, "enable flow control with this admission-ledger budget; 0 = flow off")
 	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "registry heartbeat interval (keep well under the registry's lease TTL)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on waiting for in-flight fetches during graceful shutdown")
 	debugAddr := flag.String("debug", "", "serve /debug/jbs endpoints on this address (e.g. localhost:6061)")
 	quiet := flag.Bool("quiet", false, "suppress lifecycle logging")
 	flag.Parse()
@@ -44,8 +41,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "jbssupplierd: -mof-dir is required")
 		os.Exit(2)
 	}
+	// Zero is flow off; any other value goes to flow.Config, which
+	// refuses a negative budget by name.
 	var fc *flow.Config
-	if *admitBytes > 0 {
+	if *admitBytes != 0 {
 		fc = &flow.Config{AdmitBytes: *admitBytes}
 	}
 	logf := log.New(os.Stderr, "", log.LstdFlags).Printf
@@ -76,8 +75,6 @@ func main() {
 		Addr:              *addr,
 		RegistryAddr:      *registryAddr,
 		MOFDir:            *mofDir,
-		BufferSize:        *bufferSize,
-		DataCacheBytes:    *cacheBytes,
 		Flow:              fc,
 		HeartbeatInterval: *heartbeat,
 		DebugAddr:         advertiseDebug,
@@ -91,7 +88,7 @@ func main() {
 
 	sig := <-sigs
 	fmt.Printf("jbssupplierd: %v, draining\n", sig)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), daemon.DrainTimeout)
 	defer cancel()
 	if err := d.Drain(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "jbssupplierd: drain:", err)

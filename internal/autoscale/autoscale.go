@@ -9,10 +9,10 @@
 //
 //   - a Collector that samples the fleet (registry ownership map for
 //     membership, each supplier's /debug/jbs/flow endpoint for signals);
-//   - a Policy engine (target tracking on shed rate) whose decisions
-//     are pure functions of (now, signals)
-//     — hysteresis and cooldowns live in the policies, the clock is
-//     injected, and the unit tests replay scripted signal sequences;
+//   - a Policy (target tracking on shed rate) whose decisions are pure
+//     functions of (now, signals) — hysteresis and cooldowns live in
+//     the policy, the clock is injected, and the unit tests replay
+//     scripted signal sequences;
 //   - a Launcher that starts new supplier processes and retires surplus
 //     ones through the existing SIGTERM -> drain -> handoff path, so
 //     scale-down never loses a fetch.
@@ -28,29 +28,24 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/daemon"
 )
 
 // Config assembles an Autoscaler.
 type Config struct {
 	// Collector samples the fleet each tick.
 	Collector Collector
-	// Policies are evaluated every tick; the highest desired fleet size
-	// wins (capacity safety: scaling down requires every policy to
-	// agree the fleet is oversized).
-	Policies []Policy
+	// Policy sizes the fleet every tick.
+	Policy Policy
 	// Launcher starts and retires supplier instances.
 	Launcher Launcher
-	// Min and Max bound the fleet size the autoscaler will steer toward.
-	// Min zero means 1. Max zero means Min.
-	Min, Max int
-	// IDPrefix names launched instances "<prefix>-<n>". Empty means
-	// "auto".
-	IDPrefix string
+	// Max bounds the fleet size the autoscaler will steer toward; the
+	// floor is minFleet. Zero means minFleet.
+	Max int
 	// Interval paces the Run loop. Zero means 500ms. Tests bypass Run
 	// and call Tick directly with their own clock.
 	Interval time.Duration
-	// DrainTimeout bounds one graceful retire. Zero means 30s.
-	DrainTimeout time.Duration
 	// LaunchGrace is how long a launched instance may stay invisible to
 	// the registry before it stops counting toward the fleet (covers
 	// the exec-to-register window without double-launching). Zero
@@ -62,6 +57,14 @@ type Config struct {
 	Log func(format string, args ...any)
 }
 
+const (
+	// minFleet is the fleet size the autoscaler launches up to at once
+	// and never retires below.
+	minFleet = 1
+	// idPrefix names launched instances "auto-<n>".
+	idPrefix = "auto"
+)
+
 func (c *Config) applyDefaults() error {
 	if c.Collector == nil {
 		return errors.New("autoscale: Config.Collector must not be nil")
@@ -69,29 +72,17 @@ func (c *Config) applyDefaults() error {
 	if c.Launcher == nil {
 		return errors.New("autoscale: Config.Launcher must not be nil")
 	}
-	if len(c.Policies) == 0 {
-		return errors.New("autoscale: Config.Policies must not be empty")
+	if c.Policy == nil {
+		return errors.New("autoscale: Config.Policy must not be nil")
 	}
-	if c.Min < 0 {
-		return fmt.Errorf("autoscale: Min %d must not be negative", c.Min)
-	}
-	if c.Min == 0 {
-		c.Min = 1
+	if c.Max < 0 {
+		return fmt.Errorf("autoscale: Max %d must not be negative", c.Max)
 	}
 	if c.Max == 0 {
-		c.Max = c.Min
-	}
-	if c.Max < c.Min {
-		return fmt.Errorf("autoscale: Max %d must not be below Min %d", c.Max, c.Min)
-	}
-	if c.IDPrefix == "" {
-		c.IDPrefix = "auto"
+		c.Max = minFleet
 	}
 	if c.Interval <= 0 {
 		c.Interval = 500 * time.Millisecond
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
 	}
 	if c.LaunchGrace <= 0 {
 		c.LaunchGrace = 5 * time.Second
@@ -228,19 +219,11 @@ func (a *Autoscaler) Tick(now time.Time) error {
 	sig := a.signalsLocked(sample, now)
 	a.lastSig = sig
 
-	// Decide: the highest desired size across policies wins, clamped to
-	// [Min, Max]. A hold returns the current size, so one policy alone
-	// cannot shrink a fleet another policy still wants.
-	desired := 0
-	reason := ""
-	for _, p := range a.cfg.Policies {
-		d := p.Evaluate(now, sig)
-		if d.Desired > desired {
-			desired, reason = d.Desired, p.Name()+": "+d.Reason
-		}
-	}
-	if desired < a.cfg.Min {
-		desired, reason = a.cfg.Min, fmt.Sprintf("floor: fleet minimum %d", a.cfg.Min)
+	// Decide: the policy's size, clamped to [minFleet, Max].
+	d := a.cfg.Policy.Evaluate(now, sig)
+	desired, reason := d.Desired, a.cfg.Policy.Name()+": "+d.Reason
+	if desired < minFleet {
+		desired, reason = minFleet, fmt.Sprintf("floor: fleet minimum %d", minFleet)
 	}
 	if desired > a.cfg.Max {
 		desired, reason = a.cfg.Max, fmt.Sprintf("ceiling: fleet maximum %d (%s)", a.cfg.Max, reason)
@@ -254,7 +237,8 @@ func (a *Autoscaler) Tick(now time.Time) error {
 
 	// Plan the act phase while holding mu — reserve launch IDs, pop
 	// instances to retire — but perform it after releasing: launches
-	// spawn processes and retires block on drains (up to DrainTimeout).
+	// spawn processes and retires block on drains (up to
+	// daemon.DrainTimeout).
 	// sig.Live already counts pending launches (grace window), so a
 	// slow-to-register instance is not launched twice.
 	var launchIDs []string
@@ -263,7 +247,7 @@ func (a *Autoscaler) Tick(now time.Time) error {
 	case desired > sig.Live:
 		for i := sig.Live; i < desired; i++ {
 			a.seq++
-			launchIDs = append(launchIDs, fmt.Sprintf("%s-%d", a.cfg.IDPrefix, a.seq))
+			launchIDs = append(launchIDs, fmt.Sprintf("%s-%d", idPrefix, a.seq))
 		}
 	case desired < sig.Live:
 		for i := desired; i < sig.Live && len(a.managed) > 0; i++ {
@@ -361,12 +345,12 @@ func (a *Autoscaler) scaleUp(now time.Time, live int, ids []string, reason strin
 // scaleDown retires the popped instances (newest first) through the
 // graceful drain path. Unmanaged suppliers (ones this autoscaler did
 // not launch) are never handed to it. Called from Tick without mu held
-// — a drain may block up to DrainTimeout and snapshot readers must not
-// wait on it; tickMu serializes it against other cycles.
+// — a drain may block up to daemon.DrainTimeout and snapshot readers
+// must not wait on it; tickMu serializes it against other cycles.
 func (a *Autoscaler) scaleDown(now time.Time, live int, toRetire []*managedInstance, reason string, epoch uint64) {
 	retired := 0
 	for _, m := range toRetire {
-		ctx, cancel := context.WithTimeout(context.Background(), a.cfg.DrainTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), daemon.DrainTimeout)
 		err := m.inst.Retire(ctx)
 		cancel()
 		if err != nil {
@@ -450,7 +434,7 @@ func (a *Autoscaler) AutoscaleState() State {
 	defer a.mu.Unlock()
 	st := State{
 		Name:        "autoscaler",
-		Min:         a.cfg.Min,
+		Min:         minFleet,
 		Max:         a.cfg.Max,
 		Live:        a.lastSig.Live,
 		Pending:     a.lastSig.Pending,

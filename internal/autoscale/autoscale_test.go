@@ -153,13 +153,12 @@ func supplierIDs(ids ...string) Sample {
 func TestNewValidatesConfig(t *testing.T) {
 	col := &fakeCollector{}
 	l := &fakeLauncher{}
-	pol := []Policy{&fixedPolicy{}}
+	pol := &fixedPolicy{}
 	for name, cfg := range map[string]Config{
-		"nil collector": {Launcher: l, Policies: pol},
-		"nil launcher":  {Collector: col, Policies: pol},
-		"no policies":   {Collector: col, Launcher: l},
-		"max below min": {Collector: col, Launcher: l, Policies: pol, Min: 3, Max: 2},
-		"negative min":  {Collector: col, Launcher: l, Policies: pol, Min: -1},
+		"nil collector": {Launcher: l, Policy: pol},
+		"nil launcher":  {Collector: col, Policy: pol},
+		"no policy":     {Collector: col, Launcher: l},
+		"negative max":  {Collector: col, Launcher: l, Policy: pol, Max: -1},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: config accepted", name)
@@ -172,21 +171,21 @@ func TestTickLaunchesToFloor(t *testing.T) {
 	a := newTestAutoscaler(t, Config{
 		Collector: &fakeCollector{},
 		Launcher:  l,
-		Policies:  []Policy{&fixedPolicy{desired: 0}},
-		Min:       2, Max: 4,
+		Policy:    &fixedPolicy{desired: 0},
+		Max:       4,
 	})
 	if err := a.Tick(at(0)); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.launchedIDs(); len(got) != 2 || got[0] != "auto-1" || got[1] != "auto-2" {
-		t.Fatalf("launched = %v, want [auto-1 auto-2]", got)
+	if got := l.launchedIDs(); len(got) != 1 || got[0] != "auto-1" {
+		t.Fatalf("launched = %v, want [auto-1]", got)
 	}
 	st := a.AutoscaleState()
-	if st.Desired != 2 || !strings.Contains(st.LastReason, "floor") {
-		t.Fatalf("state desired=%d reason=%q, want floor to 2", st.Desired, st.LastReason)
+	if st.Desired != 1 || st.Min != 1 || !strings.Contains(st.LastReason, "floor") {
+		t.Fatalf("state desired=%d min=%d reason=%q, want floor to 1", st.Desired, st.Min, st.LastReason)
 	}
-	if len(st.Events) != 1 || st.Events[0].Action != "up" || st.Events[0].From != 0 || st.Events[0].To != 2 {
-		t.Fatalf("events = %+v, want one up 0->2", st.Events)
+	if len(st.Events) != 1 || st.Events[0].Action != "up" || st.Events[0].From != 0 || st.Events[0].To != 1 {
+		t.Fatalf("events = %+v, want one up 0->1", st.Events)
 	}
 }
 
@@ -195,8 +194,8 @@ func TestTickClampsToMax(t *testing.T) {
 	a := newTestAutoscaler(t, Config{
 		Collector: &fakeCollector{},
 		Launcher:  l,
-		Policies:  []Policy{&fixedPolicy{desired: 10}},
-		Min:       1, Max: 2,
+		Policy:    &fixedPolicy{desired: 10},
+		Max:       2,
 	})
 	if err := a.Tick(at(0)); err != nil {
 		t.Fatal(err)
@@ -214,10 +213,10 @@ func TestPendingLaunchGracePreventsDoubleLaunch(t *testing.T) {
 	l := &fakeLauncher{}
 	col := &fakeCollector{}
 	a := newTestAutoscaler(t, Config{
-		Collector: col,
-		Launcher:  l,
-		Policies:  []Policy{&fixedPolicy{desired: 2}},
-		Min:       1, Max: 4,
+		Collector:   col,
+		Launcher:    l,
+		Policy:      &fixedPolicy{desired: 2},
+		Max:         4,
 		LaunchGrace: 5 * time.Second,
 	})
 	if err := a.Tick(at(0)); err != nil {
@@ -279,8 +278,8 @@ func TestScaleDownRetiresNewestManagedOnly(t *testing.T) {
 	a := newTestAutoscaler(t, Config{
 		Collector: col,
 		Launcher:  l,
-		Policies:  []Policy{pol},
-		Min:       1, Max: 4,
+		Policy:    pol,
+		Max:       4,
 	})
 	if err := a.Tick(at(0)); err != nil {
 		t.Fatal(err)
@@ -330,8 +329,8 @@ func TestSignalsDigestsSamples(t *testing.T) {
 	a := newTestAutoscaler(t, Config{
 		Collector: col,
 		Launcher:  &fakeLauncher{},
-		Policies:  []Policy{pol},
-		Min:       1, Max: 4,
+		Policy:    pol,
+		Max:       4,
 	})
 	col.set(Sample{Epoch: 3, Suppliers: []SupplierSample{
 		{ID: "a", Reachable: true, AdmittedBytes: 500, BudgetBytes: 1000, QueuedBytes: 100, Sheds: 10},
@@ -376,8 +375,8 @@ func TestCollectErrorSkipsTick(t *testing.T) {
 	a := newTestAutoscaler(t, Config{
 		Collector: &fakeCollector{err: errors.New("registry down")},
 		Launcher:  l,
-		Policies:  []Policy{&fixedPolicy{desired: 3}},
-		Min:       1, Max: 4,
+		Policy:    &fixedPolicy{desired: 3},
+		Max:       4,
 	})
 	if err := a.Tick(at(0)); err == nil {
 		t.Fatal("tick with failing collector succeeded")
@@ -392,8 +391,8 @@ func TestLaunchFailureLeavesFleetUnmanaged(t *testing.T) {
 	a := newTestAutoscaler(t, Config{
 		Collector: &fakeCollector{},
 		Launcher:  l,
-		Policies:  []Policy{&fixedPolicy{desired: 2}},
-		Min:       1, Max: 4,
+		Policy:    &fixedPolicy{desired: 2},
+		Max:       4,
 	})
 	if err := a.Tick(at(0)); err != nil {
 		t.Fatal(err)
@@ -411,8 +410,8 @@ func TestRetireAllDrainsManagedFleet(t *testing.T) {
 	a := newTestAutoscaler(t, Config{
 		Collector: &fakeCollector{},
 		Launcher:  l,
-		Policies:  []Policy{&fixedPolicy{desired: 3}},
-		Min:       1, Max: 4,
+		Policy:    &fixedPolicy{desired: 3},
+		Max:       4,
 	})
 	if err := a.Tick(at(0)); err != nil {
 		t.Fatal(err)
@@ -438,8 +437,8 @@ func TestRetireFailureEscalatesToKill(t *testing.T) {
 	a := newTestAutoscaler(t, Config{
 		Collector: col,
 		Launcher:  l,
-		Policies:  []Policy{pol},
-		Min:       1, Max: 4,
+		Policy:    pol,
+		Max:       4,
 	})
 	if err := a.Tick(at(0)); err != nil {
 		t.Fatal(err)
@@ -470,8 +469,8 @@ func TestRetireAllKillsOnFailure(t *testing.T) {
 	a := newTestAutoscaler(t, Config{
 		Collector: &fakeCollector{},
 		Launcher:  l,
-		Policies:  []Policy{&fixedPolicy{desired: 2}},
-		Min:       1, Max: 4,
+		Policy:    &fixedPolicy{desired: 2},
+		Max:       4,
 	})
 	if err := a.Tick(at(0)); err != nil {
 		t.Fatal(err)
@@ -514,7 +513,7 @@ func (b *blockingInstance) Retire(ctx context.Context) error {
 func (b *blockingInstance) Kill() error { return nil }
 
 // TestSnapshotNotBlockedByInflightDrain pins the lock split: a drain
-// may park for up to DrainTimeout (30s default), and the debug
+// may park for up to daemon.DrainTimeout (30s), and the debug
 // endpoint's snapshot must not hang behind it.
 func TestSnapshotNotBlockedByInflightDrain(t *testing.T) {
 	l := &blockingLauncher{started: make(chan string, 1), release: make(chan struct{})}
@@ -523,8 +522,8 @@ func TestSnapshotNotBlockedByInflightDrain(t *testing.T) {
 	a := newTestAutoscaler(t, Config{
 		Collector: col,
 		Launcher:  l,
-		Policies:  []Policy{pol},
-		Min:       1, Max: 4,
+		Policy:    pol,
+		Max:       4,
 	})
 	if err := a.Tick(at(0)); err != nil {
 		t.Fatal(err)
@@ -569,7 +568,7 @@ func TestRunLoopStopsOnClose(t *testing.T) {
 	a, err := New(Config{
 		Collector: &fakeCollector{},
 		Launcher:  &fakeLauncher{},
-		Policies:  []Policy{&fixedPolicy{}},
+		Policy:    &fixedPolicy{},
 		Interval:  time.Hour, // never fires; the test only exercises start/stop
 	})
 	if err != nil {

@@ -32,7 +32,7 @@ func serveFlow(t *testing.T, states []flow.State) string {
 }
 
 func TestFleetCollectorSamplesFleet(t *testing.T) {
-	s, err := registry.NewServer(registry.ServerConfig{Addr: "127.0.0.1:0", Shards: 8})
+	s, err := registry.NewServer(registry.ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

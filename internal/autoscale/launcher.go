@@ -45,13 +45,13 @@ type ExecLauncher struct {
 	Binary string
 	// RegistryAddr and MOFDir configure every launched supplier.
 	RegistryAddr, MOFDir string
-	// AdmitBytes enables flow control on launched suppliers (0: off).
+	// AdmitBytes is the launched suppliers' admission budget. It must be
+	// positive: a supplier without flow control never sheds, and the
+	// shed rate is what the policy scales on.
 	AdmitBytes int64
 	// Heartbeat paces the launched supplier's lease renewal (0: the
 	// daemon default).
 	Heartbeat time.Duration
-	// ExtraArgs are appended verbatim to every launch.
-	ExtraArgs []string
 	// Log, when set, receives one line per process event.
 	Log func(format string, args ...any)
 }
@@ -61,6 +61,9 @@ func (l *ExecLauncher) Launch(id string) (Instance, error) {
 	if l.Binary == "" {
 		return nil, errors.New("autoscale: ExecLauncher needs a binary path")
 	}
+	if l.AdmitBytes <= 0 {
+		return nil, fmt.Errorf("autoscale: ExecLauncher AdmitBytes %d must be positive", l.AdmitBytes)
+	}
 	args := []string{
 		"-registry", l.RegistryAddr,
 		"-addr", "127.0.0.1:0",
@@ -69,15 +72,12 @@ func (l *ExecLauncher) Launch(id string) (Instance, error) {
 		// Ephemeral debug listener, advertised through the registry:
 		// this is what the collector polls for flow signals.
 		"-debug", "127.0.0.1:0",
+		"-admit-bytes", fmt.Sprint(l.AdmitBytes),
 		"-quiet",
-	}
-	if l.AdmitBytes > 0 {
-		args = append(args, "-admit-bytes", fmt.Sprint(l.AdmitBytes))
 	}
 	if l.Heartbeat > 0 {
 		args = append(args, "-heartbeat", l.Heartbeat.String())
 	}
-	args = append(args, l.ExtraArgs...)
 	cmd := exec.Command(l.Binary, args...)
 	cmd.Stdout = os.Stderr // lifecycle lines; the parent's stdout stays structured
 	cmd.Stderr = os.Stderr

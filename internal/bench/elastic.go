@@ -283,7 +283,6 @@ func Elastic(cfg ElasticConfig) (*Report, error) {
 		"-registry", regAddr,
 		"-supplier-bin", bins["jbssupplierd"],
 		"-mof-dir", fixture,
-		"-min", "1",
 		"-max", fmt.Sprint(cfg.MaxFleet),
 		"-interval", "100ms",
 		"-admit-bytes", fmt.Sprint(cfg.AdmitBytes),

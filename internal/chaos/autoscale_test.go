@@ -74,7 +74,6 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 
 	srv, err := registry.NewServer(registry.ServerConfig{
 		Addr:     "127.0.0.1:0",
-		Shards:   8,
 		LeaseTTL: 2 * time.Second,
 	})
 	if err != nil {
@@ -111,11 +110,9 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 	script := &scriptedPolicy{desired: 2}
 	as, err := autoscale.New(autoscale.Config{
 		Collector: &autoscale.FleetCollector{Registry: rc},
-		Policies:  []autoscale.Policy{script},
+		Policy:    script,
 		Launcher:  launcher,
-		Min:       1,
 		Max:       3,
-		IDPrefix:  "chaos",
 		Log:       t.Logf,
 	})
 	if err != nil {
@@ -198,8 +195,8 @@ func TestChaosAutoscaleDrain(t *testing.T) {
 	if err := as.Tick(base.Add(time.Second)); err != nil {
 		t.Fatalf("scale-down tick: %v", err)
 	}
-	if got := as.Managed(); len(got) != 1 || got[0] != "chaos-1" {
-		t.Fatalf("managed fleet after drain: %v, want [chaos-1]", got)
+	if got := as.Managed(); len(got) != 1 || got[0] != "auto-1" {
+		t.Fatalf("managed fleet after drain: %v, want [auto-1]", got)
 	}
 	if got, err := liveSuppliers(rc); got != 1 {
 		t.Fatalf("fleet after drain: %d live suppliers (%v), want 1", got, err)

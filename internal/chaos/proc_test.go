@@ -100,8 +100,7 @@ func startProcSupplier(t *testing.T, regAddr, id, dir string) *procSupplier {
 func newProcRegistry(t *testing.T) *registry.Server {
 	t.Helper()
 	reg, err := registry.NewServer(registry.ServerConfig{
-		Addr:   "127.0.0.1:0",
-		Shards: 8,
+		Addr: "127.0.0.1:0",
 		// A short lease keeps the kill scenario fast: a SIGKILLed
 		// supplier's shards move within ~one TTL.
 		LeaseTTL:      500 * time.Millisecond,

@@ -632,6 +632,16 @@ func (s *MOFSupplier) acceptLoop() {
 		}
 		sc := &supplierConn{conn: conn}
 		s.connMu.Lock()
+		select {
+		case <-s.done:
+			// Close has already closed the connections it knew of; one
+			// accepted as it ran is closed here, or its reader would wait
+			// on a peer that never hangs up and Close would never return.
+			s.connMu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = sc
 		s.connMu.Unlock()
 		s.wg.Add(1)

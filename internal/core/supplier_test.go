@@ -449,3 +449,69 @@ func TestSupplierRequestLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestSupplierCloseClosesLateAcceptedConn hands the supplier a connection
+// from an Accept that returns only after Close has closed the connections
+// it knew of: a client that connected as Close ran. That connection must
+// be closed too, or its reader waits on a peer that never hangs up and
+// Close never returns.
+func TestSupplierCloseClosesLateAcceptedConn(t *testing.T) {
+	conn, _ := (&pipeTransport{conns: map[string]*pipeConn{}}).Dial("late:1")
+	la := &lateAccept{Transport: transport.NewTCP(), conn: conn, swept: make(chan struct{})}
+	sup, err := NewMOFSupplier(SupplierConfig{Transport: la, Addr: "127.0.0.1:0"},
+		func(string) (string, string, error) { return "", "", errors.New("no MOFs") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	unregister := sup.unregister
+	sup.unregister = func() { // Close calls it after closing its connections
+		if unregister != nil {
+			unregister()
+		}
+		close(la.swept)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- sup.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		conn.Close() // let the stuck reader, and so Close, finish
+		<-closed
+		t.Fatal("Close waited on a connection accepted while it ran")
+	}
+}
+
+// lateAccept's listener returns conn from its first Accept once swept is
+// closed; later Accepts go to the real listener.
+type lateAccept struct {
+	transport.Transport
+	conn  transport.Conn
+	swept chan struct{}
+}
+
+func (la *lateAccept) Listen(addr string) (transport.Listener, error) {
+	lis, err := la.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &lateAcceptListener{Listener: lis, la: la}, nil
+}
+
+type lateAcceptListener struct {
+	transport.Listener
+	la   *lateAccept
+	once sync.Once
+}
+
+func (l *lateAcceptListener) Accept() (transport.Conn, error) {
+	first := false
+	l.once.Do(func() { first = true })
+	if first {
+		<-l.la.swept
+		return l.la.conn, nil
+	}
+	return l.Listener.Accept()
+}

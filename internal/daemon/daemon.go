@@ -56,12 +56,12 @@ type SupplierConfig struct {
 	RegistryAddr string
 	// MOFDir is the directory of MOFs this supplier serves.
 	MOFDir string
-	// BufferSize, DataCacheBytes, Flow pass through to core.SupplierConfig.
-	BufferSize     int
-	DataCacheBytes int64
-	Flow           *flow.Config
-	// HeartbeatInterval paces lease renewal. Zero means 500ms. It must
-	// stay comfortably under the registry's lease TTL.
+	// Flow passes through to core.SupplierConfig; nil is flow control
+	// off.
+	Flow *flow.Config
+	// HeartbeatInterval paces lease renewal. Zero means 500ms; negative
+	// is rejected. It must stay comfortably under the registry's lease
+	// TTL.
 	HeartbeatInterval time.Duration
 	// DebugAddr, when set, is advertised to the registry as this
 	// supplier's /debug/jbs address; control-plane consumers (the
@@ -87,6 +87,11 @@ type Supplier struct {
 	closeErr  error
 }
 
+// DrainTimeout bounds one graceful supplier drain: the wait for
+// in-flight fetches when a supplier daemon is stopped, and each
+// retirement an autoscaler sends one.
+const DrainTimeout = 30 * time.Second
+
 // StartSupplier binds the fetch listener, registers with the registry,
 // and starts heartbeating. The returned Supplier is serving when
 // StartSupplier returns.
@@ -97,6 +102,9 @@ func StartSupplier(cfg SupplierConfig) (*Supplier, error) {
 	if cfg.MOFDir == "" {
 		return nil, errors.New("daemon: supplier needs a MOF directory")
 	}
+	if cfg.HeartbeatInterval < 0 {
+		return nil, fmt.Errorf("daemon: HeartbeatInterval %v must not be negative", cfg.HeartbeatInterval)
+	}
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = 500 * time.Millisecond
 	}
@@ -104,11 +112,9 @@ func StartSupplier(cfg SupplierConfig) (*Supplier, error) {
 		cfg.Addr = "127.0.0.1:0"
 	}
 	sup, err := core.NewMOFSupplier(core.SupplierConfig{
-		Transport:      transport.NewTCP(),
-		Addr:           cfg.Addr,
-		BufferSize:     cfg.BufferSize,
-		DataCacheBytes: cfg.DataCacheBytes,
-		Flow:           cfg.Flow,
+		Transport: transport.NewTCP(),
+		Addr:      cfg.Addr,
+		Flow:      cfg.Flow,
 	}, DirLookup(cfg.MOFDir))
 	if err != nil {
 		return nil, err

@@ -2,11 +2,13 @@ package daemon
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/flow"
 	"repro/internal/registry"
 )
 
@@ -74,7 +76,7 @@ func TestSupplierDaemonLifecycle(t *testing.T) {
 	if err := WriteFixture(dir, tasks, parts, 4096, 42); err != nil {
 		t.Fatal(err)
 	}
-	reg := newTestRegistry(t, registry.ServerConfig{Shards: 8})
+	reg := newTestRegistry(t, registry.ServerConfig{})
 	a := startTestSupplier(t, reg, "sup-a", dir)
 	b := startTestSupplier(t, reg, "sup-b", dir)
 
@@ -132,7 +134,7 @@ func TestDrainMidJobIsLossless(t *testing.T) {
 	if err := WriteFixture(dir, tasks, parts, 8192, 7); err != nil {
 		t.Fatal(err)
 	}
-	reg := newTestRegistry(t, registry.ServerConfig{Shards: 8})
+	reg := newTestRegistry(t, registry.ServerConfig{})
 	a := startTestSupplier(t, reg, "sup-a", dir)
 	b := startTestSupplier(t, reg, "sup-b", dir)
 	_ = b
@@ -215,7 +217,6 @@ func TestHeartbeatReregistersAfterLeaseLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := newTestRegistry(t, registry.ServerConfig{
-		Shards:        4,
 		LeaseTTL:      120 * time.Millisecond,
 		SweepInterval: 20 * time.Millisecond,
 	})
@@ -259,5 +260,80 @@ func TestHeartbeatReregistersAfterLeaseLoss(t *testing.T) {
 	}
 	if len(d.ID()) == 0 || !strings.HasPrefix(d.ID(), "sup-") {
 		t.Fatalf("id = %q", d.ID())
+	}
+}
+
+// TestRetryRotatesToReplicaWithoutHedging closes one supplier's fetch
+// listener while its heartbeats keep its lease, so the registry names it
+// an owner for the whole job. With two replicas per shard, a failed
+// fetch must retry at the shard's other replica whether or not the job
+// hedges: rotation on retry is what replication buys even unhedged.
+func TestRetryRotatesToReplicaWithoutHedging(t *testing.T) {
+	const tasks, parts = 4, 3
+	for _, hedge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := WriteFixture(dir, tasks, parts, 4096, 3); err != nil {
+				t.Fatal(err)
+			}
+			reg := newTestRegistry(t, registry.ServerConfig{Replicas: 2, LeaseTTL: time.Minute})
+			a := startTestSupplier(t, reg, "sup-a", dir)
+			startTestSupplier(t, reg, "sup-b", dir)
+			if err := a.sup.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := RunMergerJob(MergerJobConfig{
+				RegistryAddr: reg.Addr(),
+				Tasks:        tasks,
+				Parts:        parts,
+				VerifyDir:    dir,
+				MaxRetries:   3,
+				Hedge:        hedge,
+				Progress:     t.Logf,
+			})
+			if err != nil {
+				t.Fatalf("job with a dead replica: %v (stats %+v)", err, st)
+			}
+			// Retries > 0: sup-a owned some of the grid's shards, so the
+			// job did meet the dead listener.
+			if st.Segments != tasks*parts || st.Errors != 0 || st.Retries == 0 {
+				t.Fatalf("stats = %+v, want %d segments, no errors, and retries off the dead replica", st, tasks*parts)
+			}
+		})
+	}
+}
+
+// TestStartSupplierRejectsNegativeSettings: zero means the default, and
+// a negative setting is refused by name before the supplier registers.
+// A negative heartbeat used to panic the heartbeat loop after
+// registration; a negative admission budget is what jbssupplierd passes
+// for a negative -admit-bytes.
+func TestStartSupplierRejectsNegativeSettings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  SupplierConfig
+	}{
+		{"HeartbeatInterval", SupplierConfig{HeartbeatInterval: -time.Second}},
+		{"AdmitBytes", SupplierConfig{Flow: &flow.Config{AdmitBytes: -1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := newTestRegistry(t, registry.ServerConfig{})
+			cfg := tc.cfg
+			cfg.RegistryAddr = reg.Addr()
+			cfg.MOFDir = t.TempDir()
+			d, err := StartSupplier(cfg)
+			if err == nil {
+				d.Close()
+				t.Fatalf("negative %s accepted", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.name) {
+				t.Fatalf("error %q does not name %s", err, tc.name)
+			}
+			c := registry.NewClient(reg.Addr())
+			defer c.Close()
+			if m, err := c.FetchMap(); err != nil || len(m.Suppliers) != 0 {
+				t.Fatalf("refused supplier registered anyway: %+v (err %v)", m, err)
+			}
+		})
 	}
 }

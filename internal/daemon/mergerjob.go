@@ -3,7 +3,6 @@ package daemon
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -28,17 +27,15 @@ type MergerJobConfig struct {
 	// VerifyDir, when set, is the MOF directory to verify every fetched
 	// segment against, byte for byte (the in-process reference).
 	VerifyDir string
-	// OutDir, when set, receives one file per segment.
-	OutDir string
 	// MaxRetries and ResolverTTL pass through to the merger.
 	MaxRetries  int
 	ResolverTTL time.Duration
-	// Hedge, when set, arms the merger's speculative-fetch controller.
-	// Replica sets come from the registry (ResolveReplicas), so it only
-	// pays off when the registry runs with a replica count above 1 —
-	// with single placement every hedge attempt finds no distinct
-	// replica and falls back to plain retry.
-	Hedge *flow.HedgeConfig
+	// Hedge arms the merger's speculative-fetch controller, disarmed
+	// until a node has enough RTT samples for its threshold. Replica
+	// sets come from the registry (ResolveReplicas), so it only pays
+	// off when the registry runs with a replica count above 1 — with
+	// single placement no hedge finds a distinct replica to race.
+	Hedge bool
 	// Progress, when set, receives one line per round — the hook the
 	// multi-process chaos driver keys its kill timing off.
 	Progress func(format string, args ...any)
@@ -76,22 +73,27 @@ func RunMergerJob(cfg MergerJobConfig) (JobStats, error) {
 	rc := registry.NewClient(cfg.RegistryAddr)
 	defer rc.Close()
 	resolver := registry.NewResolver(rc, cfg.ResolverTTL)
+	// Replicas is wired whether or not the job hedges: a retry after a
+	// failure rotates through the shard's replica set, so a dead
+	// primary whose lease has not yet expired costs one attempt, not
+	// the retry budget. With single placement the set is the owner
+	// alone, and a retry goes where the Resolver would send it.
 	mc := core.MergerConfig{
 		Transport:  transport.NewTCP(),
 		MaxRetries: cfg.MaxRetries,
-		Hedge:      cfg.Hedge,
 		Resolver: func(spec core.FetchSpec) (string, error) {
 			return resolver.Resolve(spec.MapTask)
 		},
-	}
-	if cfg.Hedge != nil {
-		mc.Replicas = func(spec core.FetchSpec) []string {
+		Replicas: func(spec core.FetchSpec) []string {
 			set, err := resolver.ResolveReplicas(spec.MapTask)
 			if err != nil {
-				return nil // no replicas known: the hedge just doesn't launch
+				return nil // no replicas known: retry in place, launch no hedge
 			}
 			return set
-		}
+		},
+	}
+	if cfg.Hedge {
+		mc.Hedge = &flow.HedgeConfig{}
 	}
 	m, err := core.NewNetMerger(mc)
 	if err != nil {
@@ -105,11 +107,6 @@ func RunMergerJob(cfg MergerJobConfig) (JobStats, error) {
 			return st, err
 		}
 	}
-	if cfg.OutDir != "" {
-		if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
-			return st, err
-		}
-	}
 
 	specs := make([]core.FetchSpec, 0, cfg.Tasks*cfg.Parts)
 	for ti := 0; ti < cfg.Tasks; ti++ {
@@ -119,19 +116,13 @@ func RunMergerJob(cfg MergerJobConfig) (JobStats, error) {
 	}
 	for round := 0; round < cfg.Rounds; round++ {
 		// data is lent until this callback returns (NetMerger.Fetch): it is
-		// compared and written out here, never kept.
+		// compared here, never kept.
 		err := m.Fetch(specs, func(spec core.FetchSpec, data []byte) error {
 			if reference != nil {
 				want := reference[core.FetchSpec{MapTask: spec.MapTask, Partition: spec.Partition}]
 				if !bytes.Equal(data, want) {
 					return fmt.Errorf("daemon: segment %s/%d: got %d bytes, want %d (corrupt)",
 						spec.MapTask, spec.Partition, len(data), len(want))
-				}
-			}
-			if cfg.OutDir != "" && round == 0 {
-				name := filepath.Join(cfg.OutDir, segKey(spec.MapTask, spec.Partition))
-				if err := os.WriteFile(name, data, 0o644); err != nil {
-					return err
 				}
 			}
 			st.Segments++
@@ -151,8 +142,6 @@ func RunMergerJob(cfg MergerJobConfig) (JobStats, error) {
 	}
 	return st, nil
 }
-
-func segKey(task string, part int) string { return fmt.Sprintf("%s.p%05d", task, part) }
 
 // LoadReference reads every segment of the fixture grid in dir from
 // disk, keyed by its address-free fetch spec: the byte-identity

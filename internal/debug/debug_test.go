@@ -154,7 +154,7 @@ func TestRegistryEndpoint(t *testing.T) {
 		t.Errorf("empty registry snapshot = %q, want []", body)
 	}
 
-	reg, err := registry.NewServer(registry.ServerConfig{Addr: "127.0.0.1:0", Shards: 4})
+	reg, err := registry.NewServer(registry.ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRegistryEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &states); err != nil {
 		t.Fatalf("registry endpoint is not JSON: %v\n%s", err, body)
 	}
-	if len(states) != 1 || states[0].Shards != 4 {
+	if len(states) != 1 || states[0].Shards != 16 {
 		t.Fatalf("unexpected snapshot: %+v", states)
 	}
 	if len(states[0].Suppliers) != 1 || states[0].Suppliers[0].ID != "sup-debug" {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestClientReconnectsAfterRegistryRestart(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
+	s := newTestServer(t, ServerConfig{})
 	addr := s.Addr()
 	c := NewClient(addr)
 	defer c.Close()
@@ -18,7 +18,7 @@ func TestClientReconnectsAfterRegistryRestart(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewServer(ServerConfig{Addr: addr, Shards: 4})
+	s2, err := NewServer(ServerConfig{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestClientReconnectsAfterRegistryRestart(t *testing.T) {
 }
 
 func TestResolverFollowsHandoff(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
+	s := newTestServer(t, ServerConfig{})
 	c := newTestClient(t, s)
 	if err := c.Register("sup-a", "a:1", nil); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestResolverFollowsHandoff(t *testing.T) {
 // (or autoscaler) sharing the client would be routed to the drained
 // owner for a full TTL after the handoff.
 func TestResolverInvalidatesOnNewerEpoch(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
+	s := newTestServer(t, ServerConfig{})
 	rc := NewClient(s.Addr())
 	defer rc.Close()
 	if err := rc.Register("sup-a", "a:1", nil); err != nil {
@@ -120,7 +120,7 @@ func TestResolverInvalidatesOnNewerEpoch(t *testing.T) {
 // re-fetches on every single lookup (a FetchMap per parked-fetch retry
 // on the merger hot path) until the new counter surpasses the old one.
 func TestResolverSurvivesEpochResetAfterRestart(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
+	s := newTestServer(t, ServerConfig{})
 	addr := s.Addr()
 	rc := NewClient(addr)
 	defer rc.Close()
@@ -145,7 +145,7 @@ func TestResolverSurvivesEpochResetAfterRestart(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewServer(ServerConfig{Addr: addr, Shards: 4})
+	s2, err := NewServer(ServerConfig{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestResolverSurvivesEpochResetAfterRestart(t *testing.T) {
 // TestRegisterSupplierCarriesDebugAddr pins the debug-address
 // advertisement the autoscaler's collector depends on.
 func TestRegisterSupplierCarriesDebugAddr(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
+	s := newTestServer(t, ServerConfig{})
 	c := newTestClient(t, s)
 	info := SupplierInfo{ID: "sup-a", Addr: "a:1", DebugAddr: "a:6061"}
 	if err := c.RegisterSupplier(info); err != nil {
@@ -199,7 +199,7 @@ func TestRegisterSupplierCarriesDebugAddr(t *testing.T) {
 
 // TestClientTracksEpoch pins LastEpoch's monotonic observation.
 func TestClientTracksEpoch(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
+	s := newTestServer(t, ServerConfig{})
 	c := newTestClient(t, s)
 	if got := c.LastEpoch(); got != 0 {
 		t.Fatalf("fresh client LastEpoch = %d, want 0", got)
@@ -225,7 +225,7 @@ func TestClientTracksEpoch(t *testing.T) {
 // error surfaces, so a supplier registering between fetches is found
 // without waiting out the TTL.
 func TestResolverRetriesUnownedShard(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
+	s := newTestServer(t, ServerConfig{})
 	c := newTestClient(t, s)
 	// A draining supplier keeps the map non-empty but owns nothing.
 	if err := c.Register("sup-a", "a:1", nil); err != nil {
@@ -237,7 +237,7 @@ func TestResolverRetriesUnownedShard(t *testing.T) {
 	rc := NewClient(s.Addr())
 	defer rc.Close()
 	r := NewResolver(rc, time.Hour)
-	other := taskInShard(t, 1, 4)
+	other := taskInShard(t, 1, numShards)
 	if _, err := r.Resolve(other); err == nil {
 		t.Fatal("resolve of an unowned shard succeeded")
 	}

@@ -37,7 +37,7 @@ func checkReplicaSets(t *testing.T, m Map, want int) {
 }
 
 func TestReplicaPlacementDistinctSuppliers(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 8, Replicas: 3})
+	s := newTestServer(t, ServerConfig{Replicas: 3})
 	c := newTestClient(t, s)
 	for _, r := range [][2]string{{"sup-a", "a:1"}, {"sup-b", "b:1"}, {"sup-c", "c:1"}} {
 		if err := c.Register(r[0], r[1], nil); err != nil {
@@ -55,7 +55,7 @@ func TestReplicaPlacementDistinctSuppliers(t *testing.T) {
 		}
 	}
 	// Lookup agrees with the map: full set, primary first.
-	task := taskInShard(t, 3, 8)
+	task := taskInShard(t, 3, numShards)
 	addrs, err := c.LookupReplicas(task)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestReplicaPlacementDistinctSuppliers(t *testing.T) {
 
 func TestReplicaPlacementCapsAtEligible(t *testing.T) {
 	// More replica slots than suppliers: sets shrink, never duplicate.
-	s := newTestServer(t, ServerConfig{Shards: 4, Replicas: 3})
+	s := newTestServer(t, ServerConfig{Replicas: 3})
 	c := newTestClient(t, s)
 	for _, r := range [][2]string{{"sup-a", "a:1"}, {"sup-b", "b:1"}} {
 		if err := c.Register(r[0], r[1], nil); err != nil {
@@ -87,7 +87,7 @@ func TestReplicaPlacementCapsAtEligible(t *testing.T) {
 }
 
 func TestReplicaSetShrinksOnDrain(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 8, Replicas: 2})
+	s := newTestServer(t, ServerConfig{Replicas: 2})
 	c := newTestClient(t, s)
 	for _, r := range [][2]string{{"sup-a", "a:1"}, {"sup-b", "b:1"}} {
 		if err := c.Register(r[0], r[1], nil); err != nil {
@@ -118,7 +118,7 @@ func TestReplicaSetShrinksOnDrain(t *testing.T) {
 }
 
 func TestReplicaSameIDRestartRejoins(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 8, Replicas: 2})
+	s := newTestServer(t, ServerConfig{Replicas: 2})
 	c := newTestClient(t, s)
 	for _, r := range [][2]string{{"sup-a", "a:1"}, {"sup-b", "b:1"}, {"sup-c", "c:1"}} {
 		if err := c.Register(r[0], r[1], nil); err != nil {
@@ -154,7 +154,7 @@ func TestReplicaSameIDRestartRejoins(t *testing.T) {
 }
 
 func TestReplicasOffByDefault(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
+	s := newTestServer(t, ServerConfig{})
 	c := newTestClient(t, s)
 	if err := c.Register("sup-a", "a:1", nil); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestReplicasOffByDefault(t *testing.T) {
 }
 
 func TestResolverResolveReplicas(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4, Replicas: 2})
+	s := newTestServer(t, ServerConfig{Replicas: 2})
 	c := newTestClient(t, s)
 	for _, r := range [][2]string{{"sup-a", "a:1"}, {"sup-b", "b:1"}} {
 		if err := c.Register(r[0], r[1], nil); err != nil {
@@ -185,8 +185,8 @@ func TestResolverResolveReplicas(t *testing.T) {
 		}
 	}
 	res := NewResolver(c, 0)
-	for i := 0; i < 4; i++ {
-		task := taskInShard(t, i, 4)
+	for i := 0; i < numShards; i++ {
+		task := taskInShard(t, i, numShards)
 		primary, err := res.Resolve(task)
 		if err != nil {
 			t.Fatal(err)
@@ -203,16 +203,19 @@ func TestResolverResolveReplicas(t *testing.T) {
 		}
 	}
 	// The replica set follows a drain within one epoch observation, just
-	// like Resolve does.
+	// like Resolve does: on a shard sup-a led, the primary moves; on one
+	// sup-b leads, sup-a's backup slot is dropped.
 	if err := c.Drain("sup-a"); err != nil {
 		t.Fatal(err)
 	}
 	res.Invalidate()
-	set, err := res.ResolveReplicas(taskInShard(t, 2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(set) != "[b:1]" {
-		t.Fatalf("post-drain replica set = %v, want just the survivor", set)
+	for _, shard := range []int{0, numShards - 1} {
+		set, err := res.ResolveReplicas(taskInShard(t, shard, numShards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(set) != "[b:1]" {
+			t.Fatalf("shard %d: post-drain replica set = %v, want just the survivor", shard, set)
+		}
 	}
 }

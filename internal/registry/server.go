@@ -15,9 +15,6 @@ import (
 type ServerConfig struct {
 	// Addr is the TCP listen address (":0" for an ephemeral port).
 	Addr string
-	// Shards is the deployment's shard count; ownership is tracked per
-	// shard. Zero means the 16 default.
-	Shards int
 	// LeaseTTL is how long a registration lives without a heartbeat.
 	// Zero means the 3s default.
 	LeaseTTL time.Duration
@@ -36,10 +33,11 @@ type ServerConfig struct {
 	Log func(format string, args ...any)
 }
 
+// numShards is the deployment's shard count; ownership is tracked per
+// shard, and every supplier serves every shard.
+const numShards = 16
+
 func (c *ServerConfig) applyDefaults() error {
-	if c.Shards < 0 {
-		return fmt.Errorf("registry: Shards %d must not be negative", c.Shards)
-	}
 	if c.LeaseTTL < 0 {
 		return fmt.Errorf("registry: LeaseTTL %v must not be negative", c.LeaseTTL)
 	}
@@ -48,9 +46,6 @@ func (c *ServerConfig) applyDefaults() error {
 	}
 	if c.Replicas < 0 {
 		return fmt.Errorf("registry: Replicas %d must not be negative", c.Replicas)
-	}
-	if c.Shards == 0 {
-		c.Shards = 16
 	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = 3 * time.Second
@@ -106,8 +101,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:     cfg,
 		lis:     lis,
 		leases:  make(map[string]*lease),
-		owners:  make([]string, cfg.Shards),
-		backups: make([][]string, cfg.Shards),
+		owners:  make([]string, numShards),
+		backups: make([][]string, numShards),
 		conns:   make(map[net.Conn]bool),
 		done:    make(chan struct{}),
 	}
@@ -247,7 +242,7 @@ func (s *Server) handle(req request, now time.Time) response {
 		return response{OK: true, Epoch: s.epoch}
 	case "lookup":
 		regLookups.Inc()
-		shard := ShardOf(req.Task, s.cfg.Shards)
+		shard := ShardOf(req.Task, numShards)
 		owner := s.owners[shard]
 		if owner == "" {
 			return response{Err: fmt.Sprintf("shard %d unowned", shard)}
@@ -493,7 +488,7 @@ func (s *Server) RegistryState() State {
 	st := State{
 		Name:   "registry " + s.Addr(),
 		Epoch:  s.epoch,
-		Shards: s.cfg.Shards,
+		Shards: numShards,
 		Owners: append([]string(nil), s.owners...),
 	}
 	if s.cfg.Replicas > 1 {

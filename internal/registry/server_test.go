@@ -27,7 +27,7 @@ func newTestClient(t *testing.T, s *Server) *Client {
 }
 
 func TestRegisterAssignsAllShards(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 8})
+	s := newTestServer(t, ServerConfig{})
 	c := newTestClient(t, s)
 	// Before any supplier registers, every shard is unowned.
 	if _, err := c.Lookup("m-00042"); err == nil {
@@ -43,8 +43,8 @@ func TestRegisterAssignsAllShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Shards) != 8 {
-		t.Fatalf("map has %d shards, want 8", len(m.Shards))
+	if len(m.Shards) != numShards {
+		t.Fatalf("map has %d shards, want %d", len(m.Shards), numShards)
 	}
 	for i, addr := range m.Shards {
 		if addr != "127.0.0.1:9000" {
@@ -61,7 +61,7 @@ func TestRegisterAssignsAllShards(t *testing.T) {
 }
 
 func TestRebalanceIsStickyAndBalanced(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 8})
+	s := newTestServer(t, ServerConfig{})
 	c := newTestClient(t, s)
 	if err := c.Register("sup-a", "a:1", nil); err != nil {
 		t.Fatal(err)
@@ -88,16 +88,16 @@ func TestRebalanceIsStickyAndBalanced(t *testing.T) {
 			sticky++
 		}
 	}
-	if counts["a:1"] != 4 || counts["b:1"] != 4 {
-		t.Fatalf("ownership after join = %v, want 4/4", counts)
+	if counts["a:1"] != numShards/2 || counts["b:1"] != numShards/2 {
+		t.Fatalf("ownership after join = %v, want %d each", counts, numShards/2)
 	}
-	if sticky != 4 {
-		t.Fatalf("%d shards stayed with sup-a, want exactly the balanced 4 (minimum movement)", sticky)
+	if sticky != numShards/2 {
+		t.Fatalf("%d shards stayed with sup-a, want exactly the balanced %d (minimum movement)", sticky, numShards/2)
 	}
 }
 
 func TestDrainHandsShardsToPeer(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 8})
+	s := newTestServer(t, ServerConfig{})
 	c := newTestClient(t, s)
 	for _, r := range [][2]string{{"sup-a", "a:1"}, {"sup-b", "b:1"}} {
 		if err := c.Register(r[0], r[1], nil); err != nil {
@@ -155,7 +155,7 @@ func taskInShard(t *testing.T, shard, shards int) string {
 func TestLeaseExpiryRacingHeartbeat(t *testing.T) {
 	// A long sweep interval keeps the background sweeper out of the
 	// test; expiry is driven through explicit sweep(now) calls.
-	s := newTestServer(t, ServerConfig{Shards: 4, LeaseTTL: 100 * time.Millisecond, SweepInterval: time.Hour})
+	s := newTestServer(t, ServerConfig{LeaseTTL: 100 * time.Millisecond, SweepInterval: time.Hour})
 	c := newTestClient(t, s)
 	if err := c.Register("sup-a", "a:1", nil); err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestLeaseExpiryRacingHeartbeat(t *testing.T) {
 // process re-registers under its old identity with a new address, and
 // the map serves the new address immediately.
 func TestSameIDReRegisterAfterCrash(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
+	s := newTestServer(t, ServerConfig{})
 	c := newTestClient(t, s)
 	if err := c.Register("sup-a", "a:1", nil); err != nil {
 		t.Fatal(err)
@@ -219,13 +219,13 @@ func TestSameIDReRegisterAfterCrash(t *testing.T) {
 }
 
 func TestRegistryStateSnapshot(t *testing.T) {
-	s := newTestServer(t, ServerConfig{Shards: 4})
+	s := newTestServer(t, ServerConfig{})
 	c := newTestClient(t, s)
 	if err := c.Register("sup-a", "a:1", nil); err != nil {
 		t.Fatal(err)
 	}
 	st := s.RegistryState()
-	if st.Shards != 4 || len(st.Owners) != 4 || len(st.Suppliers) != 1 {
+	if st.Shards != numShards || len(st.Owners) != numShards || len(st.Suppliers) != 1 {
 		t.Fatalf("state = %+v", st)
 	}
 	found := false
