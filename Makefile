@@ -20,13 +20,13 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # vet: the stock toolchain vet plus jbsvet, the repo-specific pass
-# (lock hygiene, goroutine lifecycle, Close/Release/Abort ownership
-# flow and ledger charges, lock ordering, unchecked Close/Write/Flush,
-# sim-clock purity, package doc comments). -stale-ignores keeps the
-# //jbsvet:ignore inventory honest.
+# (lock hygiene, goroutine-literal lifecycle, Close/Release/Abort
+# ownership flow and ledger charges, lock ordering, unchecked Close,
+# package doc comments, Fatal from a test rig's launched method). jbsvet
+# also fails on a //jbsvet:ignore directive that suppresses nothing.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/jbsvet -stale-ignores ./...
+	$(GO) run ./cmd/jbsvet ./...
 
 # vet-fast: jbsvet alone, with the jbsvet binary cached in GOBIN-style
 # under .cache so repeat runs skip the `go run` relink. The binary is
@@ -35,7 +35,7 @@ vet:
 vet-fast:
 	@mkdir -p .cache
 	@$(GO) build -o .cache/jbsvet ./cmd/jbsvet
-	@./.cache/jbsvet -stale-ignores -timing ./...
+	@./.cache/jbsvet -timing ./...
 
 # race: the full suite under the race detector, with the leakcheck
 # TestMain hooks active in the concurrent packages.
@@ -90,16 +90,18 @@ loc:
 
 # stress: the NetMerger tests whose failures only ever showed under load —
 # Close racing readers, first dials and hedge launches, the hedge/shed
-# test that used to trip into the Close hang, and the tests that read a
-# supplier's accounting after a fetch (they wait for Inflight() == 0
-# first; the daemon lifecycle test is the second line) — and, third, the
-# supplier request lifecycle and its Close, looped beside a process that
-# keeps one core busy. A hang fails by -timeout, with the goroutine dump.
+# test that used to trip into the Close hang, the lease hand-over on every
+# way a Fetch ends (a remote error's receive lease once outlived the
+# Fetch it woke), and the tests that read a supplier's accounting after a
+# fetch (they wait for Inflight() == 0 first; the daemon lifecycle test is
+# the second line) — and, third, the supplier request lifecycle and its
+# Close, looped beside a process that keeps one core busy. A hang fails by
+# -timeout, with the goroutine dump.
 STRESS_COUNT ?= 100
 stress:
 	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
 	$(GO) test -count=$(STRESS_COUNT) -timeout 10m \
-		-run 'TestCloseRacesReadersAndHedges|TestCloseOvertakesFirstDial|TestHedgeShedGuards|TestFlowShedBackoffRetryEndToEnd|TestDrainHandoffReroutesFetch' ./internal/core && \
+		-run 'TestCloseRacesReadersAndHedges|TestCloseOvertakesFirstDial|TestHedgeShedGuards|TestFetchGivesBackEveryLease|TestFlowShedBackoffRetryEndToEnd|TestDrainHandoffReroutesFetch' ./internal/core && \
 	$(GO) test -count=$(STRESS_COUNT) -timeout 10m -run 'TestSupplierDaemonLifecycle' ./internal/daemon && \
 	$(GO) test -count=$(STRESS_COUNT) -timeout 10m -run 'TestSupplierRequestLifecycle|TestSupplierCloseRetiresQueuedRequests' ./internal/core
 

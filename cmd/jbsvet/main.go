@@ -7,21 +7,17 @@
 //
 // Usage:
 //
-//	jbsvet [-checks closeflow,lockhygiene,...] [-list] [-v]
-//	       [-json] [-stale-ignores] [-timing] [patterns]
+//	jbsvet [-timing] [patterns]
 //
 // Patterns are Go-style package patterns rooted at the module
 // ("./...", "./internal/...", "./internal/core"). With no patterns the
-// default is "./internal/... ./cmd/...". -json emits one JSON object per
-// finding (machine-readable; pairs with the GitHub Actions problem
-// matcher in .github/jbsvet-problem-matcher.json). -stale-ignores audits
-// //jbsvet:ignore directives and fails on ones that no longer suppress
-// any finding. -timing prints per-check wall time to stderr. Exit
-// status: 0 clean, 1 findings, 2 usage or load failure.
+// default is "./internal/... ./cmd/...". Every check runs, and a
+// //jbsvet:ignore directive that suppresses nothing is itself a finding.
+// -timing prints per-check wall time to stderr. Exit status: 0 clean,
+// 1 findings, 2 usage or load failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,36 +29,9 @@ import (
 	"repro/internal/analysis"
 )
 
-// jsonFinding is the -json wire shape of one finding.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
 func main() {
-	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	listFlag := flag.Bool("list", false, "list available checks and exit")
-	verbose := flag.Bool("v", false, "log each package as it is checked")
-	jsonFlag := flag.Bool("json", false, "emit findings as JSON Lines on stdout")
-	staleFlag := flag.Bool("stale-ignores", false, "also fail on //jbsvet:ignore directives that suppress nothing")
 	timingFlag := flag.Bool("timing", false, "print per-check wall time to stderr")
 	flag.Parse()
-
-	if *listFlag {
-		for _, c := range analysis.AllChecks() {
-			fmt.Printf("%-12s %s\n", c.Name(), c.Doc())
-		}
-		return
-	}
-
-	checks, err := selectChecks(*checksFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "jbsvet:", err)
-		os.Exit(2)
-	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -86,15 +55,9 @@ func main() {
 	}
 
 	runner := &analysis.Runner{
-		Loader:            loader,
-		Checks:            checks,
-		Scopes:            analysis.DefaultScopes(),
-		AuditSuppressions: *staleFlag,
-	}
-	if *verbose {
-		runner.Verbose = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
+		Loader: loader,
+		Checks: analysis.AllChecks(),
+		Scopes: analysis.DefaultScopes(),
 	}
 	start := time.Now()
 	findings, err := runner.RunDirs(dirs)
@@ -102,18 +65,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "jbsvet:", err)
 		os.Exit(2)
 	}
-	enc := json.NewEncoder(os.Stdout)
 	for _, f := range findings {
 		pos := f.Pos
 		if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			pos.Filename = rel
-		}
-		if *jsonFlag {
-			enc.Encode(jsonFinding{
-				File: pos.Filename, Line: pos.Line, Column: pos.Column,
-				Check: f.Check, Message: f.Message,
-			})
-			continue
 		}
 		fmt.Printf("%s: [%s] %s\n", pos, f.Check, f.Message)
 	}
@@ -123,9 +78,6 @@ func main() {
 	if n := len(findings); n > 0 {
 		fmt.Fprintf(os.Stderr, "jbsvet: %d finding(s) in %d package(s) scanned\n", n, len(dirs))
 		os.Exit(1)
-	}
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "jbsvet: clean (%d packages)\n", len(dirs))
 	}
 }
 
@@ -144,28 +96,6 @@ func printTimings(r *analysis.Runner, total time.Duration) {
 		fmt.Fprintf(os.Stderr, "jbsvet: timing %-14s %8.1fms\n", rw.name, float64(rw.d.Microseconds())/1000)
 	}
 	fmt.Fprintf(os.Stderr, "jbsvet: timing %-14s %8.1fms\n", "total", float64(total.Microseconds())/1000)
-}
-
-// selectChecks resolves the -checks flag against the registry.
-func selectChecks(spec string) ([]analysis.Check, error) {
-	all := analysis.AllChecks()
-	if spec == "" {
-		return all, nil
-	}
-	byName := make(map[string]analysis.Check, len(all))
-	for _, c := range all {
-		byName[c.Name()] = c
-	}
-	var out []analysis.Check
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		c, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown check %q (use -list)", name)
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // expandPatterns turns package patterns into package directories under

@@ -2,26 +2,28 @@
 // pass (see docs/STATIC_ANALYSIS.md). JBS's value proposition is a
 // lock-tight concurrent data path — MOFSupplier's pipelined DataCache,
 // NetMerger's per-node request groups, the LRU connection cache — and the
-// checks here enforce the invariants that keep that path correct:
+// checks here enforce the invariants that keep that path correct. Each
+// syntactic pass keeps only what go vet, go test -race and leakcheck do
+// not catch (DESIGN.md §8.10):
 //
 //   - lockhygiene: every Lock has a matching Unlock, no return while a
 //     mutex is held without a deferred unlock, and no blocking operation
 //     (channel send/recv, select, net I/O, time.Sleep, WaitGroup.Wait)
 //     while a state mutex is held.
-//   - goroutines: every goroutine launched in the concurrent core packages
-//     must be reachable from a shutdown path (a context.Context, a
-//     done-channel receive, or a sync.WaitGroup).
-//   - errcheck: Close/Write/Flush results in the data-integrity packages
-//     must be checked or explicitly discarded with `_ =`.
-//   - simclock: no direct wall-clock calls in simulation/model packages
-//     outside the clock abstraction.
+//   - goroutines: every goroutine launched as a function literal in the
+//     concurrent packages (core, transport, mapred, registry, daemon,
+//     autoscale) must carry a shutdown path (a context.Context, a
+//     channel receive, or a sync.WaitGroup Done/Wait).
+//   - errcheck: the error of a Close call must be checked or explicitly
+//     discarded with `_ =` in transport, mof, mapred and autoscale.
 //   - doccomment: every package carries a godoc-convention package doc
 //     comment ("Package <name>" / "Command <name>") — the entry points
 //     the documentation pass (docs/ARCHITECTURE.md) builds on.
-//   - testgoroutine: testing.T/B Fatal/Fatalf/FailNow/Skip/Skipf/SkipNow
-//     must not be called from goroutines spawned by a test — they stop
-//     only the calling goroutine, silently corrupting the test's control
-//     flow. The one check that runs over _test.go files.
+//   - testgoroutine: a method launched with `go x.m()` from test code
+//     must not call testing.T/B Fatal/Fatalf/FailNow/Skip/Skipf/SkipNow
+//     — they stop only the calling goroutine. go vet covers function
+//     literals and T-typed parameters, not a T reached through the
+//     receiver. The one check that runs over _test.go files.
 //
 // lockhygiene and two more checks run over per-function control-flow
 // graphs (internal/analysis/cfg, whose Forward is the one dataflow
@@ -62,10 +64,8 @@ func (f Finding) String() string {
 // must not filter suppressions; the Runner applies //jbsvet:ignore
 // directives so golden tests can observe raw findings.
 type Check interface {
-	// Name is the identifier used in -checks and in suppression comments.
+	// Name is the identifier used in findings and suppression comments.
 	Name() string
-	// Doc is a one-line description.
-	Doc() string
 	// Run reports every violation in pkg.
 	Run(pkg *Package) []Finding
 }
@@ -76,7 +76,6 @@ func AllChecks() []Check {
 		&LockCheck{},
 		&GoroutineCheck{},
 		&ErrCheck{},
-		&SimClockCheck{},
 		&DocCommentCheck{},
 		&TestGoroutineCheck{},
 		&CloseFlowCheck{},
@@ -104,16 +103,13 @@ type TestFileCheck interface {
 
 // DefaultScopes maps a check name to the module-relative directory
 // prefixes it applies to. A missing entry (or nil slice) means the check
-// runs on every scanned package. A trailing "*" matches any directory
-// whose path begins with the stem (e.g. "internal/sim*" covers
-// internal/sim, internal/simnet, internal/simdisk, internal/simcpu).
+// runs on every scanned package.
 func DefaultScopes() map[string][]string {
 	return map[string][]string{
 		"goroutines": {"internal/core", "internal/transport", "internal/mapred",
 			"internal/registry", "internal/daemon", "internal/autoscale"},
 		"errcheck": {"internal/transport", "internal/mof", "internal/mapred",
 			"internal/autoscale"},
-		"simclock": {"internal/sim*", "internal/shuffle"},
 		// testgoroutine runs everywhere tests run; the explicit entry is
 		// documentation that the breadth is deliberate.
 		"testgoroutine": {"internal", "cmd"},
@@ -133,12 +129,6 @@ func inScope(rel string, patterns []string) bool {
 		return true
 	}
 	for _, p := range patterns {
-		if stem, ok := strings.CutSuffix(p, "*"); ok {
-			if strings.HasPrefix(rel, stem) {
-				return true
-			}
-			continue
-		}
 		if rel == p || strings.HasPrefix(rel, p+"/") {
 			return true
 		}
@@ -152,12 +142,6 @@ type Runner struct {
 	Checks []Check
 	// Scopes maps check name -> directory prefixes (see DefaultScopes).
 	Scopes map[string][]string
-	// Verbose, when set, receives one line per package checked.
-	Verbose func(format string, args ...any)
-	// AuditSuppressions, when set, additionally reports stale
-	// //jbsvet:ignore directives: ones whose check ran over their file
-	// during this scan yet suppressed nothing.
-	AuditSuppressions bool
 	// Timings, after RunDirs returns, holds cumulative wall time per
 	// check name (plus "load" for parsing and type-checking).
 	Timings map[string]time.Duration
@@ -175,9 +159,10 @@ func (r *Runner) timed(name string, f func()) {
 
 // RunDirs checks every package directory in dirs and returns the surviving
 // findings sorted by position. Suppressed findings are dropped; malformed
-// suppression directives are themselves reported as findings. Checks
-// implementing ProgramCheck run once at the end over every package they
-// are in scope for.
+// suppression directives, and directives that silenced nothing during the
+// scan, are themselves reported as findings. Checks implementing
+// ProgramCheck run once at the end over every package they are in scope
+// for.
 func (r *Runner) RunDirs(dirs []string) ([]Finding, error) {
 	var all []Finding
 	table := newSuppressionTable()
@@ -200,11 +185,7 @@ func (r *Runner) RunDirs(dirs []string) ([]Finding, error) {
 			return nil, fmt.Errorf("analysis: type-check %s: %v (and %d more)",
 				dir, pkg.TypeErrors[0], len(pkg.TypeErrors)-1)
 		}
-		if r.Verbose != nil {
-			r.Verbose("jbsvet: checking %s", pkg.Rel)
-		}
 		var raw []Finding
-		var ran []string
 		var testChecks []Check
 		for _, c := range r.Checks {
 			if !inScope(pkg.Rel, r.Scopes[c.Name()]) {
@@ -212,17 +193,14 @@ func (r *Runner) RunDirs(dirs []string) ([]Finding, error) {
 			}
 			if pc, ok := c.(ProgramCheck); ok {
 				progPkgs[pc.Name()] = append(progPkgs[pc.Name()], pkg)
-				ran = append(ran, c.Name())
 				continue
 			}
 			r.timed(c.Name(), func() { raw = append(raw, c.Run(pkg)...) })
-			ran = append(ran, c.Name())
 			if tc, ok := c.(TestFileCheck); ok && tc.WantsTestFiles() {
 				testChecks = append(testChecks, c)
 			}
 		}
 		table.collect(pkg)
-		table.markRan(pkg, ran)
 		all = append(all, table.filter(raw)...)
 		if len(testChecks) == 0 {
 			continue
@@ -238,13 +216,10 @@ func (r *Runner) RunDirs(dirs []string) ([]Finding, error) {
 					dir, tp.TypeErrors[0], len(tp.TypeErrors)-1)
 			}
 			var raw []Finding
-			var ran []string
 			for _, c := range testChecks {
 				r.timed(c.Name(), func() { raw = append(raw, c.Run(tp)...) })
-				ran = append(ran, c.Name())
 			}
 			table.collect(tp)
-			table.markRan(tp, ran)
 			all = append(all, table.filter(raw)...)
 		}
 	}
@@ -260,9 +235,7 @@ func (r *Runner) RunDirs(dirs []string) ([]Finding, error) {
 	}
 
 	all = append(all, table.malformed...)
-	if r.AuditSuppressions {
-		all = append(all, table.stale()...)
-	}
+	all = append(all, table.stale()...)
 	SortFindings(all)
 	return all, nil
 }

@@ -98,11 +98,6 @@ func TestErrCheckGolden(t *testing.T) {
 	matchFindings(t, pkg, (&ErrCheck{}).Run(pkg))
 }
 
-func TestSimClockCheckGolden(t *testing.T) {
-	pkg := fixturePkg(t, "simclock")
-	matchFindings(t, pkg, (&SimClockCheck{}).Run(pkg))
-}
-
 func TestTestGoroutineCheckGolden(t *testing.T) {
 	loaderOnce.Do(func() {
 		loader, loaderErr = NewLoader(".")
@@ -148,14 +143,14 @@ func TestDocCommentCheckGolden(t *testing.T) {
 	}
 }
 
-// TestSuppressions runs simclock raw over the suppress fixture, then checks
+// TestSuppressions runs errcheck raw over the suppress fixture, then checks
 // that ApplySuppressions silences exactly the directive-covered findings
 // and reports the reason-less directive as malformed.
 func TestSuppressions(t *testing.T) {
 	pkg := fixturePkg(t, "suppress")
-	raw := (&SimClockCheck{}).Run(pkg)
+	raw := (&ErrCheck{}).Run(pkg)
 	if len(raw) != 5 {
-		t.Fatalf("raw simclock findings = %d, want 5:\n%v", len(raw), raw)
+		t.Fatalf("raw errcheck findings = %d, want 5:\n%v", len(raw), raw)
 	}
 	kept, malformed := ApplySuppressions(pkg, raw)
 	matchFindings(t, pkg, kept)
@@ -180,10 +175,7 @@ func TestInScope(t *testing.T) {
 		{"internal/core", []string{"internal/core"}, true},
 		{"internal/core/sub", []string{"internal/core"}, true},
 		{"internal/coreutils", []string{"internal/core"}, false},
-		{"internal/simnet", []string{"internal/sim*"}, true},
-		{"internal/simdisk", []string{"internal/sim*"}, true},
-		{"internal/shuffle", []string{"internal/sim*"}, false},
-		{"internal/shuffle", []string{"internal/sim*", "internal/shuffle"}, true},
+		{"internal/shuffle", []string{"internal/core", "internal/shuffle"}, true},
 	}
 	for _, c := range cases {
 		if got := inScope(c.rel, c.patterns); got != c.want {
@@ -209,7 +201,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Loader: loader, Checks: AllChecks(), Scopes: DefaultScopes(), AuditSuppressions: true}
+	r := &Runner{Loader: loader, Checks: AllChecks(), Scopes: DefaultScopes()}
 	findings, err := r.RunDirs(dirs)
 	if err != nil {
 		t.Fatal(err)

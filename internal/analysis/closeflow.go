@@ -33,11 +33,6 @@ type CloseFlowCheck struct{}
 // Name returns "closeflow".
 func (*CloseFlowCheck) Name() string { return "closeflow" }
 
-// Doc describes the check.
-func (*CloseFlowCheck) Doc() string {
-	return "values with Close/Release/Abort and ledger charges must be discharged on every path"
-}
-
 // Run reports every obligation that can reach a return undischarged,
 // plus deferred releases inside loops (which run at function exit, not
 // per iteration).

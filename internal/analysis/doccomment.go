@@ -15,11 +15,6 @@ type DocCommentCheck struct{}
 // Name implements Check.
 func (*DocCommentCheck) Name() string { return "doccomment" }
 
-// Doc implements Check.
-func (*DocCommentCheck) Doc() string {
-	return `every package has a doc comment starting "Package <name>" ("Command <name>" for main)`
-}
-
 // Run implements Check.
 func (c *DocCommentCheck) Run(pkg *Package) []Finding {
 	want := "Package " + pkg.Name

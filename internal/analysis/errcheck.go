@@ -6,45 +6,20 @@ import (
 	"go/types"
 )
 
-// ErrCheck flags discarded error results from Close, Write, and Flush
-// method calls — and from os.RemoveAll — in the data-integrity packages
-// (transport, mof, mapred): a swallowed Close on a connection hides peer
-// teardown races, a swallowed Flush/Close on a spill or index file
-// silently truncates shuffle data, and a swallowed RemoveAll leaks spill
-// directories that the next task attempt then trips over.
+// ErrCheck flags discarded error results from Close calls in the
+// data-integrity packages (transport, mof, mapred, autoscale): a
+// swallowed Close on a connection hides peer teardown races, and one on
+// a spill or index file hides a write that never reached the disk.
 //
-// A call statement whose callee returns an error must either consume the
-// result (assignment, if-statement, return) or discard it explicitly with
-// `_ = x.Close()`. Deferred calls are not flagged: the repo idiom reserves
-// `defer x.Close()` for read-side resources whose close error is
-// meaningless, while write paths close explicitly and check.
+// A call statement to a Close that returns an error must either consume
+// the result (assignment, if-statement, return) or discard it explicitly
+// with `_ = x.Close()`. Deferred calls are not flagged: the repo idiom
+// reserves `defer x.Close()` for read-side resources whose close error
+// is meaningless, while write paths close explicitly and check.
 type ErrCheck struct{}
 
 // Name implements Check.
 func (*ErrCheck) Name() string { return "errcheck" }
-
-// Doc implements Check.
-func (*ErrCheck) Doc() string {
-	return "Close/Write/Flush and os.RemoveAll errors must be checked or explicitly discarded with _ ="
-}
-
-// checkedMethods are the method names whose error results must not be
-// silently dropped.
-var checkedMethods = map[string]bool{"Close": true, "Write": true, "Flush": true}
-
-// checkedFuncs are fully-qualified package functions whose error results
-// must not be silently dropped. Cleanup paths that genuinely tolerate
-// failure say so with `_ =`.
-var checkedFuncs = map[string]bool{"os.RemoveAll": true}
-
-// isCheckedCallee reports whether fn is a method or package function on
-// the must-check list.
-func isCheckedCallee(fn *types.Func) bool {
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return checkedMethods[fn.Name()]
-	}
-	return fn.Pkg() != nil && checkedFuncs[fn.Pkg().Path()+"."+fn.Name()]
-}
 
 // Run implements Check.
 func (c *ErrCheck) Run(pkg *Package) []Finding {
@@ -64,22 +39,14 @@ func (c *ErrCheck) Run(pkg *Package) []Finding {
 				return true
 			}
 			fn, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
-			if fn == nil || !isCheckedCallee(fn) {
-				return true
-			}
-			if !returnsError(fn) {
-				return true
-			}
-			// bufio.Writer has a sticky error: a dropped Write result is
-			// recovered by the (checked) Flush, so only Flush is enforced.
-			if fn.Name() == "Write" && isBufioWriter(pkg.Info.TypeOf(sel.X)) {
+			if fn == nil || fn.Name() != "Close" || !returnsError(fn) {
 				return true
 			}
 			out = append(out, Finding{
 				Pos:   position(pkg, call.Pos()),
 				Check: "errcheck",
-				Message: fmt.Sprintf("result of %s.%s() is ignored; check it or discard explicitly with `_ = %s.%s()`",
-					types.ExprString(sel.X), fn.Name(), types.ExprString(sel.X), fn.Name()),
+				Message: fmt.Sprintf("result of %s.Close() is ignored; check it or discard explicitly with `_ = %s.Close()`",
+					types.ExprString(sel.X), types.ExprString(sel.X)),
 			})
 			return true
 		})
@@ -87,29 +54,9 @@ func (c *ErrCheck) Run(pkg *Package) []Finding {
 	return out
 }
 
-// isBufioWriter reports whether t is bufio.Writer or *bufio.Writer.
-func isBufioWriter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "bufio" && obj.Name() == "Writer"
-}
-
 // returnsError reports whether fn's results include an error.
 func returnsError(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	res := sig.Results()
+	res := fn.Type().(*types.Signature).Results()
 	for i := 0; i < res.Len(); i++ {
 		if named, ok := res.At(i).Type().(*types.Named); ok {
 			if named.Obj().Name() == "error" && named.Obj().Pkg() == nil {

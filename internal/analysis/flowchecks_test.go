@@ -83,13 +83,19 @@ func TestGenericsLoadTests(t *testing.T) {
 // injectedSrc carries one seeded bug per client of the CFG engine: a
 // lease leak and a FileWriter leak on an early-error return, an
 // undrained Admit, a return while locked, and a lock-order inversion (G
-// before H in one function, H before G in another). The self-test
-// asserts each is caught — if a refactor of the engine ever goes blind,
-// this fails before the repo quietly stops being checked.
+// before H in one function, H before G in another). It also carries the
+// one-line mutation that keeps each syntactic pass (DESIGN.md §8.10):
+// autoscale's launcher goroutine without its Done, tcpConn.Close's error
+// dropped, a test rig's reader calling Fatalf, and a package doc
+// comment gone. The self-test asserts each is caught — if a refactor of
+// a check ever goes blind, this fails before the repo quietly stops
+// being checked.
 const injectedSrc = `package injected
 
 import (
+	"net"
 	"sync"
+	"testing"
 
 	"repro/internal/bufpool"
 	"repro/internal/dfs"
@@ -147,6 +153,37 @@ func hgPath(g *G, h *H) {
 	g.mu.Unlock()
 	h.mu.Unlock()
 }
+
+type instance struct {
+	wg      sync.WaitGroup
+	done    chan struct{}
+	waitErr error
+}
+
+func launch(inst *instance, wait func() error) {
+	inst.wg.Add(1)
+	go func() {
+		inst.waitErr = wait()
+		close(inst.done)
+	}()
+}
+
+type tcpConn struct {
+	closeOnce sync.Once
+	nc        net.Conn
+	closeErr  error
+}
+
+func (c *tcpConn) Close() error {
+	c.closeOnce.Do(func() { c.nc.Close() })
+	return c.closeErr
+}
+
+type rig struct{ t *testing.T }
+
+func (r *rig) read() { r.t.Fatalf("bad frame from the supplier") }
+
+func (r *rig) dial() { go r.read() }
 `
 
 func TestSeededInjectionIsCaught(t *testing.T) {
@@ -179,6 +216,10 @@ func TestSeededInjectionIsCaught(t *testing.T) {
 		}},
 		{&LockCheck{}, []string{"return while g.mu is locked in lockedReturn"}},
 		{&LockOrderCheck{}, []string{"lock-order cycle among {G.mu, H.mu}"}},
+		{&GoroutineCheck{}, []string{"fire-and-forget goroutine"}},
+		{&ErrCheck{}, []string{"result of c.nc.Close() is ignored"}},
+		{&TestGoroutineCheck{}, []string{"testing.Fatalf called from a goroutine"}},
+		{&DocCommentCheck{}, []string{"package injected has no package doc comment"}},
 	} {
 		var got []Finding
 		if pc, ok := c.check.(ProgramCheck); ok {
@@ -199,10 +240,11 @@ func TestSeededInjectionIsCaught(t *testing.T) {
 	}
 }
 
-// TestStaleIgnoreAudit drives the Runner's AuditSuppressions path over a
+// TestStaleIgnoreAudit drives the Runner's stale-directive audit over a
 // synthetic package carrying one live directive (it suppresses a real
-// simclock finding) and one stale directive (its check runs but finds
-// nothing on that line). Only the stale one must be reported.
+// errcheck finding), one stale directive (its check runs but finds
+// nothing on that line) and one whose check does not exist. Only the
+// live one may go unreported.
 func TestStaleIgnoreAudit(t *testing.T) {
 	loaderOnce.Do(func() {
 		loader, loaderErr = NewLoader(".")
@@ -214,48 +256,42 @@ func TestStaleIgnoreAudit(t *testing.T) {
 	src := `// Package stalefix exercises the stale-ignore audit.
 package stalefix
 
-import "time"
+type conn struct{}
 
-//jbsvet:ignore simclock fixture wants wall time here
-func now() time.Time { return time.Now() }
+func (conn) Close() error { return nil }
 
-//jbsvet:ignore simclock nothing to suppress on the next line
+func drop(c conn) {
+	//jbsvet:ignore errcheck fixture drops this close on purpose
+	c.Close()
+}
+
+//jbsvet:ignore errcheck nothing to suppress on the next line
 func pure(a int) int { return a + 1 }
+
+//jbsvet:ignore simclock a check that no longer exists
+func alsoPure(a int) int { return a - 1 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "stalefix.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{
-		Loader:            loader,
-		Checks:            []Check{&SimClockCheck{}},
-		AuditSuppressions: true,
-	}
+	r := &Runner{Loader: loader, Checks: []Check{&ErrCheck{}}}
 	findings, err := r.RunDirs([]string{dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 1 {
-		t.Fatalf("audit findings = %d, want 1 (the stale directive):\n%v", len(findings), findings)
+	if len(findings) != 2 {
+		t.Fatalf("audit findings = %d, want 2 (the stale directives):\n%v", len(findings), findings)
 	}
-	f := findings[0]
-	if f.Check != "staleignore" {
-		t.Errorf("finding check = %q, want staleignore", f.Check)
-	}
-	if !strings.Contains(f.Message, "suppresses nothing") {
-		t.Errorf("finding message = %q, want a suppresses-nothing report", f.Message)
-	}
-	if f.Pos.Line != 9 {
-		t.Errorf("stale directive reported at line %d, want 9", f.Pos.Line)
-	}
-
-	// Without the audit flag the same scan is silent: the live directive
-	// suppresses its finding and the stale one is ignored.
-	r2 := &Runner{Loader: loader, Checks: []Check{&SimClockCheck{}}}
-	quiet, err := r2.RunDirs([]string{dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(quiet) != 0 {
-		t.Errorf("non-audit scan = %d findings, want 0:\n%v", len(quiet), quiet)
+	for i, line := range []int{13, 16} {
+		f := findings[i]
+		if f.Check != "staleignore" {
+			t.Errorf("finding %d check = %q, want staleignore", i, f.Check)
+		}
+		if !strings.Contains(f.Message, "suppresses nothing") {
+			t.Errorf("finding %d message = %q, want a suppresses-nothing report", i, f.Message)
+		}
+		if f.Pos.Line != line {
+			t.Errorf("stale directive %d reported at line %d, want %d", i, f.Pos.Line, line)
+		}
 	}
 }

@@ -6,47 +6,25 @@ import (
 )
 
 // GoroutineCheck flags fire-and-forget goroutines in the concurrent core
-// packages. Every `go` statement must be reachable from a shutdown path,
-// which we accept as any of the following in the launched function:
+// packages. A goroutine launched as a function literal must carry a
+// shutdown path in its body, which we accept as any of the following:
 //
 //   - a reference to a context.Context (cancellation),
 //   - a sync.WaitGroup Done/Wait call (join),
 //   - a channel receive — including range-over-channel and select recv
 //     clauses — since a receiver observes close() from a shutdown path.
 //
-// A goroutine that only computes and sends (or loops forever) with none of
-// these signals can outlive its owner, pin memory, and stall `go test`;
-// that is exactly the class of bug the runtime leakcheck package catches
-// dynamically, and this check catches statically.
-//
-// For `go obj.method()` the method body is resolved within the same
-// package and scanned; goroutines launching functions defined in other
-// packages are flagged (the lifecycle cannot be proven locally).
+// Only literals are checked. Every `go x.method()` launch in scope is a
+// loop joined by its owner's Close, and losing its join hangs that Close
+// in every test that closes the owner (DESIGN.md §8.10); a literal's
+// join can sit on a path no test takes, such as ExecLauncher's Kill.
 type GoroutineCheck struct{}
 
 // Name implements Check.
 func (*GoroutineCheck) Name() string { return "goroutines" }
 
-// Doc implements Check.
-func (*GoroutineCheck) Doc() string {
-	return "every goroutine must be joinable or stoppable (context, done channel, or WaitGroup)"
-}
-
 // Run implements Check.
 func (c *GoroutineCheck) Run(pkg *Package) []Finding {
-	// Index this package's function/method declarations by object so
-	// `go s.loop()` can be resolved to its body.
-	decls := make(map[types.Object]*ast.FuncDecl)
-	for _, file := range pkg.Files {
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if obj := pkg.Info.Defs[fd.Name]; obj != nil {
-					decls[obj] = fd
-				}
-			}
-		}
-	}
-
 	var out []Finding
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -54,28 +32,8 @@ func (c *GoroutineCheck) Run(pkg *Package) []Finding {
 			if !ok {
 				return true
 			}
-			var body *ast.BlockStmt
-			switch fun := g.Call.Fun.(type) {
-			case *ast.FuncLit:
-				body = fun.Body
-			case *ast.Ident:
-				if fd := decls[pkg.Info.Uses[fun]]; fd != nil {
-					body = fd.Body
-				}
-			case *ast.SelectorExpr:
-				if fd := decls[pkg.Info.Uses[fun.Sel]]; fd != nil {
-					body = fd.Body
-				}
-			}
-			if body == nil {
-				out = append(out, Finding{
-					Pos:     position(pkg, g.Pos()),
-					Check:   "goroutines",
-					Message: "goroutine launches a function defined outside this package; shutdown path cannot be proven — wrap it or add a suppression",
-				})
-				return true
-			}
-			if !c.hasLifecycleSignal(pkg, body) {
+			lit, ok := g.Call.Fun.(*ast.FuncLit)
+			if ok && !c.hasLifecycleSignal(pkg, lit.Body) {
 				out = append(out, Finding{
 					Pos:     position(pkg, g.Pos()),
 					Check:   "goroutines",

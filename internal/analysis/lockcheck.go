@@ -38,11 +38,6 @@ type LockCheck struct{}
 // Name implements Check.
 func (*LockCheck) Name() string { return "lockhygiene" }
 
-// Doc implements Check.
-func (*LockCheck) Doc() string {
-	return "paired Lock/Unlock on all paths; no blocking calls while a state mutex is held"
-}
-
 // Run implements Check.
 func (c *LockCheck) Run(pkg *Package) []Finding {
 	var out []Finding

@@ -28,11 +28,6 @@ type LockOrderCheck struct{}
 // Name returns "lockorder".
 func (*LockOrderCheck) Name() string { return "lockorder" }
 
-// Doc describes the check.
-func (*LockOrderCheck) Doc() string {
-	return "no cycles in the repo-wide mutex acquisition-order graph"
-}
-
 // Run implements Check; lockorder is whole-program, so the per-package
 // pass reports nothing.
 func (*LockOrderCheck) Run(pkg *Package) []Finding { return nil }

@@ -17,25 +17,12 @@ import (
 // suppressions stay auditable.
 const ignorePrefix = "//jbsvet:ignore"
 
-// suppression is one parsed ignore directive.
-type suppression struct {
-	check string
-	file  string
-	line  int
-}
-
-// suppressionEntry is one directive tracked by a suppressionTable, with
-// enough state to audit staleness: whether the named check ever ran over
-// the directive's file, and whether the directive suppressed anything.
+// suppressionEntry is one parsed directive tracked by a
+// suppressionTable, with whether it suppressed anything during the scan.
 type suppressionEntry struct {
-	suppression
-	pos token.Position
-	// applicable: the named check (or, for "all", any check) ran over
-	// this file's package during the scan, so "suppressed nothing" is
-	// meaningful.
-	applicable bool
-	// used: at least one finding was silenced by this directive.
-	used bool
+	check string
+	pos   token.Position
+	used  bool
 }
 
 // suppressionTable collects every directive seen during one Runner scan.
@@ -48,23 +35,17 @@ type suppressionTable struct {
 	// malformed directives, deduplicated by position.
 	malformed     []Finding
 	malformedSeen map[string]bool
-	collected     map[*Package]bool
 }
 
 func newSuppressionTable() *suppressionTable {
 	return &suppressionTable{
 		entries:       make(map[string]*suppressionEntry),
 		malformedSeen: make(map[string]bool),
-		collected:     make(map[*Package]bool),
 	}
 }
 
 // collect parses pkg's //jbsvet:ignore directives into the table.
 func (t *suppressionTable) collect(pkg *Package) {
-	if t.collected[pkg] {
-		return
-	}
-	t.collected[pkg] = true
 	for _, file := range pkg.Files {
 		for _, group := range file.Comments {
 			for _, c := range group.List {
@@ -90,37 +71,10 @@ func (t *suppressionTable) collect(pkg *Package) {
 				if _, ok := t.entries[key]; ok {
 					continue
 				}
-				e := &suppressionEntry{
-					suppression: suppression{check: fields[0], file: pos.Filename, line: pos.Line},
-					pos:         pos,
-				}
+				e := &suppressionEntry{check: fields[0], pos: pos}
 				t.entries[key] = e
 				t.order = append(t.order, e)
 			}
-		}
-	}
-}
-
-// markRan records that the named checks ran over pkg's files, making
-// their directives auditable.
-func (t *suppressionTable) markRan(pkg *Package, checks []string) {
-	if len(checks) == 0 {
-		return
-	}
-	ran := make(map[string]bool, len(checks))
-	for _, c := range checks {
-		ran[c] = true
-	}
-	files := make(map[string]bool, len(pkg.Files))
-	for _, f := range pkg.Files {
-		files[pkg.Fset.Position(f.Pos()).Filename] = true
-	}
-	for _, e := range t.order {
-		if !files[e.file] {
-			continue
-		}
-		if e.check == "all" || ran[e.check] {
-			e.applicable = true
 		}
 	}
 }
@@ -152,18 +106,19 @@ func (t *suppressionTable) suppressFinding(f Finding) bool {
 	return hit
 }
 
-// stale reports directives whose check ran over their file yet silenced
-// nothing — the code they excused has moved or been fixed, and the
-// suppression now only hides future regressions.
+// stale reports directives that silenced nothing during the scan — the
+// code they excused has moved or been fixed, or their check does not run
+// over this file at all — so the suppression now only hides future
+// regressions.
 func (t *suppressionTable) stale() []Finding {
 	var fs []Finding
 	for _, e := range t.order {
-		if e.applicable && !e.used {
+		if !e.used {
 			fs = append(fs, Finding{
 				Pos:   e.pos,
 				Check: "staleignore",
 				Message: fmt.Sprintf(
-					"//jbsvet:ignore %s suppresses nothing: the %s check ran over this file and found no finding here; delete the directive",
+					"//jbsvet:ignore %s suppresses nothing: no %s finding on this line or the next; delete the directive",
 					e.check, e.check),
 			})
 		}

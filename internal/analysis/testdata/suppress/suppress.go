@@ -1,29 +1,31 @@
 // Package supfix is a fixture for //jbsvet:ignore handling, exercised
-// through the simclock check. Lines with a `// want` survive suppression;
+// through the errcheck check. Lines with a `// want` survive suppression;
 // the rest are silenced by well-formed directives.
 package supfix
 
-import "time"
+type conn struct{}
 
-func suppressedTrailing() {
-	time.Sleep(time.Millisecond) //jbsvet:ignore simclock calibrated wall-clock wait in a fixture
+func (conn) Close() error { return nil }
+
+func suppressedTrailing(c conn) {
+	c.Close() //jbsvet:ignore errcheck a fixture close with nothing to report
 }
 
-func suppressedAbove() time.Time {
-	//jbsvet:ignore simclock documented wall-clock read
-	return time.Now()
+func suppressedAbove(c conn) {
+	//jbsvet:ignore errcheck documented best-effort close
+	c.Close()
 }
 
-func notSuppressed() time.Time {
-	return time.Now() // want "direct time.Now"
+func notSuppressed(c conn) {
+	c.Close() // want "result of c.Close"
 }
 
-func wrongCheck() time.Time {
-	//jbsvet:ignore errcheck a directive for another check must not silence simclock
-	return time.Now() // want "direct time.Now"
+func wrongCheck(c conn) {
+	//jbsvet:ignore lockhygiene a directive for another check must not silence errcheck
+	c.Close() // want "result of c.Close"
 }
 
-func missingReason() {
-	//jbsvet:ignore simclock
-	time.Sleep(time.Millisecond) // want "direct time.Sleep"
+func missingReason(c conn) {
+	//jbsvet:ignore errcheck
+	c.Close() // want "result of c.Close"
 }

@@ -6,21 +6,20 @@ import (
 	tg "repro/internal/analysis/testdata/testgoroutine"
 )
 
-func TestExternalPackageViolation(t *testing.T) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if tg.Work() != 42 {
-			t.Fatal("external test packages are scanned too") // want "testing.Fatal called from a goroutine"
-		}
-	}()
-	<-done
+type rig struct {
+	tb   testing.TB
+	done chan struct{}
 }
 
-func TestExternalClean(t *testing.T) {
-	results := make(chan int, 1)
-	go func() { results <- tg.Work() }()
-	if got := <-results; got != 42 {
-		t.Fatalf("Work() = %d", got)
+func (r *rig) read() {
+	defer close(r.done)
+	if tg.Work() != 42 {
+		r.tb.Fatal("external test packages are scanned too") // want "testing.Fatal called from a goroutine"
 	}
+}
+
+func TestExternalPackageViolation(t *testing.T) {
+	r := &rig{tb: t, done: make(chan struct{})}
+	go r.read()
+	<-r.done
 }

@@ -17,10 +17,12 @@ import (
 // (or t.Error, which is goroutine-safe) and let the test goroutine
 // decide.
 //
-// Like GoroutineCheck, `go x.method()` and `go fn()` resolve to
-// declarations in the same unit and their bodies are scanned; a
-// goroutine launching an out-of-unit function is not flagged (that is
-// GoroutineCheck's territory).
+// Only `go x.method()` launches are checked: the method resolves to its
+// declaration in the same unit and its body is scanned. go vet's
+// testinggoroutine covers function literals and functions handed the T
+// as an argument, but not a method that reaches the T through its
+// receiver (`r.t.Fatal` in a rig's reader); DESIGN.md §8.10 has the
+// measurement.
 //
 // This is the one check that wants test files: the Runner feeds it the
 // package merged with its in-package _test.go files plus the external
@@ -29,11 +31,6 @@ type TestGoroutineCheck struct{}
 
 // Name implements Check.
 func (*TestGoroutineCheck) Name() string { return "testgoroutine" }
-
-// Doc implements Check.
-func (*TestGoroutineCheck) Doc() string {
-	return "testing.T Fatal/Skip/FailNow must not be called from goroutines spawned by a test"
-}
 
 // WantsTestFiles opts this check into the Runner's test-package pass.
 func (*TestGoroutineCheck) WantsTestFiles() bool { return true }
@@ -52,51 +49,41 @@ var forbiddenFromGoroutine = map[string]bool{
 
 // Run implements Check.
 func (c *TestGoroutineCheck) Run(pkg *Package) []Finding {
-	decls := make(map[types.Object]*ast.FuncDecl)
+	methods := make(map[types.Object]*ast.FuncDecl)
 	for _, file := range pkg.Files {
 		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
 				if obj := pkg.Info.Defs[fd.Name]; obj != nil {
-					decls[obj] = fd
+					methods[obj] = fd
 				}
 			}
 		}
 	}
 
 	var out []Finding
-	seen := make(map[ast.Node]bool) // two `go helper()` sites share one body
+	seen := make(map[*ast.FuncDecl]bool) // two `go x.run()` sites share one body
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
-			var body *ast.BlockStmt
-			switch fun := g.Call.Fun.(type) {
-			case *ast.FuncLit:
-				body = fun.Body
-			case *ast.Ident:
-				if fd := decls[pkg.Info.Uses[fun]]; fd != nil {
-					body = fd.Body
-				}
-			case *ast.SelectorExpr:
-				if fd := decls[pkg.Info.Uses[fun.Sel]]; fd != nil {
-					body = fd.Body
-				}
-			}
-			if body == nil || seen[body] {
+			sel, ok := g.Call.Fun.(*ast.SelectorExpr)
+			if !ok {
 				return true
 			}
-			seen[body] = true
-			out = append(out, c.scanBody(pkg, body)...)
+			if fd := methods[pkg.Info.Uses[sel.Sel]]; fd != nil && !seen[fd] {
+				seen[fd] = true
+				out = append(out, c.scanBody(pkg, fd.Body)...)
+			}
 			return true
 		})
 	}
 	return out
 }
 
-// scanBody reports every forbidden testing call under a goroutine body,
-// nested function literals included (they run on the same spawned
+// scanBody reports every forbidden testing call under a launched method's
+// body, nested function literals included (they run on the same spawned
 // goroutine unless re-launched, and a re-launch is just as broken).
 func (c *TestGoroutineCheck) scanBody(pkg *Package, body *ast.BlockStmt) []Finding {
 	var out []Finding

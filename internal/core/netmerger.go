@@ -641,9 +641,14 @@ func (m *NetMerger) onFrame(g *nodeGroup, epoch uint64, l *bufpool.Lease) error 
 	m.mu.Lock()
 	p := m.attemptLocked(g, &chunk)
 	if p != nil && chunk.Failed {
-		// A definitive per-request answer, never retried.
-		m.retireLocked(p, onRemoteError, fmt.Errorf("%w: %s", ErrRemote, chunk.Payload), 0)
-		p = nil
+		// A definitive per-request answer, never retried. The error copies
+		// the payload, so l goes back before the retire wakes Fetch: a
+		// Fetch that has returned leaves no lease behind.
+		err := fmt.Errorf("%w: %s", ErrRemote, chunk.Payload)
+		l.Release()
+		m.retireLocked(p, onRemoteError, err, 0)
+		m.mu.Unlock()
+		return nil
 	}
 	if p != nil && chunk.Sized {
 		tracer.Mark(p.spec.MapTask, p.spec.Partition, metrics.StageFirstChunk)
@@ -1208,7 +1213,6 @@ func (m *NetMerger) sendCancel(addr string, id uint64) {
 		return
 	}
 	l := bufpool.Default().Get(cancelFrameLen)
-	//jbsvet:ignore errcheck best-effort advisory frame; the reader owns this connection's failure handling
 	_ = conn.Send(appendCancel(l.Bytes()[:0], id))
 	l.Release()
 }

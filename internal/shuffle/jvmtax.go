@@ -31,7 +31,7 @@ func (j JVMTax) Reader(r io.Reader) io.Reader {
 	}
 	sleep := j.Sleep
 	if sleep == nil {
-		sleep = time.Sleep //jbsvet:ignore simclock the default sleeper is the real wall clock; tests inject a fake
+		sleep = time.Sleep // the real wall clock; tests inject a fake
 	}
 	return &taxedReader{r: r, rate: j.BytesPerSecond, sleep: sleep}
 }
